@@ -4,7 +4,10 @@ vector as the sequence representation.
 
 The sparse path is banded: per-token scores are computed only against the
 2w+1 window and the global token set, never materializing an L x L score
-matrix. A dense pass on the same weights serves as its correctness oracle.
+matrix. The window is read as 2w+1 shifted slices of K and V zero-padded by
+w on the sequence axis (`tensor.band_scores`, `tensor.band_combine`), so
+keys are never gathered per row. A dense pass on the same weights serves as
+its correctness oracle.
 """
 
 from __future__ import annotations
@@ -116,7 +119,13 @@ def _attend_dense(q, k, v, key_mask):
 
 def _attend_sliding(q, k, v, key_mask, window, global_idx, capture=None):
     """Banded attention: each row sees its 2w+1 window plus the global set;
-    global rows see everything."""
+    global rows see everything.
+
+    Band slot j of row i is key i+j-w, read from K and V zero-padded by w
+    (`T.band_scores`, `T.band_combine`). Slots past either end, on masked
+    keys or on a global key are masked out of the softmax (`band_valid`),
+    so their probability is exactly 0. `band_idx` (clipped to the
+    sequence) names each slot's key for the mask and for `capture`."""
     b, h, l, dh = q.shape
     w = window
     g = len(global_idx)
@@ -131,26 +140,23 @@ def _attend_sliding(q, k, v, key_mask, window, global_idx, capture=None):
     band_key_ok = key_mask[:, band_idx]          # (B, L, 2w+1)
     band_valid = in_range[None] & not_global[None] & band_key_ok
 
-    k_band = T.reshape(T.index_select(k, 2, band_idx.reshape(-1)), (b, h, l, 2 * w + 1, dh))
-    v_band = T.reshape(T.index_select(v, 2, band_idx.reshape(-1)), (b, h, l, 2 * w + 1, dh))
-    q5 = T.reshape(q, (b, h, l, 1, dh))
-    band_scores = T.scale(T.sum_(T.mul(q5, k_band), axis=-1), scale)  # (B,H,L,2w+1)
+    band_scores = T.band_scores(q, k, w)  # (B,H,L,2w+1)
 
     gidx = np.asarray(global_idx)
     kg = T.index_select(k, 2, gidx)   # (B,H,G,dh)
     vg = T.index_select(v, 2, gidx)
-    glob_scores = T.scale(T.matmul(q, T.transpose(kg, (0, 1, 3, 2))), scale)  # (B,H,L,G)
+    glob_scores = T.matmul(q, T.transpose(kg, (0, 1, 3, 2)))  # (B,H,L,G)
     glob_valid = key_mask[:, gidx]    # (B, G)
 
-    scores = T.concat([band_scores, glob_scores], axis=-1)
+    scores = T.scale(T.concat([band_scores, glob_scores], axis=-1), scale)
     valid = np.concatenate(
         [band_valid[:, None], np.broadcast_to(glob_valid[:, None, None, :], (b, 1, l, g))],
         axis=-1)
     probs = T.softmax(scores, mask=valid)
 
-    band_probs = T.reshape(probs[:, :, :, :2 * w + 1], (b, h, l, 2 * w + 1, 1))
+    band_probs = probs[:, :, :, :2 * w + 1]
     glob_probs = probs[:, :, :, 2 * w + 1:]
-    ctx = T.add(T.sum_(T.mul(band_probs, v_band), axis=3), T.matmul(glob_probs, vg))
+    ctx = T.add(T.band_combine(band_probs, v, w), T.matmul(glob_probs, vg))
 
     # global rows attend densely over the whole (masked) sequence
     qg = T.index_select(q, 2, gidx)

@@ -9,14 +9,7 @@ topological order.
 from __future__ import annotations
 
 import numpy as np
-
-_DEBUG_CHECKS = False
-
-
-def set_debug_checks(enabled: bool) -> None:
-    """Enable NaN/Inf checks on every produced tensor (slow)."""
-    global _DEBUG_CHECKS
-    _DEBUG_CHECKS = enabled
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 
 class ShapeError(ValueError):
@@ -38,8 +31,6 @@ class Tensor:
         self._parents = parents
         self._backward = backward
         self.name = name
-        if _DEBUG_CHECKS and not np.all(np.isfinite(data)):
-            raise FloatingPointError(f"non-finite values produced (name={name})")
 
     @property
     def shape(self):
@@ -323,13 +314,25 @@ def concat(tensors, axis=0):
     return _node(out, tuple(tensors), bwd)
 
 
+def _is_basic_key(key):
+    """True for keys of slices, ints, None and Ellipsis, which pick each
+    position at most once (numpy basic indexing)."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, (slice, int, np.integer))
+               for k in parts)
+
+
 def slice_(a, key):
     a = _as_tensor(a)
     out = a.data[key]
+    basic = _is_basic_key(key)
 
     def bwd(g):
         full = np.zeros_like(a.data)
-        np.add.at(full, key, g)
+        if basic:
+            full[key] = g
+        else:  # an integer-array key may repeat positions
+            np.add.at(full, key, g)
         _accum(a, full)
 
     return _node(out, (a,), bwd)
@@ -356,6 +359,71 @@ def index_select(a, axis, indices):
 def embedding(table, ids):
     """Look up rows of `table` (V, D) for an integer id array."""
     return index_select(table, 0, np.asarray(ids))
+
+
+# ---------------------------------------------------------------------------
+# banded attention
+#
+# A band of half-width w pairs row i with rows i-w .. i+w of the sequence
+# axis (-2); slot j of row i holds offset j - w. Rows past either end read
+# zero padding. Zero-padding x by w on both sides makes slot j of every row
+# the shifted slice xp[..., j:j+L, :]; the 2w+1 slices are taken as one
+# strided view, so no (..., L, 2w+1, d) array is ever gathered.
+
+def _band_windows(x, w):
+    """(..., L, d, 2w+1) view of x zero-padded by w: [..., i, :, j] = x[..., i+j-w, :]."""
+    l = x.shape[-2]
+    xp = np.zeros(x.shape[:-2] + (l + 2 * w, x.shape[-1]), dtype=x.dtype)
+    xp[..., w:w + l, :] = x
+    return sliding_window_view(xp, 2 * w + 1, axis=-2)
+
+
+def _band_dot(a, b, w):
+    """[..., i, j] = a[..., i, :] . b[..., i+j-w, :]"""
+    return np.matmul(a[..., None, :], _band_windows(b, w))[..., 0, :]
+
+
+def _band_mix(p, b, w):
+    """[..., i, :] = sum_j p[..., i, j] * b[..., i+j-w, :]"""
+    return np.matmul(_band_windows(b, w), p[..., None])[..., 0]
+
+
+def _band_transpose(p, w):
+    """Band of P^T for the L x L matrix P whose band is p (P[i, i+j-w] = p[i, j]):
+    [..., n, j] = p[..., n+j-w, 2w-j], zero where n+j-w is out of range. A
+    read-only diagonal view of a flipped, zero-padded copy of p."""
+    l, span = p.shape[-2:]
+    pf = np.zeros(p.shape[:-2] + (l + 2 * w, span), dtype=p.dtype)
+    pf[..., w:w + l, :] = p[..., ::-1]
+    row, col = pf.strides[-2:]
+    return as_strided(pf, shape=p.shape, strides=pf.strides[:-2] + (row, row + col),
+                      writeable=False)
+
+
+def band_scores(q, k, w):
+    """Banded q.k products, (..., L, d) x (..., L, d) -> (..., L, 2w+1):
+    out[..., i, j] = q[..., i, :] . k[..., i+j-w, :], 0 past either end."""
+    q, k = _as_tensor(q), _as_tensor(k)
+    out = _band_dot(q.data, k.data, w)
+
+    def bwd(g):
+        _accum(q, _band_mix(g, k.data, w))
+        _accum(k, _band_mix(_band_transpose(g, w), q.data, w))
+
+    return _node(out, (q, k), bwd)
+
+
+def band_combine(p, v, w):
+    """Band-weighted sums, (..., L, 2w+1) x (..., L, d) -> (..., L, d):
+    out[..., i, :] = sum_j p[..., i, j] * v[..., i+j-w, :]."""
+    p, v = _as_tensor(p), _as_tensor(v)
+    out = _band_mix(p.data, v.data, w)
+
+    def bwd(g):
+        _accum(p, _band_dot(g, v.data, w))
+        _accum(v, _band_mix(_band_transpose(p.data, w), g, w))
+
+    return _node(out, (p, v), bwd)
 
 
 # ---------------------------------------------------------------------------

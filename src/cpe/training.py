@@ -18,6 +18,7 @@ from . import tensor as T
 from .corpus import CLS_ID, PAD_ID, Document, chunk
 from .encoder import EncoderConfig, encode_chunk, encoder_forward, init_params, pad_to_length
 from .optim import AdamWConfig, AdamWState, adamw_step
+from .pooling import POOLERS, aggregate_transformer
 
 OBJECTIVES = ("cpe-hier", "cpe-long", "simcse", "esimcse")
 
@@ -44,6 +45,10 @@ class PretrainConfig:
             raise ValueError("contrastive batch size must be >= 2")
         if self.tau <= 0:
             raise ValueError("temperature must be positive")
+        if self.pooling not in POOLERS:
+            # the transformer aggregator has parameters that pretrain never builds
+            raise ValueError(f"pretrain pooling must be one of {', '.join(POOLERS)}, "
+                             f"got '{self.pooling}'")
 
 
 @dataclass
@@ -128,8 +133,6 @@ def embed_chunked_batch(chunked_docs, params, config, pooling="max",
                         train=False, rng=None, aggregator=None):
     """Encode every real chunk of a batch of ChunkedDocuments and pool per
     document. Returns a (B, D) Tensor on one autodiff graph."""
-    from .pooling import POOLERS, aggregate_transformer
-
     rows_ids, rows_mask = [], []
     index = []  # per doc: row index per slot, padding slots -> sentinel
     for cd in chunked_docs:

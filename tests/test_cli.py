@@ -148,6 +148,15 @@ class TestMissingArtifacts:
         assert main(["--set", "nonsense", "gen-synthetic"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_untrainable_pretrain_pooling_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        _run(out, "gen-synthetic")
+        capsys.readouterr()
+        assert _run(out, "pretrain", extra=["pretrain.pooling=transformer"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "pooling" in err and "transformer" in err
+        assert not (out / "checkpoint.bin").exists()
+
 
 class TestSweep:
     def test_sweep_rows_and_subdirs(self, tmp_path):

@@ -155,3 +155,101 @@ class TestGradCheckHarness:
 
         err = T.grad_check(fn, w, rng=np.random.default_rng(0))
         assert err > 0.4
+
+
+class TestSliceBackward:
+    def test_basic_key_gradient_lands_in_place(self):
+        a = T.parameter(np.arange(24.0).reshape(2, 3, 4))
+        T.backward(T.sum_(a[1, None, ..., 1:3]))
+        want = np.zeros((2, 3, 4))
+        want[1, :, 1:3] = 1.0
+        np.testing.assert_array_equal(a.grad, want)
+
+    def test_repeated_advanced_index_accumulates(self):
+        a = T.parameter(np.arange(6.0).reshape(3, 2))
+        T.backward(T.sum_(a[[0, 0, 1]]))
+        np.testing.assert_array_equal(a.grad, [[2.0, 2.0], [1.0, 1.0], [0.0, 0.0]])
+
+    def test_repeated_index_pairs_accumulate(self):
+        a = T.parameter(np.ones((2, 2)))
+        T.backward(T.sum_(a[np.array([0, 0, 1]), np.array([1, 1, 0])]))
+        np.testing.assert_array_equal(a.grad, [[0.0, 2.0], [1.0, 0.0]])
+
+
+def _old_band(q, k, v, p, w):
+    """The gather formulation the band ops replace: keys and values picked per
+    row with `index_select` at clipped band positions, then `mul` + `sum_`."""
+    b, h, l, d = q.shape
+    idx = np.clip(np.arange(l)[:, None] + np.arange(-w, w + 1)[None, :], 0, l - 1).reshape(-1)
+    k_band = T.reshape(T.index_select(k, 2, idx), (b, h, l, 2 * w + 1, d))
+    v_band = T.reshape(T.index_select(v, 2, idx), (b, h, l, 2 * w + 1, d))
+    scores = T.sum_(T.mul(T.reshape(q, (b, h, l, 1, d)), k_band), axis=-1)
+    ctx = T.sum_(T.mul(T.reshape(p, (b, h, l, 2 * w + 1, 1)), v_band), axis=3)
+    return scores, ctx
+
+
+def _in_range(l, w):
+    raw = np.arange(l)[:, None] + np.arange(-w, w + 1)[None, :]
+    return (raw >= 0) & (raw < l)
+
+
+class TestBandOps:
+    # (B, H, L, d) shapes; windows below, at and past the sequence length
+    CASES = [((2, 2, 7, 3), 2), ((1, 2, 5, 4), 1), ((2, 1, 4, 3), 4), ((1, 1, 3, 2), 5)]
+
+    @pytest.mark.parametrize("shape,w", CASES)
+    def test_grad_check_every_coordinate(self, shape, w):
+        # every coordinate is checked, so rows at both sequence edges are too
+        rng = np.random.default_rng(sum(shape) + w)
+        band = shape[:-1] + (2 * w + 1,)
+        params = {n: T.parameter(rng.standard_normal(shape)) for n in ("q", "k", "v")}
+        params["p"] = T.parameter(rng.standard_normal(band))
+        r_scores = rng.standard_normal(band)
+        r_ctx = rng.standard_normal(shape)
+
+        def fn(p):
+            s = T.sum_(T.mul(T.band_scores(p["q"], p["k"], w), r_scores))
+            c = T.sum_(T.mul(T.band_combine(p["p"], p["v"], w), r_ctx))
+            return T.add(s, c)
+
+        every = max(t.data.size for t in params.values())
+        assert T.grad_check(fn, params, num_samples=every) < 1e-7
+
+    @pytest.mark.parametrize("shape,w", CASES)
+    def test_out_of_range_slots_read_zero(self, shape, w):
+        rng = np.random.default_rng(1)
+        q, k = rng.standard_normal(shape), rng.standard_normal(shape)
+        out = T.band_scores(T.constant(q, np.float64), T.constant(k, np.float64), w).data
+        assert np.all(out[..., ~_in_range(shape[2], w)] == 0.0)
+
+    @pytest.mark.parametrize("shape,w", CASES + [((4, 4, 65, 16), 16)])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_gather_formulation_on_valid_slots(self, shape, w, dtype, tol):
+        rng = np.random.default_rng(2)
+        ok = _in_range(shape[2], w)
+        band = shape[:-1] + (2 * w + 1,)
+        # probabilities are 0 on out-of-range slots, as the softmax mask makes them
+        p_data = rng.random(band) * ok
+        r_scores = rng.standard_normal(band) * ok
+        r_ctx = rng.standard_normal(shape)
+        data = {"q": rng.standard_normal(shape), "k": rng.standard_normal(shape),
+                "v": rng.standard_normal(shape), "p": p_data}
+
+        def run(fused):
+            t = {n: T.parameter(x.astype(dtype)) for n, x in data.items()}
+            if fused:
+                scores = T.band_scores(t["q"], t["k"], w)
+                ctx = T.band_combine(t["p"], t["v"], w)
+            else:
+                scores, ctx = _old_band(t["q"], t["k"], t["v"], t["p"], w)
+            T.backward(T.add(T.sum_(T.mul(scores, r_scores.astype(dtype))),
+                             T.sum_(T.mul(ctx, r_ctx.astype(dtype)))))
+            return scores.data, ctx.data, {n: x.grad for n, x in t.items()}
+
+        new_s, new_c, new_g = run(fused=True)
+        old_s, old_c, old_g = run(fused=False)
+        np.testing.assert_allclose(new_s[..., ok], old_s[..., ok], rtol=tol, atol=tol)
+        np.testing.assert_allclose(new_c, old_c, rtol=tol, atol=tol)
+        for name in ("q", "k", "v"):
+            np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol)
+        np.testing.assert_allclose(new_g["p"][..., ok], old_g["p"][..., ok], rtol=tol, atol=tol)
