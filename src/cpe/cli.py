@@ -18,9 +18,8 @@ from . import metrics as M
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifier import init_mlp, predict_batch, train_classifier
 from .config import ConfigError, ExperimentConfig
-from .encoder import init_params
-from .pooling import AggregatorConfig, init_aggregator
-from .training import OBJECTIVES, embed_documents, pretrain
+from .encoder import EncoderConfig, init_params
+from .training import OBJECTIVES, PretrainConfig, embed_documents, pretrain
 
 
 class CliError(RuntimeError):
@@ -100,7 +99,19 @@ def cmd_pretrain(cfg, args):
     return 0
 
 
+def _checkpoint_configs(meta):
+    """The encoder and pretrain configs a checkpoint was trained with."""
+    try:
+        enc = dict(meta["encoder"], global_tokens=tuple(meta["encoder"]["global_tokens"]))
+        return EncoderConfig(**enc), PretrainConfig(**meta["pretrain"])
+    except (KeyError, TypeError) as e:
+        raise CliError(f"checkpoint does not describe its model ({e}); re-run 'pretrain'")
+
+
 def cmd_embed(cfg, args):
+    if args.pooling == "transformer":
+        raise CliError("embed --pooling transformer needs a trained aggregator, and no "
+                       "stage trains or saves one; use --pooling mean or max")
     out = _outdir(cfg)
     records = _load_records(cfg)
     ckpt_path = os.path.join(out, "checkpoint.bin")
@@ -113,18 +124,12 @@ def cmd_embed(cfg, args):
     else:
         _require(ckpt_path, "pretrain", hint="(or pass --random-init)")
         params, meta, vocab = load_checkpoint(ckpt_path)
-        ecfg = cfg.encoder_config(vocab.size, meta["pretrain"]["objective"])
-        pcfg = cfg.pretrain_config(meta["pretrain"]["objective"])
+        ecfg, pcfg = _checkpoint_configs(meta)
 
     docs = C.encode_documents(records, vocab, task=_task(cfg))
-    aggregator = None
-    if args.pooling == "transformer":
-        acfg = AggregatorConfig(dim=ecfg.dim, max_chunks=pcfg.n_chunks,
-                                dropout=ecfg.dropout)
-        aggregator = (init_aggregator(acfg, cfg.seed), acfg)
     embs = embed_documents(docs, params, ecfg, pooling=args.pooling,
                            chunk_len=pcfg.chunk_len, n_chunks=pcfg.n_chunks,
-                           max_tokens=pcfg.max_tokens, aggregator=aggregator)
+                           max_tokens=pcfg.max_tokens)
     M.export_embeddings(os.path.join(out, "embeddings.tsv"), embs,
                         [d.id for d in docs], [d.labels for d in docs])
     print(f"wrote {len(docs)} embeddings (dim {embs.shape[1]}) to {out}/embeddings.tsv")

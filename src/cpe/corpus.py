@@ -283,8 +283,13 @@ def gen_synthetic(spec, seed):
         else:
             topics = [int(rng.integers(spec.num_topics))]
         length = int(rng.integers(spec.doc_len_min, spec.doc_len_max + 1))
-        weights = {t: rng.dirichlet(np.full(spec.vocab_per_topic, spec.doc_alpha))
-                   for t in topics}
+        # rng.choice(n, p=w) draws one rng.random() and returns its place in
+        # the normalised CDF of w; building each CDF once per document gives
+        # the same words without re-validating w on every draw
+        cdfs = {}
+        for t in topics:
+            cdf = rng.dirichlet(np.full(spec.vocab_per_topic, spec.doc_alpha)).cumsum()
+            cdfs[t] = cdf / cdf[-1]
         words = []
         for _ in range(length):
             if spec.shared_vocab > 0 and rng.random() < spec.noise_rate:
@@ -292,7 +297,7 @@ def gen_synthetic(spec, seed):
                 words.append(f"sh{j}")
             else:
                 t = topics[int(rng.integers(len(topics)))]
-                j = int(rng.choice(spec.vocab_per_topic, p=weights[t]))
+                j = int(cdfs[t].searchsorted(rng.random(), side="right"))
                 words.append(f"t{t}w{j}")
         records.append({"id": f"doc{i:05d}", "text": " ".join(words), "labels": topics})
     return records

@@ -2,12 +2,17 @@
 sparse attention over long sequences, both exposing the position-0 [CLS]
 vector as the sequence representation.
 
+Dense attention is one fused tape node (`tensor.attention`), which keeps
+only the probabilities for its closed-form backward.
+
 The sparse path is banded: per-token scores are computed only against the
 2w+1 window and the global token set, never materializing an L x L score
 matrix. The window is read as 2w+1 shifted slices of K and V zero-padded by
 w on the sequence axis (`tensor.band_scores`, `tensor.band_combine`), so
-keys are never gathered per row. A dense pass on the same weights serves as
-its correctness oracle.
+keys are never gathered per row. The global tokens are the prefix of the
+sequence, taken by slicing; their own rows attend densely through
+`tensor.attention`. A dense pass on the same weights serves as its
+correctness oracle.
 """
 
 from __future__ import annotations
@@ -109,15 +114,7 @@ def _merge_heads(x):
     return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, l, h * dh))
 
 
-def _attend_dense(q, k, v, key_mask):
-    dh = q.shape[-1]
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(dh))
-    mask = key_mask[:, None, None, :]  # broadcast over heads and query rows
-    probs = T.softmax(scores, mask=mask)
-    return T.matmul(probs, v), probs
-
-
-def _attend_sliding(q, k, v, key_mask, window, global_idx, capture=None):
+def _attend_sliding(q, k, v, key_mask, window, g, capture=None):
     """Banded attention: each row sees its 2w+1 window plus the global set;
     global rows see everything.
 
@@ -125,10 +122,12 @@ def _attend_sliding(q, k, v, key_mask, window, global_idx, capture=None):
     (`T.band_scores`, `T.band_combine`). Slots past either end, on masked
     keys or on a global key are masked out of the softmax (`band_valid`),
     so their probability is exactly 0. `band_idx` (clipped to the
-    sequence) names each slot's key for the mask and for `capture`."""
+    sequence) names each slot's key for the mask and for `capture`.
+
+    The global set is the prefix {0..g-1} (`EncoderConfig.validate`), so
+    the global keys, values and rows are the slice [:g]."""
     b, h, l, dh = q.shape
     w = window
-    g = len(global_idx)
     scale = 1.0 / math.sqrt(dh)
 
     ar = np.arange(l)
@@ -136,17 +135,16 @@ def _attend_sliding(q, k, v, key_mask, window, global_idx, capture=None):
     raw = ar[:, None] + offs[None, :]           # (L, 2w+1)
     band_idx = np.clip(raw, 0, l - 1)
     in_range = (raw >= 0) & (raw < l)
-    not_global = ~np.isin(band_idx, global_idx)  # global keys live in their own columns
+    not_global = band_idx >= g                  # global keys live in their own columns
     band_key_ok = key_mask[:, band_idx]          # (B, L, 2w+1)
     band_valid = in_range[None] & not_global[None] & band_key_ok
 
     band_scores = T.band_scores(q, k, w)  # (B,H,L,2w+1)
 
-    gidx = np.asarray(global_idx)
-    kg = T.index_select(k, 2, gidx)   # (B,H,G,dh)
-    vg = T.index_select(v, 2, gidx)
+    kg = k[:, :, :g]                  # (B,H,G,dh)
+    vg = v[:, :, :g]
     glob_scores = T.matmul(q, T.transpose(kg, (0, 1, 3, 2)))  # (B,H,L,G)
-    glob_valid = key_mask[:, gidx]    # (B, G)
+    glob_valid = key_mask[:, :g]      # (B, G)
 
     scores = T.scale(T.concat([band_scores, glob_scores], axis=-1), scale)
     valid = np.concatenate(
@@ -159,10 +157,8 @@ def _attend_sliding(q, k, v, key_mask, window, global_idx, capture=None):
     ctx = T.add(T.band_combine(band_probs, v, w), T.matmul(glob_probs, vg))
 
     # global rows attend densely over the whole (masked) sequence
-    qg = T.index_select(q, 2, gidx)
-    g_scores = T.scale(T.matmul(qg, T.transpose(k, (0, 1, 3, 2))), scale)  # (B,H,G,L)
-    g_probs = T.softmax(g_scores, mask=key_mask[:, None, None, :])
-    g_ctx = T.matmul(g_probs, v)
+    g_probs = []
+    g_ctx = T.attention(q[:, :, :g], k, v, key_mask, probs=g_probs)  # (B,H,G,dh)
     ctx = T.concat([g_ctx, ctx[:, :, g:, :]], axis=2)
 
     if capture is not None:
@@ -171,8 +167,8 @@ def _attend_sliding(q, k, v, key_mask, window, global_idx, capture=None):
             "band_idx": band_idx,
             "band_valid": band_valid.copy(),
             "global_probs": probs.data[:, :, :, 2 * w + 1:].copy(),
-            "global_idx": gidx,
-            "global_row_probs": g_probs.data.copy(),
+            "global_idx": np.arange(g),
+            "global_row_probs": g_probs[0].copy(),
         })
     return ctx
 
@@ -202,12 +198,13 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
         k = _split_heads(_linear(x, params, pre + "k"), config.heads)
         v = _split_heads(_linear(x, params, pre + "v"), config.heads)
         if config.attention == "sliding" and config.window < l:
-            ctx = _attend_sliding(q, k, v, mask, config.window,
-                                  tuple(sorted(config.global_tokens)), capture=capture)
+            ctx = _attend_sliding(q, k, v, mask, config.window, len(config.global_tokens),
+                                  capture=capture)
         else:
-            ctx, probs = _attend_dense(q, k, v, mask)
-            if capture is not None and config.attention == "sliding":
-                capture.append({"dense_probs": probs.data.copy()})
+            probs = [] if capture is not None and config.attention == "sliding" else None
+            ctx = T.attention(q, k, v, mask, probs=probs)
+            if probs:
+                capture.append({"dense_probs": probs[0].copy()})
         a = _linear(_merge_heads(ctx), params, pre + "o")
         h = T.add(h, T.dropout(a, config.dropout, rng, train))
         x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])

@@ -63,7 +63,7 @@ def aggregate_transformer(chunk_embs, chunk_mask, params, config, train=False, r
     `chunk_embs` is (B, n, D) (or (n, D)) of per-chunk [CLS] vectors;
     masked slots never enter attention or the final pool.
     """
-    from .encoder import _linear, _split_heads, _merge_heads, _attend_dense
+    from .encoder import _linear, _split_heads, _merge_heads
 
     single = chunk_embs.ndim == 2
     if single:
@@ -85,7 +85,7 @@ def aggregate_transformer(chunk_embs, chunk_mask, params, config, train=False, r
         q = _split_heads(_linear(x, params, pre + "q"), config.heads)
         k = _split_heads(_linear(x, params, pre + "k"), config.heads)
         v = _split_heads(_linear(x, params, pre + "v"), config.heads)
-        ctx, _ = _attend_dense(q, k, v, chunk_mask)
+        ctx = T.attention(q, k, v, chunk_mask)
         a = _linear(_merge_heads(ctx), params, pre + "o")
         h = T.add(h, T.dropout(a, config.dropout, rng, train))
         x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])

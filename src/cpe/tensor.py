@@ -4,9 +4,15 @@ Values are numpy arrays (float32 by default, float64 for gradient
 checking). Every operation that touches a gradient-tracked tensor records
 a node on a dynamic tape; `backward` replays the tape in reverse
 topological order.
+
+Attention has fused ops with closed-form backward passes: `attention`
+(masked scaled dot-product attention as one node) and the banded pair
+`band_scores` / `band_combine` for sliding-window attention.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -513,6 +519,43 @@ def softmax(a, mask=None, axis=-1):
         _accum(a, out * (g - dot))
 
     return _node(out, (a,), bwd)
+
+
+def attention(q, k, v, key_mask, probs=None):
+    """Masked scaled dot-product attention as one tape node.
+
+    q (B,H,Lq,d), k (B,H,Lk,d), v (B,H,Lk,dv), key_mask (B,Lk) bool ->
+    context (B,H,Lq,dv). softmax(q.k^T / sqrt(d)) follows `softmax`'s
+    contract: masked keys get probability exactly 0, and a row with no
+    readable key gets zero probabilities and a zero context (no NaN).
+    Only the probabilities are kept for the closed-form backward; when
+    `probs` is a list, they are appended to it.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    c = 1.0 / math.sqrt(q.shape[-1])
+    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    p *= c
+    np.copyto(p, -np.inf, where=~np.asarray(key_mask, dtype=bool)[:, None, None, :])
+    mx = p.max(axis=-1, keepdims=True)
+    mx[~np.isfinite(mx)] = 0.0
+    p -= mx
+    np.exp(p, out=p)  # masked keys: exp(-inf) = 0
+    denom = p.sum(axis=-1, keepdims=True)
+    np.divide(p, denom, out=p, where=denom > 0)
+    if probs is not None:
+        probs.append(p)
+    out = np.matmul(p, v.data)
+
+    def bwd(g):
+        _accum(v, np.matmul(np.swapaxes(p, -1, -2), g))
+        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
+        ds -= (ds * p).sum(axis=-1, keepdims=True)
+        ds *= p
+        ds *= c
+        _accum(q, np.matmul(ds, k.data))
+        _accum(k, np.matmul(np.swapaxes(ds, -1, -2), q.data))
+
+    return _node(out, (q, k, v), bwd)
 
 
 def log_softmax(a, axis=-1):

@@ -327,7 +327,7 @@ def pretrain(docs, encoder_config, cfg, log=None):
 # inference-time embedding
 
 def embed_documents(docs, params, encoder_config, pooling="max", chunk_len=128,
-                    n_chunks=32, max_tokens=4096, aggregator=None, batch_size=32):
+                    n_chunks=32, max_tokens=4096, batch_size=32):
     """Eval-mode document embeddings, (B, D) numpy array."""
     out = []
     if encoder_config.attention == "sliding":
@@ -341,7 +341,6 @@ def embed_documents(docs, params, encoder_config, pooling="max", chunk_len=128,
     for lo in range(0, len(docs), batch_size):
         group = docs[lo:lo + batch_size]
         chunked = [chunk(d, chunk_len, n_chunks, max_tokens) for d in group]
-        embs = embed_chunked_batch(chunked, params, encoder_config, pooling=pooling,
-                                   aggregator=aggregator)
+        embs = embed_chunked_batch(chunked, params, encoder_config, pooling=pooling)
         out.append(embs.data)
     return np.concatenate(out, axis=0)

@@ -98,6 +98,22 @@ class TestPipeline:
         assert _run(out, "embed", "--pooling", "mean", "--random-init") == 0
         assert (out / "embeddings.tsv").exists()
 
+    def test_embed_reads_model_from_checkpoint(self, tmp_path):
+        # without the pretrain-time encoder and chunking overrides, embed
+        # still rebuilds the pretrained model from the checkpoint alone
+        out = tmp_path / "run"
+        _run(out, "gen-synthetic")
+        assert _run(out, "pretrain", "--objective", "cpe-hier") == 0
+        assert _run(out, "embed", "--pooling", "max") == 0
+        want = (out / "embeddings.tsv").read_bytes()
+        (out / "embeddings.tsv").unlink()
+        sets = []
+        for kv in [f"run.output_dir={out}", *FAST]:
+            if not kv.startswith(("encoder.", "pretrain.")):
+                sets += ["--set", kv]
+        assert main([*sets, "embed", "--pooling", "max"]) == 0
+        assert (out / "embeddings.tsv").read_bytes() == want
+
     def test_pretrain_log_format(self, tmp_path):
         out = tmp_path / "run"
         _run(out, "gen-synthetic")
@@ -156,6 +172,18 @@ class TestMissingArtifacts:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "pooling" in err and "transformer" in err
         assert not (out / "checkpoint.bin").exists()
+
+    def test_embed_transformer_pooling_rejected(self, tmp_path, capsys):
+        # no stage trains an aggregator, so an embedding would come from random weights
+        out = tmp_path / "x"
+        _run(out, "gen-synthetic")
+        _run(out, "pretrain")
+        capsys.readouterr()
+        for argv in (["--pooling", "transformer"], ["--pooling", "transformer", "--random-init"]):
+            assert _run(out, "embed", *argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "transformer" in err
+            assert not (out / "embeddings.tsv").exists()
 
 
 class TestSweep:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpe.corpus import (CLS_ID, PAD_ID, UNK_ID, CorpusError, Document,
+from cpe.corpus import (CLS_ID, PAD_ID, UNK_ID, CorpusError, Document, _doc_rng,
                         SyntheticSpec, build_vocab, chunk, encode_documents,
                         gen_synthetic, load_jsonl, save_jsonl, tokenize,
                         unchunk, Vocab)
@@ -176,6 +176,43 @@ class TestSynthetic:
         recs = gen_synthetic(spec, seed=2)
         sizes = {len(r["labels"]) for r in recs}
         assert sizes <= {1, 2} and 2 in sizes
+
+    @pytest.mark.parametrize("spec", [
+        SPEC,
+        SyntheticSpec(num_docs=150, num_topics=5, doc_len_min=20, doc_len_max=60,
+                      vocab_per_topic=25, shared_vocab=10, noise_rate=0.3,
+                      task="multilabel"),
+        SyntheticSpec(num_docs=3, doc_len_min=1397, doc_len_max=1397),
+    ])
+    def test_matches_per_word_choice_generator(self, spec):
+        # the generator before topic words were drawn from a per-document CDF
+        def per_word_choice(spec, seed):
+            records = []
+            for i in range(spec.num_docs):
+                rng = _doc_rng(seed, i)
+                if spec.task == "multilabel":
+                    k = int(rng.integers(1, 3))
+                    topics = sorted(rng.choice(spec.num_topics, size=k, replace=False).tolist())
+                else:
+                    topics = [int(rng.integers(spec.num_topics))]
+                length = int(rng.integers(spec.doc_len_min, spec.doc_len_max + 1))
+                weights = {t: rng.dirichlet(np.full(spec.vocab_per_topic, spec.doc_alpha))
+                           for t in topics}
+                words = []
+                for _ in range(length):
+                    if spec.shared_vocab > 0 and rng.random() < spec.noise_rate:
+                        words.append(f"sh{int(rng.integers(spec.shared_vocab))}")
+                    else:
+                        t = topics[int(rng.integers(len(topics)))]
+                        j = int(rng.choice(spec.vocab_per_topic, p=weights[t]))
+                        words.append(f"t{t}w{j}")
+                records.append({"id": f"doc{i:05d}", "text": " ".join(words),
+                                "labels": topics})
+            return records
+
+        for seed in (0, 7):
+            assert json.dumps(gen_synthetic(spec, seed)) == \
+                json.dumps(per_word_choice(spec, seed))
 
     def test_invalid_spec_errors(self):
         with pytest.raises(CorpusError, match="num_topics"):

@@ -253,3 +253,91 @@ class TestBandOps:
         for name in ("q", "k", "v"):
             np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol)
         np.testing.assert_allclose(new_g["p"][..., ok], old_g["p"][..., ok], rtol=tol, atol=tol)
+
+
+def _old_attention(q, k, v, key_mask):
+    """The composed chain `attention` replaces: scores, scale, masked softmax, mix."""
+    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
+    probs = T.softmax(scores, mask=key_mask[:, None, None, :])
+    return T.matmul(probs, v), probs
+
+
+def _attention_mask(b, lk):
+    """Key masks with a partly masked row and, for b > 1, a fully masked one."""
+    mask = np.ones((b, lk), dtype=bool)
+    mask[0, lk // 2:] = False
+    if b > 1:
+        mask[-1] = False
+    return mask
+
+
+class TestAttention:
+    # (B, H, Lq, Lk, d): square, Lq < Lk as for the global rows, Lq > Lk
+    CASES = [(3, 2, 4, 4, 3), (2, 2, 1, 6, 4), (3, 1, 5, 3, 2)]
+
+    @pytest.mark.parametrize("b,h,lq,lk,d", CASES)
+    def test_grad_check_every_coordinate(self, b, h, lq, lk, d):
+        rng = np.random.default_rng(b * 100 + lq * 10 + lk)
+        params = {"q": T.parameter(rng.standard_normal((b, h, lq, d))),
+                  "k": T.parameter(rng.standard_normal((b, h, lk, d))),
+                  "v": T.parameter(rng.standard_normal((b, h, lk, d)))}
+        mask = _attention_mask(b, lk)
+        r = rng.standard_normal((b, h, lq, d))
+
+        def fn(p):
+            return T.sum_(T.mul(T.attention(p["q"], p["k"], p["v"], mask), r))
+
+        every = max(t.data.size for t in params.values())
+        assert T.grad_check(fn, params, num_samples=every) < 1e-7
+
+    def test_softmax_contract(self):
+        rng = np.random.default_rng(0)
+        q, k, v = (T.constant(rng.standard_normal((3, 2, 4, 5))) for _ in range(3))
+        mask = _attention_mask(3, 4)
+        probs = []
+        ctx = T.attention(q, k, v, mask, probs=probs).data
+        p = probs[0]
+        assert p.shape == (3, 2, 4, 4)
+        assert np.all(p[0, :, :, 2:] == 0.0)  # masked keys: exactly zero
+        np.testing.assert_allclose(p[:2].sum(axis=-1), 1.0, atol=1e-6)
+        assert np.all(p[2] == 0.0) and np.all(ctx[2] == 0.0)  # no readable key
+        assert np.all(np.isfinite(ctx))
+
+    def test_probs_list_is_optional(self):
+        rng = np.random.default_rng(1)
+        q, k, v = (T.constant(rng.standard_normal((1, 1, 3, 2))) for _ in range(3))
+        mask = np.ones((1, 3), dtype=bool)
+        probs = []
+        a = T.attention(q, k, v, mask, probs=probs).data
+        b = T.attention(q, k, v, mask).data
+        assert np.array_equal(a, b) and len(probs) == 1
+
+    @pytest.mark.parametrize("b,h,lq,lk,d", CASES + [(4, 4, 129, 129, 16)])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_composed_chain(self, b, h, lq, lk, d, dtype, tol):
+        rng = np.random.default_rng(3)
+        data = {"q": rng.standard_normal((b, h, lq, d)), "k": rng.standard_normal((b, h, lk, d)),
+                "v": rng.standard_normal((b, h, lk, d))}
+        mask = _attention_mask(b, lk)
+        r = rng.standard_normal((b, h, lq, d)).astype(dtype)
+
+        def run(fused):
+            t = {n: T.parameter(x.astype(dtype)) for n, x in data.items()}
+            if fused:
+                probs = []
+                ctx = T.attention(t["q"], t["k"], t["v"], mask, probs=probs)
+                p = probs[0]
+            else:
+                ctx, p = _old_attention(t["q"], t["k"], t["v"], mask)
+                p = p.data
+            T.backward(T.sum_(T.mul(ctx, r)))
+            return ctx.data, p, {n: x.grad for n, x in t.items()}
+
+        new_c, new_p, new_g = run(fused=True)
+        old_c, old_p, old_g = run(fused=False)
+        assert new_c.dtype == dtype and new_p.dtype == dtype
+        np.testing.assert_allclose(new_c, old_c, rtol=tol, atol=tol)
+        np.testing.assert_allclose(new_p, old_p, rtol=tol, atol=tol)
+        for name in ("q", "k", "v"):
+            assert new_g[name].dtype == dtype
+            np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol)
