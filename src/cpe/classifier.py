@@ -47,7 +47,7 @@ def mlp_logits(x, params):
     n_layers = len(params) // 2
     h = x if isinstance(x, T.Tensor) else T.constant(x)
     for i in range(n_layers):
-        h = T.add(T.matmul(h, params[f"h{i}_w"]), params[f"h{i}_b"])
+        h = T.linear(h, params[f"h{i}_w"], params[f"h{i}_b"])
         if i < n_layers - 1:
             h = T.tanh(h)
     return h

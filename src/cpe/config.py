@@ -22,10 +22,10 @@ DEFAULTS = {
                 "dropout": "0.1", "attention": "dense", "window": "16",
                 "max_positions": "auto"},
     "pretrain": {"objective": "cpe-hier", "epochs": "3", "batch_size": "4",
-                 "lr": "2e-5", "weight_decay": "0.001", "tau": "0.05",
-                 "chunk_len": "128", "n_chunks": "32", "max_tokens": "4096",
+                 "lr": "2e-4", "weight_decay": "0.001", "tau": "0.05",
+                 "chunk_len": "16", "n_chunks": "10", "max_tokens": "160",
                  "esimcse_rate": "0.15", "pooling": "max"},
-    "classifier": {"epochs": "20", "batch_size": "16", "lr": "2e-5",
+    "classifier": {"epochs": "20", "batch_size": "16", "lr": "1e-3",
                    "hidden": "64,64,64", "threshold": "0.5", "weight_decay": "0.001"},
     "eval": {"dbscan_eps": "0.2", "dbscan_min_pts": "5", "normalize": "true"},
 }

@@ -2,8 +2,10 @@
 sparse attention over long sequences, both exposing the position-0 [CLS]
 vector as the sequence representation.
 
-Dense attention is one fused tape node (`tensor.attention`), which keeps
-only the probabilities for its closed-form backward.
+Each projection is one fused `tensor.linear` node and dense attention one
+fused `tensor.attention` node, which keeps only the probabilities for its
+closed-form backward. `_block` is the one pre-LN transformer block, shared
+with the chunk aggregator in `pooling`.
 
 The sparse path is banded: per-token scores are computed only against the
 2w+1 window and the global token set, never materializing an L x L score
@@ -100,7 +102,7 @@ def init_params(config, seed):
 
 
 def _linear(x, params, name):
-    return T.add(T.matmul(x, params[name + "_w"]), params[name + "_b"])
+    return T.linear(x, params[name + "_w"], params[name + "_b"])
 
 
 def _split_heads(x, heads):
@@ -173,6 +175,23 @@ def _attend_sliding(q, k, v, key_mask, window, g, capture=None):
     return ctx
 
 
+def _block(h, params, pre, config, attend, rng, train):
+    """One pre-LN transformer block over (B, L, D) states: attention, then a
+    ReLU feed-forward, each added back as a residual after dropout.
+
+    `pre` prefixes the block's parameter names, `config` gives `heads` and
+    `dropout`, and `attend(q, k, v)` maps (B,H,L,dh) heads to the context."""
+    x = T.layer_norm(h, params[pre + "ln1_g"], params[pre + "ln1_b"])
+    q = _split_heads(_linear(x, params, pre + "q"), config.heads)
+    k = _split_heads(_linear(x, params, pre + "k"), config.heads)
+    v = _split_heads(_linear(x, params, pre + "v"), config.heads)
+    a = _linear(_merge_heads(attend(q, k, v)), params, pre + "o")
+    h = T.add(h, T.dropout(a, config.dropout, rng, train))
+    x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])
+    f = _linear(T.relu(_linear(x, params, pre + "ff1")), params, pre + "ff2")
+    return T.add(h, T.dropout(f, config.dropout, rng, train))
+
+
 def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=None):
     """Run the encoder over a batch; returns the (B, L, D) hidden states.
 
@@ -191,26 +210,18 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
               T.reshape(params["pos_emb"][:l], (1, l, config.dim)))
     h = T.dropout(h, config.dropout, rng, train)
 
-    for i in range(config.layers):
-        pre = f"layer{i}."
-        x = T.layer_norm(h, params[pre + "ln1_g"], params[pre + "ln1_b"])
-        q = _split_heads(_linear(x, params, pre + "q"), config.heads)
-        k = _split_heads(_linear(x, params, pre + "k"), config.heads)
-        v = _split_heads(_linear(x, params, pre + "v"), config.heads)
+    def attend(q, k, v):
         if config.attention == "sliding" and config.window < l:
-            ctx = _attend_sliding(q, k, v, mask, config.window, len(config.global_tokens),
-                                  capture=capture)
-        else:
-            probs = [] if capture is not None and config.attention == "sliding" else None
-            ctx = T.attention(q, k, v, mask, probs=probs)
-            if probs:
-                capture.append({"dense_probs": probs[0].copy()})
-        a = _linear(_merge_heads(ctx), params, pre + "o")
-        h = T.add(h, T.dropout(a, config.dropout, rng, train))
-        x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])
-        f = _linear(T.relu(_linear(x, params, pre + "ff1")), params, pre + "ff2")
-        h = T.add(h, T.dropout(f, config.dropout, rng, train))
+            return _attend_sliding(q, k, v, mask, config.window, len(config.global_tokens),
+                                   capture=capture)
+        probs = [] if capture is not None and config.attention == "sliding" else None
+        ctx = T.attention(q, k, v, mask, probs=probs)
+        if probs:
+            capture.append({"dense_probs": probs[0].copy()})
+        return ctx
 
+    for i in range(config.layers):
+        h = _block(h, params, f"layer{i}.", config, attend, rng, train)
     return T.layer_norm(h, params["lnf_g"], params["lnf_b"])
 
 

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoder import EncoderConfig, init_params
+from .encoder import EncoderConfig, _block, init_params
 
 
 def pool_mean(chunk_embs, chunk_mask):
@@ -63,8 +63,6 @@ def aggregate_transformer(chunk_embs, chunk_mask, params, config, train=False, r
     `chunk_embs` is (B, n, D) (or (n, D)) of per-chunk [CLS] vectors;
     masked slots never enter attention or the final pool.
     """
-    from .encoder import _linear, _split_heads, _merge_heads
-
     single = chunk_embs.ndim == 2
     if single:
         chunk_embs = T.reshape(chunk_embs, (1,) + chunk_embs.shape)
@@ -79,18 +77,12 @@ def aggregate_transformer(chunk_embs, chunk_mask, params, config, train=False, r
 
     h = T.add(chunk_embs, T.reshape(params["pos_emb"][:n], (1, n, d)))
     h = T.dropout(h, config.dropout, rng, train)
+
+    def attend(q, k, v):
+        return T.attention(q, k, v, chunk_mask)
+
     for i in range(config.layers):
-        pre = f"layer{i}."
-        x = T.layer_norm(h, params[pre + "ln1_g"], params[pre + "ln1_b"])
-        q = _split_heads(_linear(x, params, pre + "q"), config.heads)
-        k = _split_heads(_linear(x, params, pre + "k"), config.heads)
-        v = _split_heads(_linear(x, params, pre + "v"), config.heads)
-        ctx = T.attention(q, k, v, chunk_mask)
-        a = _linear(_merge_heads(ctx), params, pre + "o")
-        h = T.add(h, T.dropout(a, config.dropout, rng, train))
-        x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])
-        f = _linear(T.relu(_linear(x, params, pre + "ff1")), params, pre + "ff2")
-        h = T.add(h, T.dropout(f, config.dropout, rng, train))
+        h = _block(h, params, f"layer{i}.", config, attend, rng, train)
     h = T.layer_norm(h, params["lnf_g"], params["lnf_b"])
 
     out = T.masked_max(h, chunk_mask, axis=1)

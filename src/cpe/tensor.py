@@ -5,9 +5,10 @@ checking). Every operation that touches a gradient-tracked tensor records
 a node on a dynamic tape; `backward` replays the tape in reverse
 topological order.
 
-Attention has fused ops with closed-form backward passes: `attention`
-(masked scaled dot-product attention as one node) and the banded pair
-`band_scores` / `band_combine` for sliding-window attention.
+Fused ops record one node with a closed-form backward pass: `linear`
+(x @ w + b over the last axis), `attention` (masked scaled dot-product
+attention) and the banded pair `band_scores` / `band_combine` for
+sliding-window attention.
 """
 
 from __future__ import annotations
@@ -116,10 +117,18 @@ def _node(data, parents, backward, name=None):
 
 
 def _accum(t, g):
+    """Add `g` into `t.grad`.
+
+    The first write stores `g` itself when it has t's shape, so a stored
+    gradient may be the very array another tensor holds (`add` hands the
+    same `g` to both parents) or a view of the child's gradient. Hence the
+    invariant: no code mutates a stored `.grad` or an incoming `g` in place;
+    a later write rebinds `t.grad` to a new array.
+    """
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data, dtype=g.dtype) + g
+        t.grad = g if g.shape == t.shape else np.zeros_like(t.data, dtype=g.dtype) + g
     else:
         t.grad = t.grad + g
 
@@ -284,6 +293,30 @@ def matmul(a, b):
     return _node(out, (a, b), bwd)
 
 
+def linear(x, w, b):
+    """x @ w + b over the last axis of x, as one tape node.
+
+    x (..., D) (1-D allowed), w (D, F), b (F,) -> (..., F). The leading
+    axes are flattened into one GEMM, so the weight gradient is a single
+    x2^T.g2 product rather than a batched one summed afterwards.
+    """
+    x, w, b = _as_tensor(x), _as_tensor(w, like=x), _as_tensor(b, like=x)
+    if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not conform")
+    x2 = x.data.reshape(-1, x.shape[-1])
+    y = np.matmul(x2, w.data)
+    y += b.data
+    out = y.reshape(x.shape[:-1] + w.shape[1:])
+
+    def bwd(g):
+        g2 = g.reshape(-1, g.shape[-1])
+        _accum(w, np.matmul(x2.T, g2))
+        _accum(b, g2.sum(axis=0))
+        _accum(x, np.matmul(g2, w.data.T).reshape(x.shape))
+
+    return _node(out, (x, w, b), bwd)
+
+
 def reshape(a, shape):
     a = _as_tensor(a)
     out = a.data.reshape(shape)
@@ -334,12 +367,18 @@ def slice_(a, key):
     basic = _is_basic_key(key)
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        if basic:
-            full[key] = g
-        else:  # an integer-array key may repeat positions
+        if not basic:  # an integer-array key may repeat positions
+            full = np.zeros_like(a.data)
             np.add.at(full, key, g)
-        _accum(a, full)
+            _accum(a, full)
+            return
+        if a.grad is None:
+            full = np.zeros_like(a.data, dtype=g.dtype)
+            full[key] = g
+        else:  # a copy: the stored gradient may be shared (see `_accum`)
+            full = a.grad.copy()
+            full[key] += g
+        a.grad = full
 
     return _node(out, (a,), bwd)
 

@@ -129,40 +129,44 @@ def mnr_loss(anchors, cands, tau=0.05):
 # ---------------------------------------------------------------------------
 # batched document embedding (hierarchical path)
 
+def _collect_rows(chunked_docs):
+    """Every real chunk of a batch as encoder rows.
+
+    Returns (ids (M, L), mask (M, L), slot_rows (B, n), chunk_mask (B, n)),
+    where slot_rows names each slot's row and padding slots hold -1."""
+    if not any(cd.chunk_mask.any() for cd in chunked_docs):
+        raise ValueError("embed_chunked_batch: no real chunks in batch")
+    chunk_mask = np.stack([cd.chunk_mask for cd in chunked_docs])
+    slot_rows = np.full(chunk_mask.shape, -1)
+    slot_rows[chunk_mask] = np.arange(chunk_mask.sum())
+    ids = np.concatenate([cd.chunks[cd.chunk_mask] for cd in chunked_docs])
+    mask = np.concatenate([cd.token_mask[cd.chunk_mask] for cd in chunked_docs])
+    return ids, mask, slot_rows, chunk_mask
+
+
+def _pool_rows(cls, slot_rows, chunk_mask, pooling="max", train=False, rng=None,
+               aggregator=None):
+    """Pool encoded rows `cls` (R, D) per document; `slot_rows` picks each
+    slot's row (padding slots -1, given a zero vector). Returns (B, D)."""
+    r, d = cls.shape
+    padded = T.concat([cls, T.constant(np.zeros((1, d), dtype=np.float32))], axis=0)
+    idx = np.where(slot_rows < 0, r, slot_rows)  # sentinel row of zeros
+    per_doc = T.reshape(T.index_select(padded, 0, idx.reshape(-1)), idx.shape + (d,))
+    if pooling == "transformer":
+        agg_params, agg_config = aggregator
+        return aggregate_transformer(per_doc, chunk_mask, agg_params, agg_config,
+                                     train=train, rng=rng)
+    return POOLERS[pooling](per_doc, chunk_mask)
+
+
 def embed_chunked_batch(chunked_docs, params, config, pooling="max",
                         train=False, rng=None, aggregator=None):
     """Encode every real chunk of a batch of ChunkedDocuments and pool per
     document. Returns a (B, D) Tensor on one autodiff graph."""
-    rows_ids, rows_mask = [], []
-    index = []  # per doc: row index per slot, padding slots -> sentinel
-    for cd in chunked_docs:
-        slot_rows = []
-        for s in range(cd.chunks.shape[0]):
-            if cd.chunk_mask[s]:
-                slot_rows.append(len(rows_ids))
-                rows_ids.append(cd.chunks[s])
-                rows_mask.append(cd.token_mask[s])
-            else:
-                slot_rows.append(-1)
-        index.append(slot_rows)
-    if not rows_ids:
-        raise ValueError("embed_chunked_batch: no real chunks in batch")
-    m = len(rows_ids)
-    idx = np.asarray(index)
-    idx = np.where(idx < 0, m, idx)  # sentinel row of zeros
-    mask = np.stack([cd.chunk_mask for cd in chunked_docs])
-
-    cls = encode_chunk(np.stack(rows_ids), np.stack(rows_mask), params, config,
-                       train=train, rng=rng)                       # (M, D)
-    padded = T.concat([cls, T.constant(np.zeros((1, cls.shape[1]), dtype=np.float32))], axis=0)
-    b, n = idx.shape
-    per_doc = T.reshape(T.index_select(padded, 0, idx.reshape(-1)), (b, n, cls.shape[1]))
-
-    if pooling == "transformer":
-        agg_params, agg_config = aggregator
-        return aggregate_transformer(per_doc, mask, agg_params, agg_config,
-                                     train=train, rng=rng)
-    return POOLERS[pooling](per_doc, mask)
+    ids, mask, slot_rows, chunk_mask = _collect_rows(chunked_docs)
+    cls = encode_chunk(ids, mask, params, config, train=train, rng=rng)  # (M, D)
+    return _pool_rows(cls, slot_rows, chunk_mask, pooling=pooling, train=train, rng=rng,
+                      aggregator=aggregator)
 
 
 # ---------------------------------------------------------------------------
@@ -170,13 +174,17 @@ def embed_chunked_batch(chunked_docs, params, config, pooling="max",
 
 def forward_cpe_hier(pairs, params, config, pooling="max", train=False, rng=None,
                      aggregator=None):
-    anchors = embed_chunked_batch([p.anchor for p in pairs], params, config,
-                                  pooling=pooling, train=train, rng=rng,
-                                  aggregator=aggregator)
-    cands = encode_chunk(np.stack([p.positive_ids for p in pairs]),
-                         np.stack([p.positive_mask for p in pairs]),
-                         params, config, train=train, rng=rng)
-    return anchors, cands
+    """One encoder pass: the positives are stacked after the anchors' M real
+    chunks (both chunk_len + 1 wide); the first M [CLS] rows are pooled per
+    anchor and the rest are the candidates."""
+    ids, mask, slot_rows, chunk_mask = _collect_rows([p.anchor for p in pairs])
+    m = ids.shape[0]
+    cls = encode_chunk(np.concatenate([ids, np.stack([p.positive_ids for p in pairs])]),
+                       np.concatenate([mask, np.stack([p.positive_mask for p in pairs])]),
+                       params, config, train=train, rng=rng)
+    anchors = _pool_rows(cls, slot_rows, chunk_mask, pooling=pooling, train=train,
+                         rng=rng, aggregator=aggregator)
+    return anchors, cls[m:]
 
 
 def forward_cpe_long(pairs, params, config, train=False, rng=None):

@@ -28,7 +28,7 @@ class TestConfig:
     def test_defaults_load(self):
         cfg = ExperimentConfig.load()
         assert cfg.seed == 1
-        assert cfg.getint("pretrain", "chunk_len") == 128
+        assert cfg.getint("pretrain", "chunk_len") == 16
 
     def test_override_applies(self):
         cfg = ExperimentConfig.load(overrides=["run.seed=7", "encoder.dim=32"])
@@ -91,6 +91,15 @@ class TestPipeline:
         assert a == b
         assert (outs[0] / "embeddings.tsv").read_bytes() == \
                (outs[1] / "embeddings.tsv").read_bytes()
+
+    def test_default_settings_train_on_every_document(self, tmp_path, capsys):
+        # only the output directory and a small corpus: the default chunking
+        # fits the default synthetic documents (64-160 tokens)
+        sets = ["--set", f"run.output_dir={tmp_path / 'run'}", "--set", "synthetic.num_docs=24"]
+        assert main([*sets, "gen-synthetic"]) == 0
+        assert main([*sets, "pretrain"]) == 0
+        out = capsys.readouterr().out
+        assert "for 18 steps (skipped 0 docs)" in out
 
     def test_random_init_skips_checkpoint(self, tmp_path):
         out = tmp_path / "run"

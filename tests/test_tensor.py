@@ -175,6 +175,118 @@ class TestSliceBackward:
         T.backward(T.sum_(a[np.array([0, 0, 1]), np.array([1, 1, 0])]))
         np.testing.assert_array_equal(a.grad, [[0.0, 2.0], [1.0, 0.0]])
 
+    def test_basic_key_with_existing_gradient(self):
+        # the second backward finds a stored gradient; the kept array must
+        # not change, since a stored gradient may be shared (`_accum`)
+        a = T.parameter(np.arange(12.0).reshape(3, 4))
+        r = np.arange(3.0)
+        T.backward(T.sum_(T.mul(a, a)))
+        kept = a.grad
+        before = kept.copy()
+        T.backward(T.sum_(T.mul(a[:, 1], r)))
+        np.testing.assert_array_equal(kept, before)
+        want = before.copy()
+        want[:, 1] += r
+        np.testing.assert_array_equal(a.grad, want)
+
+    @pytest.mark.parametrize("slice_first", [True, False])
+    def test_slice_and_other_use_in_one_graph(self, slice_first):
+        a = T.parameter(np.arange(12.0).reshape(3, 4))
+        r = np.arange(3.0)
+        parts = [T.sum_(T.mul(a[:, 1], r)), T.sum_(T.mul(a, a))]
+        if not slice_first:
+            parts.reverse()
+        T.backward(T.add(*parts))
+        want = 2 * a.data
+        want[:, 1] += r
+        np.testing.assert_array_equal(a.grad, want)
+
+
+class TestAccumSharing:
+    """`_accum` stores the first gradient it gets without a copy, so a stored
+    gradient can be shared; later writes must not mutate it."""
+
+    def test_tensor_consumed_twice(self):
+        x0 = np.array([[1.0, -2.0, 3.0], [0.5, 4.0, -1.0]])
+        r = np.arange(12.0).reshape(4, 3)
+        cases = [
+            (lambda x: T.sum_(T.add(x, x)), np.full_like(x0, 2.0)),
+            (lambda x: T.sum_(T.mul(x, x)), 2 * x0),
+            (lambda x: T.sum_(T.mul(T.concat([x, x], axis=0), r)), r[:2] + r[2:]),
+        ]
+        for fn, want in cases:
+            x = T.parameter(x0.copy())
+            T.backward(fn(x))
+            np.testing.assert_array_equal(x.grad, want)
+
+    def test_shared_gradient_survives_a_later_write(self):
+        # add hands one array to both parents; x then gets a second term
+        x = T.parameter(np.ones(3))
+        y = T.parameter(np.ones(3))
+        T.backward(T.sum_(T.add(T.add(x, y), T.scale(x, 3.0))))
+        np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
+        np.testing.assert_array_equal(y.grad, [1.0, 1.0, 1.0])
+
+    def test_kept_gradient_unchanged_by_second_accumulation(self):
+        x = T.parameter(np.array([1.0, 2.0, 3.0]))
+        T.backward(T.sum_(T.mul(x, x)))
+        kept = x.grad
+        before = kept.copy()
+        T.backward(T.sum_(T.mul(x, x)))  # no zero_gradients: accumulates
+        np.testing.assert_array_equal(kept, before)
+        np.testing.assert_array_equal(x.grad, 2 * before)
+
+
+def _linear_chain(x, w, b):
+    return T.add(T.matmul(x, w), b)
+
+
+class TestLinear:
+    # x shapes: a single vector, a batch of rows, a batch of sequences
+    SHAPES = [(5,), (4, 5), (2, 3, 5)]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_grad_check_every_coordinate(self, shape):
+        rng = np.random.default_rng(len(shape))
+        params = {"x": T.parameter(rng.standard_normal(shape)),
+                  "w": T.parameter(rng.standard_normal((5, 3))),
+                  "b": T.parameter(rng.standard_normal(3))}
+        r = rng.standard_normal(shape[:-1] + (3,))
+
+        def fn(p):
+            return T.sum_(T.mul(T.linear(p["x"], p["w"], p["b"]), r))
+
+        every = max(t.data.size for t in params.values())
+        assert T.grad_check(fn, params, num_samples=every) < 1e-7
+
+    @pytest.mark.parametrize("shape", SHAPES + [(8, 17, 64)])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_matmul_add_chain(self, shape, dtype, tol):
+        rng = np.random.default_rng(7)
+        d, f = shape[-1], 6
+        data = {"x": rng.standard_normal(shape), "w": rng.standard_normal((d, f)),
+                "b": rng.standard_normal(f)}
+        r = rng.standard_normal(shape[:-1] + (f,)).astype(dtype)
+
+        def run(op):
+            t = {n: T.parameter(a.astype(dtype)) for n, a in data.items()}
+            out = op(t["x"], t["w"], t["b"])
+            T.backward(T.sum_(T.mul(out, r)))
+            return out.data, {n: a.grad for n, a in t.items()}
+
+        new_out, new_g = run(T.linear)
+        old_out, old_g = run(_linear_chain)
+        assert new_out.dtype == dtype and new_out.shape == old_out.shape
+        np.testing.assert_allclose(new_out, old_out, rtol=tol, atol=tol)
+        for name in ("x", "w", "b"):
+            assert new_g[name].dtype == dtype and new_g[name].shape == data[name].shape
+            np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol)
+
+    def test_shape_mismatch_names_shapes(self):
+        with pytest.raises(T.ShapeError, match=r"\(4, 5\)"):
+            T.linear(T.constant(np.ones((4, 5))), T.constant(np.ones((4, 3))),
+                     T.constant(np.ones(3)))
+
 
 def _old_band(q, k, v, p, w):
     """The gather formulation the band ops replace: keys and values picked per

@@ -5,7 +5,7 @@ import pytest
 
 from cpe import tensor as T
 from cpe.corpus import CLS_ID, Document, chunk
-from cpe.encoder import EncoderConfig, init_params
+from cpe.encoder import EncoderConfig, encode_chunk, init_params
 from cpe.optim import AdamWConfig, AdamWState, adamw_step
 from cpe.training import (PretrainConfig, embed_chunked_batch, esimcse_augment,
                           forward_cpe_hier, forward_cpe_long, forward_simcse,
@@ -194,6 +194,24 @@ class TestForwards:
         assert a.shape == (4, CFG.dim) and c.shape == (4, CFG.dim)
         loss, _ = mnr_loss(a, c)
         assert math.isfinite(loss.item())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_hier_one_pass_equals_two_calls(self, dtype):
+        # eval mode: anchors pooled from the chunk pass, candidates encoded
+        # in a pass of their own, as before the two were stacked
+        params = {k: T.parameter(p.data.astype(dtype)) for k, p in init_params(CFG, 2).items()}
+        pairs = self._pairs(5)
+        a, c = forward_cpe_hier(pairs, params, CFG)
+        want_a = embed_chunked_batch([p.anchor for p in pairs], params, CFG)
+        want_c = encode_chunk(np.stack([p.positive_ids for p in pairs]),
+                              np.stack([p.positive_mask for p in pairs]), params, CFG)
+        np.testing.assert_allclose(a.data, want_a.data, rtol=0, atol=1e-6)
+        np.testing.assert_allclose(c.data, want_c.data, rtol=0, atol=1e-6)
+        # and each anchor is the max over its own real chunks, one document at a time
+        for i, p in enumerate(pairs):
+            cd = p.anchor
+            own = encode_chunk(cd.chunks[cd.chunk_mask], cd.token_mask[cd.chunk_mask], params, CFG)
+            np.testing.assert_allclose(a.data[i], own.data.max(axis=0), rtol=0, atol=1e-6)
 
     def test_hier_grad_check(self):
         params = init_params(CFG, 1)
