@@ -5,7 +5,6 @@ Layout (version 1): a zip archive written by numpy's savez containing
   __config__             JSON string with the config echo
   __vocab__              newline-joined token list (absent if no vocab)
   param/<name>           one array per parameter tensor
-  opt/<name>             optional optimizer-state arrays
 The container is stable across minor versions of this package.
 """
 
@@ -21,16 +20,13 @@ from .corpus import Vocab
 VERSION = 1
 
 
-def save_checkpoint(path, params, config=None, vocab=None, opt_state=None):
+def save_checkpoint(path, params, config=None, vocab=None):
     arrays = {"__version__": np.int64(VERSION),
               "__config__": np.array(json.dumps(config or {}, sort_keys=True))}
     if vocab is not None:
         arrays["__vocab__"] = np.array("\n".join(vocab.tokens()))
     for name, p in params.items():
         arrays["param/" + name] = p.data if isinstance(p, T.Tensor) else np.asarray(p)
-    if opt_state is not None:
-        for name, a in opt_state.items():
-            arrays["opt/" + name] = a
     with open(path, "wb") as f:
         np.savez(f, **arrays)
 

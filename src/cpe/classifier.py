@@ -1,14 +1,12 @@
-"""MLP classification head over document embeddings, plus end-to-end
-fine-tuning through the chunk encoder and aggregator."""
+"""MLP classification head trained on frozen document embeddings."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .corpus import chunk
 from .encoder import _trunc_normal
 from .optim import AdamWConfig, AdamWState, adamw_step
 
@@ -113,18 +111,10 @@ def train_classifier(embeddings, labels, num_labels, task, config, params=None):
     return params
 
 
-def predict(embedding, params, task, threshold=0.5):
-    """Multilabel: labels with probability >= threshold. Multiclass: argmax
-    with lowest-id tie-break."""
-    probs = mlp_forward(T.constant(np.atleast_2d(embedding)), params, task).data
-    if task == "multiclass":
-        out = [int(np.argmax(row)) for row in probs]
-    else:
-        out = [set(np.flatnonzero(row >= threshold).tolist()) for row in probs]
-    return out if np.asarray(embedding).ndim > 1 else out[0]
-
-
 def predict_batch(embeddings, params, task, threshold=0.5):
+    """Label sets and probabilities for (N, D) embeddings. Multilabel: the
+    labels with probability >= threshold. Multiclass: {argmax} with
+    lowest-id tie-break."""
     probs = mlp_forward(T.constant(np.asarray(embeddings, dtype=np.float32)),
                         params, task).data
     if task == "multiclass":
@@ -133,52 +123,3 @@ def predict_batch(embeddings, params, task, threshold=0.5):
         preds = [set(np.flatnonzero(row >= threshold).tolist()) for row in probs]
     return preds, probs
 
-
-@dataclass
-class FinetuneResult:
-    encoder_params: dict
-    aggregator_params: dict
-    head_params: dict
-    log_lines: list = field(default_factory=list)
-
-
-def finetune_end2end(docs, encoder_params, encoder_config, aggregator, head_params,
-                     num_labels, task, config, chunk_len=128, n_chunks=32,
-                     max_tokens=4096, freeze_encoder=False):
-    """Joint training of head + aggregator (+ chunk encoder unless frozen)."""
-    from .training import embed_chunked_batch
-
-    config.validate()
-    agg_params, agg_config = aggregator
-    labels = [d.labels for d in docs]
-    targets = _labels_to_targets(labels, num_labels, task)
-    chunked = [chunk(d, chunk_len, n_chunks, max_tokens) for d in docs]
-
-    trainable = dict(head_params)
-    trainable.update({f"agg.{k}": v for k, v in agg_params.items()})
-    if not freeze_encoder:
-        trainable.update({f"enc.{k}": v for k, v in encoder_params.items()})
-
-    rng = np.random.default_rng(config.seed)
-    state = AdamWState()
-    hyper = AdamWConfig(lr=config.lr, weight_decay=config.weight_decay)
-    result = FinetuneResult(encoder_params, agg_params, head_params)
-    step = 0
-    for epoch in range(1, config.epochs + 1):
-        order = rng.permutation(len(docs))
-        for lo in range(0, len(order), config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            embs = embed_chunked_batch([chunked[i] for i in idx], encoder_params,
-                                       encoder_config, pooling="transformer",
-                                       train=True, rng=rng,
-                                       aggregator=(agg_params, agg_config))
-            logits = mlp_logits(embs, params=head_params)
-            loss = classification_loss(logits, targets[idx], task)
-            T.zero_gradients(trainable)
-            if not freeze_encoder:
-                T.zero_gradients(encoder_params)
-            T.backward(loss)
-            adamw_step(trainable, T.collect_gradients(trainable), state, hyper)
-            step += 1
-            result.log_lines.append(f"{step}\t{epoch}\tfinetune\t{loss.item():.6f}")
-    return result

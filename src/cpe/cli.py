@@ -16,14 +16,23 @@ import numpy as np
 from . import corpus as C
 from . import metrics as M
 from .checkpoint import load_checkpoint, save_checkpoint
-from .classifier import init_mlp, predict_batch, train_classifier
+from .classifier import predict_batch, train_classifier
 from .config import ConfigError, ExperimentConfig
 from .encoder import EncoderConfig, init_params
+from .pooling import POOLERS
 from .training import OBJECTIVES, PretrainConfig, embed_documents, pretrain
 
 
 class CliError(RuntimeError):
     pass
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a usage error as a CliError, so it ends like every other
+    user-reachable failure: one `error: ...` line and exit status 1."""
+
+    def error(self, message):
+        raise CliError(message)
 
 
 def _require(path, stage, hint=""):
@@ -56,9 +65,15 @@ def _task(cfg, override=None):
 
 
 def _split(n, cfg):
+    frac = cfg.getfloat("corpus", "train_frac")
+    if not 0 < frac < 1:
+        raise CliError(f"corpus.train_frac must be in (0, 1), got {frac}")
+    cut = int(frac * n)
+    if not 0 < cut < n:
+        raise CliError(f"corpus.train_frac={frac} leaves an empty train or test "
+                       f"split of {n} documents")
     rng = np.random.default_rng(cfg.seed)
     perm = rng.permutation(n)
-    cut = int(cfg.getfloat("corpus", "train_frac") * n)
     return perm[:cut], perm[cut:]
 
 
@@ -109,9 +124,6 @@ def _checkpoint_configs(meta):
 
 
 def cmd_embed(cfg, args):
-    if args.pooling == "transformer":
-        raise CliError("embed --pooling transformer needs a trained aggregator, and no "
-                       "stage trains or saves one; use --pooling mean or max")
     out = _outdir(cfg)
     records = _load_records(cfg)
     ckpt_path = os.path.join(out, "checkpoint.bin")
@@ -228,9 +240,8 @@ def cmd_sweep_chunk(cfg, args):
 # ---------------------------------------------------------------------------
 
 def build_parser():
-    p = argparse.ArgumentParser(prog="cpe",
-                                description="chunk-prediction contrastive "
-                                            "pretraining pipeline")
+    p = _ArgumentParser(prog="cpe",
+                        description="chunk-prediction contrastive pretraining pipeline")
     p.add_argument("--config", default=None, help="INI config file")
     p.add_argument("--set", action="append", default=[], metavar="SECTION.KEY=VALUE",
                    help="override a config value")
@@ -242,7 +253,7 @@ def build_parser():
     sp.add_argument("--objective", choices=OBJECTIVES, default=None)
 
     se = sub.add_parser("embed", help="embed the corpus with a checkpoint")
-    se.add_argument("--pooling", choices=("mean", "max", "transformer"), default="max")
+    se.add_argument("--pooling", choices=tuple(POOLERS), default="max")
     se.add_argument("--random-init", action="store_true",
                     help="use an untrained encoder (baseline arm)")
 
@@ -268,8 +279,8 @@ COMMANDS = {
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = ExperimentConfig.load(args.config, overrides=args.set)
         return COMMANDS[args.command](cfg, args)
     except (CliError, ConfigError, C.CorpusError, ValueError, FloatingPointError) as e:

@@ -68,7 +68,10 @@ class ExperimentConfig:
 
     @property
     def seed(self):
-        return self.getint("run", "seed")
+        seed = self.getint("run", "seed")
+        if seed < 0:
+            raise ConfigError(f"run.seed must be >= 0, got {seed}")
+        return seed
 
     @property
     def output_dir(self):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -201,26 +201,6 @@ def encode_documents(records, vocab, task="unlabeled", num_labels=None):
     return docs
 
 
-def load_corpus(path, vocab=None, min_freq=1, task="unlabeled", num_labels=None):
-    """Load JSONL, building a vocabulary from the file when none is given."""
-    records = load_jsonl(path)
-    if vocab is None:
-        vocab = build_vocab((r["text"] for r in records), min_freq=min_freq)
-    docs = encode_documents(records, vocab, task=task, num_labels=num_labels)
-    return docs, vocab
-
-
-def load_label_map(path):
-    mapping = {}
-    with open(path) as f:
-        for line in f:
-            if not line.strip():
-                continue
-            idx, name = line.rstrip("\n").split("\t", 1)
-            mapping[int(idx)] = name
-    return mapping
-
-
 def save_label_map(path, mapping):
     with open(path, "w") as f:
         for idx in sorted(mapping):
@@ -302,9 +282,3 @@ def gen_synthetic(spec, seed):
         records.append({"id": f"doc{i:05d}", "text": " ".join(words), "labels": topics})
     return records
 
-
-def synthetic_vocab(spec):
-    """The full token inventory a SyntheticSpec can emit, in a fixed order."""
-    tokens = [f"t{t}w{j}" for t in range(spec.num_topics) for j in range(spec.vocab_per_topic)]
-    tokens += [f"sh{j}" for j in range(spec.shared_vocab)]
-    return Vocab.from_tokens(tokens)

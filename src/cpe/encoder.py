@@ -4,8 +4,8 @@ vector as the sequence representation.
 
 Each projection is one fused `tensor.linear` node and dense attention one
 fused `tensor.attention` node, which keeps only the probabilities for its
-closed-form backward. `_block` is the one pre-LN transformer block, shared
-with the chunk aggregator in `pooling`.
+closed-form backward. `_block` is the one pre-LN transformer block; the
+dense and sparse paths differ only in the `attend` function they give it.
 
 The sparse path is banded: per-token scores are computed only against the
 2w+1 window and the global token set, never materializing an L x L score
@@ -20,7 +20,7 @@ correctness oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,6 +42,12 @@ class EncoderConfig:
     global_tokens: tuple = (0,)
 
     def validate(self):
+        for name in ("dim", "heads", "layers", "ff"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"encoder {name} must be >= 1, got {value}")
+        if not 0 <= self.dropout < 1:
+            raise ValueError(f"encoder dropout must be in [0, 1), got {self.dropout}")
         if self.dim % self.heads != 0:
             raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
         if self.attention not in ("dense", "sliding"):

@@ -3,9 +3,8 @@ completeness, and TSV embedding export."""
 
 from __future__ import annotations
 
-import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -78,9 +78,6 @@ class Tensor:
     def detach(self):
         return Tensor(self.data, requires_grad=False)
 
-    def zero_grad(self):
-        self.grad = None
-
 
 def parameter(data, name=None):
     return Tensor(np.asarray(data), requires_grad=True, name=name)
@@ -488,12 +485,6 @@ def sum_(a, axis=None, keepdims=False):
         _accum(a, np.broadcast_to(gg, a.shape).copy())
 
     return _node(out, (a,), bwd)
-
-
-def mean_(a, axis=None, keepdims=False):
-    a = _as_tensor(a)
-    n = a.data.size if axis is None else a.shape[axis]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / n)
 
 
 def masked_mean(a, mask, axis):

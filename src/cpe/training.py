@@ -15,10 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .corpus import CLS_ID, PAD_ID, Document, chunk
+from .corpus import Document, chunk
 from .encoder import EncoderConfig, encode_chunk, encoder_forward, init_params, pad_to_length
 from .optim import AdamWConfig, AdamWState, adamw_step
-from .pooling import POOLERS, aggregate_transformer
+from .pooling import POOLERS
 
 OBJECTIVES = ("cpe-hier", "cpe-long", "simcse", "esimcse")
 
@@ -45,8 +45,9 @@ class PretrainConfig:
             raise ValueError("contrastive batch size must be >= 2")
         if self.tau <= 0:
             raise ValueError("temperature must be positive")
+        if self.lr <= 0:
+            raise ValueError(f"pretrain lr must be positive, got {self.lr}")
         if self.pooling not in POOLERS:
-            # the transformer aggregator has parameters that pretrain never builds
             raise ValueError(f"pretrain pooling must be one of {', '.join(POOLERS)}, "
                              f"got '{self.pooling}'")
 
@@ -144,36 +145,29 @@ def _collect_rows(chunked_docs):
     return ids, mask, slot_rows, chunk_mask
 
 
-def _pool_rows(cls, slot_rows, chunk_mask, pooling="max", train=False, rng=None,
-               aggregator=None):
+def _pool_rows(cls, slot_rows, chunk_mask, pooling):
     """Pool encoded rows `cls` (R, D) per document; `slot_rows` picks each
     slot's row (padding slots -1, given a zero vector). Returns (B, D)."""
     r, d = cls.shape
     padded = T.concat([cls, T.constant(np.zeros((1, d), dtype=np.float32))], axis=0)
     idx = np.where(slot_rows < 0, r, slot_rows)  # sentinel row of zeros
     per_doc = T.reshape(T.index_select(padded, 0, idx.reshape(-1)), idx.shape + (d,))
-    if pooling == "transformer":
-        agg_params, agg_config = aggregator
-        return aggregate_transformer(per_doc, chunk_mask, agg_params, agg_config,
-                                     train=train, rng=rng)
     return POOLERS[pooling](per_doc, chunk_mask)
 
 
 def embed_chunked_batch(chunked_docs, params, config, pooling="max",
-                        train=False, rng=None, aggregator=None):
+                        train=False, rng=None):
     """Encode every real chunk of a batch of ChunkedDocuments and pool per
     document. Returns a (B, D) Tensor on one autodiff graph."""
     ids, mask, slot_rows, chunk_mask = _collect_rows(chunked_docs)
     cls = encode_chunk(ids, mask, params, config, train=train, rng=rng)  # (M, D)
-    return _pool_rows(cls, slot_rows, chunk_mask, pooling=pooling, train=train, rng=rng,
-                      aggregator=aggregator)
+    return _pool_rows(cls, slot_rows, chunk_mask, pooling)
 
 
 # ---------------------------------------------------------------------------
 # objective forwards: each returns (anchor_embs, cand_embs) Tensors (N, D)
 
-def forward_cpe_hier(pairs, params, config, pooling="max", train=False, rng=None,
-                     aggregator=None):
+def forward_cpe_hier(pairs, params, config, pooling="max", train=False, rng=None):
     """One encoder pass: the positives are stacked after the anchors' M real
     chunks (both chunk_len + 1 wide); the first M [CLS] rows are pooled per
     anchor and the rest are the candidates."""
@@ -182,9 +176,7 @@ def forward_cpe_hier(pairs, params, config, pooling="max", train=False, rng=None
     cls = encode_chunk(np.concatenate([ids, np.stack([p.positive_ids for p in pairs])]),
                        np.concatenate([mask, np.stack([p.positive_mask for p in pairs])]),
                        params, config, train=train, rng=rng)
-    anchors = _pool_rows(cls, slot_rows, chunk_mask, pooling=pooling, train=train,
-                         rng=rng, aggregator=aggregator)
-    return anchors, cls[m:]
+    return _pool_rows(cls, slot_rows, chunk_mask, pooling), cls[m:]
 
 
 def forward_cpe_long(pairs, params, config, train=False, rng=None):

@@ -2,13 +2,9 @@ import numpy as np
 import pytest
 
 from cpe import tensor as T
-from cpe.classifier import (ClassifierConfig, classification_loss,
-                            finetune_end2end, init_mlp, mlp_forward,
-                            mlp_logits, predict, predict_batch,
+from cpe.classifier import (ClassifierConfig, classification_loss, init_mlp,
+                            mlp_forward, mlp_logits, predict_batch,
                             train_classifier)
-from cpe.corpus import Document
-from cpe.encoder import EncoderConfig, init_params
-from cpe.pooling import AggregatorConfig, init_aggregator
 
 
 def _zero_mlp(input_dim, num_labels):
@@ -58,26 +54,30 @@ class TestPredict:
 
     def test_predict_multilabel_against_forward(self):
         params = init_mlp(4, 3, (4, 4, 4), seed=3)
-        x = np.random.default_rng(0).standard_normal(4).astype(np.float32)
-        probs = mlp_forward(T.constant(x), params, "multilabel").data
-        got = predict(x, params, "multilabel", threshold=0.5)
-        assert got == set(np.flatnonzero(probs >= 0.5).tolist())
+        x = np.random.default_rng(0).standard_normal((6, 4)).astype(np.float32)
+        want = mlp_forward(T.constant(x), params, "multilabel").data
+        preds, probs = predict_batch(x, params, "multilabel", threshold=0.5)
+        np.testing.assert_array_equal(probs, want)
+        assert preds == [set(np.flatnonzero(row >= 0.5).tolist()) for row in want]
 
     def test_multiclass_tie_breaks_low_id(self):
         params = _zero_mlp(4, 2)  # all probabilities exactly 0.5
-        assert predict(np.ones(4, np.float32), params, "multiclass") == 0
+        preds, _ = predict_batch(np.ones((3, 4), np.float32), params, "multiclass")
+        assert preds == [{0}] * 3
 
     def test_threshold_above_one_empty(self):
         params = init_mlp(4, 3, (4, 4, 4), seed=3)
-        got = predict(np.ones(4, np.float32), params, "multilabel", threshold=1.0 + 1e-9)
-        assert got == set()
+        preds, _ = predict_batch(np.ones((2, 4), np.float32), params, "multilabel",
+                                 threshold=1.0 + 1e-9)
+        assert preds == [set(), set()]
 
-    def test_predict_batch_matches_predict(self):
+    def test_predict_batch_matches_row_by_row(self):
         params = init_mlp(4, 3, (4, 4, 4), seed=5)
         x = np.random.default_rng(1).standard_normal((6, 4)).astype(np.float32)
         preds, probs = predict_batch(x, params, "multilabel", threshold=0.4)
         for i, row in enumerate(x):
-            assert preds[i] == predict(row, params, "multilabel", threshold=0.4)
+            assert preds[i] == predict_batch(row[None], params, "multilabel",
+                                             threshold=0.4)[0][0]
         assert probs.shape == (6, 3)
 
 
@@ -143,44 +143,3 @@ class TestTrainClassifier:
                                              "multiclass").item())
         assert means[-1] <= means[0]
 
-
-class TestFinetune:
-    def _setup(self):
-        enc_cfg = EncoderConfig(vocab_size=30, dim=8, layers=1, heads=2, ff=16,
-                                max_positions=9, dropout=0.0)
-        enc = init_params(enc_cfg, 0)
-        agg_cfg = AggregatorConfig(dim=8, layers=1, heads=2, ff=16, max_chunks=4)
-        agg = init_aggregator(agg_cfg, 0)
-        head = init_mlp(8, 2, (8, 8, 8), seed=0)
-        rng = np.random.default_rng(0)
-        docs = [Document(id=str(i), tokens=tuple(rng.integers(3, 30, 24).tolist()),
-                         labels=frozenset({i % 2}), task="multiclass")
-                for i in range(4)]
-        return docs, enc, enc_cfg, agg, agg_cfg, head
-
-    def test_frozen_encoder_bit_identical(self):
-        docs, enc, enc_cfg, agg, agg_cfg, head = self._setup()
-        before = {k: v.data.copy() for k, v in enc.items()}
-        finetune_end2end(docs, enc, enc_cfg, (agg, agg_cfg), head, 2, "multiclass",
-                         ClassifierConfig(epochs=2, batch_size=4, lr=1e-3, hidden=(8, 8, 8)),
-                         chunk_len=8, n_chunks=4, max_tokens=32, freeze_encoder=True)
-        for k in enc:
-            np.testing.assert_array_equal(enc[k].data, before[k])
-
-    def test_unfrozen_encoder_moves(self):
-        docs, enc, enc_cfg, agg, agg_cfg, head = self._setup()
-        before = {k: v.data.copy() for k, v in enc.items()}
-        finetune_end2end(docs, enc, enc_cfg, (agg, agg_cfg), head, 2, "multiclass",
-                         ClassifierConfig(epochs=2, batch_size=4, lr=1e-3, hidden=(8, 8, 8)),
-                         chunk_len=8, n_chunks=4, max_tokens=32)
-        moved = any(not np.array_equal(enc[k].data, before[k]) for k in enc)
-        assert moved
-
-    def test_overfit_small_batch(self):
-        docs, enc, enc_cfg, agg, agg_cfg, head = self._setup()
-        res = finetune_end2end(docs, enc, enc_cfg, (agg, agg_cfg), head, 2, "multiclass",
-                               ClassifierConfig(epochs=200, batch_size=4, lr=3e-3,
-                                                hidden=(8, 8, 8)),
-                               chunk_len=8, n_chunks=4, max_tokens=32)
-        final = float(res.log_lines[-1].split("\t")[3])
-        assert final < 0.05

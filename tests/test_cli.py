@@ -173,6 +173,51 @@ class TestMissingArtifacts:
         assert main(["--set", "nonsense", "gen-synthetic"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [
+        ["pretrain", "--objective", "bogus"],
+        ["gen-synthetic", "--bogus"],
+        [],
+    ], ids=["bogus-objective", "unknown-flag", "no-command"])
+    def test_usage_error_exits_one(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "usage:" not in err
+
+    @pytest.mark.parametrize("stage,override", [
+        ("gen-synthetic", "run.seed=-1"),
+        ("pretrain", "run.seed=-1"),
+        ("pretrain", "encoder.heads=0"),
+        ("pretrain", "encoder.dim=0"),
+        ("pretrain", "encoder.ff=0"),
+        ("pretrain", "encoder.layers=-1"),
+        ("pretrain", "encoder.dropout=1.0"),
+        ("pretrain", "encoder.dropout=-1"),
+        ("pretrain", "pretrain.lr=-1"),
+    ])
+    def test_invalid_config_value_rejected(self, tmp_path, capsys, stage, override):
+        out = tmp_path / "x"
+        if stage == "pretrain":
+            assert _run(out, "gen-synthetic") == 0
+        capsys.readouterr()
+        assert _run(out, stage, extra=[override]) == 1
+        err = capsys.readouterr().err
+        key = override.split("=")[0].split(".")[1]
+        assert err.startswith("error:") and key in err
+        assert not (out / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("frac", ["0", "1", "1.5", "-0.5", "0.001"])
+    def test_train_frac_leaving_an_empty_split_rejected(self, tmp_path, capsys, frac):
+        out = tmp_path / "x"
+        _run(out, "gen-synthetic")
+        assert _run(out, "embed", "--random-init") == 0
+        capsys.readouterr()
+        for stage in ("train-clf", "eval"):
+            assert _run(out, stage, extra=[f"corpus.train_frac={frac}"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "train_frac" in err
+        assert not (out / "clf.bin").exists()
+        assert not (out / "metrics.txt").exists()
+
     def test_untrainable_pretrain_pooling_rejected(self, tmp_path, capsys):
         out = tmp_path / "x"
         _run(out, "gen-synthetic")

@@ -2,10 +2,7 @@ import numpy as np
 import pytest
 
 from cpe import tensor as T
-from cpe.pooling import (AggregatorConfig, aggregate_transformer,
-                         init_aggregator, pool_max, pool_mean)
-
-AGG = AggregatorConfig(dim=8, layers=2, heads=2, ff=16, max_chunks=6, dropout=0.1)
+from cpe.pooling import pool_max, pool_mean
 
 
 def _embs(rows):
@@ -54,69 +51,3 @@ class TestMaxPool:
         with pytest.raises(ValueError, match="zero unmasked"):
             pool_max(_embs([[1, 2]]), [False])
 
-
-class TestAggregator:
-    def _inputs(self, seed=0, n=4):
-        rng = np.random.default_rng(seed)
-        embs = T.constant(rng.standard_normal((n, AGG.dim)).astype(np.float32))
-        mask = np.ones(n, dtype=bool)
-        return embs, mask
-
-    def test_masked_slot_invariance(self):
-        params = init_aggregator(AGG, 0)
-        embs, mask = self._inputs()
-        mask[2] = False
-        out_a = aggregate_transformer(embs, mask, params, AGG).data
-        altered = embs.data.copy()
-        altered[2] = 1e3
-        out_b = aggregate_transformer(T.constant(altered), mask, params, AGG).data
-        np.testing.assert_allclose(out_a, out_b, atol=1e-6)
-
-    def test_single_chunk_depends_only_on_it(self):
-        params = init_aggregator(AGG, 0)
-        embs, _ = self._inputs()
-        mask = np.array([True, False, False, False])
-        a = aggregate_transformer(embs, mask, params, AGG).data
-        altered = embs.data.copy()
-        altered[1:] = -7.0
-        b = aggregate_transformer(T.constant(altered), mask, params, AGG).data
-        np.testing.assert_allclose(a, b, atol=1e-6)
-
-    def test_order_sensitivity(self):
-        # position embeddings make the aggregator order-dependent
-        params = init_aggregator(AGG, 0)
-        embs, mask = self._inputs(seed=3, n=3)
-        swapped = embs.data[[1, 0, 2]]
-        a = aggregate_transformer(embs, mask[:3], params, AGG).data
-        b = aggregate_transformer(T.constant(swapped), mask[:3], params, AGG).data
-        assert np.abs(a - b).max() > 1e-4
-
-    def test_grad_check(self):
-        params = init_aggregator(AGG, 1)
-        embs, mask = self._inputs(seed=5)
-        mask[3] = False
-
-        def fn(p):
-            out = aggregate_transformer(embs, mask, p, AGG)
-            return T.sum_(T.mul(out, out))
-
-        assert T.grad_check(fn, params, num_samples=2,
-                            rng=np.random.default_rng(0)) < 1e-4
-
-    def test_batched_matches_single(self):
-        params = init_aggregator(AGG, 2)
-        rng = np.random.default_rng(7)
-        batch = rng.standard_normal((3, 5, AGG.dim)).astype(np.float32)
-        mask = np.ones((3, 5), dtype=bool)
-        mask[1, 3:] = False
-        out = aggregate_transformer(T.constant(batch), mask, params, AGG).data
-        for i in range(3):
-            single = aggregate_transformer(T.constant(batch[i]), mask[i], params, AGG).data
-            np.testing.assert_allclose(out[i], single, atol=1e-5)
-
-    def test_too_many_chunks_rejected(self):
-        params = init_aggregator(AGG, 0)
-        rng = np.random.default_rng(0)
-        embs = T.constant(rng.standard_normal((AGG.max_chunks + 1, AGG.dim)).astype(np.float32))
-        with pytest.raises(ValueError, match="budget"):
-            aggregate_transformer(embs, np.ones(AGG.max_chunks + 1, bool), params, AGG)
