@@ -64,15 +64,15 @@ def _task(cfg, override=None):
     return override or cfg.get("synthetic", "task")
 
 
-def _split(n, cfg):
-    frac = cfg.getfloat("corpus", "train_frac")
+def _split(n, seed, frac):
+    """(train, test) indices of n documents: a seeded permutation cut at frac."""
     if not 0 < frac < 1:
         raise CliError(f"corpus.train_frac must be in (0, 1), got {frac}")
     cut = int(frac * n)
     if not 0 < cut < n:
         raise CliError(f"corpus.train_frac={frac} leaves an empty train or test "
                        f"split of {n} documents")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     perm = rng.permutation(n)
     return perm[:cut], perm[cut:]
 
@@ -139,7 +139,7 @@ def cmd_embed(cfg, args):
         ecfg, pcfg = _checkpoint_configs(meta)
 
     docs = C.encode_documents(records, vocab, task=_task(cfg))
-    embs = embed_documents(docs, params, ecfg, pooling=args.pooling,
+    embs = embed_documents(docs, params, ecfg, pooling=args.pooling or pcfg.pooling,
                            chunk_len=pcfg.chunk_len, n_chunks=pcfg.n_chunks,
                            max_tokens=pcfg.max_tokens)
     M.export_embeddings(os.path.join(out, "embeddings.tsv"), embs,
@@ -156,13 +156,15 @@ def cmd_train_clf(cfg, args):
     num_labels = max((max(ls) for ls in labels if ls), default=-1) + 1
     if num_labels < 1:
         raise CliError("train-clf: corpus has no labels")
-    train_idx, _ = _split(len(embs), cfg)
+    seed, frac = cfg.seed, cfg.getfloat("corpus", "train_frac")
+    train_idx, _ = _split(len(embs), seed, frac)
     ccfg = cfg.classifier_config()
     params = train_classifier(embs[train_idx], [labels[i] for i in train_idx],
                               num_labels, task, ccfg)
     save_checkpoint(os.path.join(out, "clf.bin"), params,
                     config={"task": task, "num_labels": num_labels,
-                            "threshold": ccfg.threshold})
+                            "threshold": ccfg.threshold,
+                            "seed": seed, "train_frac": frac, "num_docs": len(embs)})
     print(f"trained {task} classifier on {len(train_idx)} docs; clf.bin written")
     return 0
 
@@ -171,13 +173,20 @@ def cmd_eval(cfg, args):
     out = _outdir(cfg)
     path = _require(os.path.join(out, "embeddings.tsv"), "embed")
     embs, ids, labels = M.load_embeddings(path)
-    _, test_idx = _split(len(embs), cfg)
+    clf_path = os.path.join(out, "clf.bin")
+    clf = load_checkpoint(clf_path) if os.path.exists(clf_path) else None
+    seed, frac = cfg.seed, cfg.getfloat("corpus", "train_frac")
+    if clf is not None:  # score the split the head was trained on
+        if clf[1].get("num_docs") != len(embs):
+            raise CliError(f"embeddings.tsv has {len(embs)} rows, clf.bin was trained on a "
+                           f"split of {clf[1].get('num_docs')}; re-run 'train-clf'")
+        seed, frac = clf[1]["seed"], clf[1]["train_frac"]
+    _, test_idx = _split(len(embs), seed, frac)
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     report = {}
     for m in wanted:
         if m == "f1":
-            clf_path = _require(os.path.join(out, "clf.bin"), "train-clf")
-            params, meta, _ = load_checkpoint(clf_path)
+            params, meta, _ = clf or load_checkpoint(_require(clf_path, "train-clf"))
             preds, _ = predict_batch(embs[test_idx], params, meta["task"],
                                      threshold=meta["threshold"])
             gold = [labels[i] for i in test_idx]
@@ -207,8 +216,13 @@ def cmd_eval(cfg, args):
 
 def cmd_sweep_chunk(cfg, args):
     out = _outdir(cfg)
-    sizes = [int(s) for s in args.sizes.split(",")]
     max_tokens = cfg.getint("pretrain", "max_tokens")
+    sizes = ([int(s) for s in args.sizes.split(",")] if args.sizes is not None else
+             [2 ** e for e in range(3, max_tokens.bit_length()) if 2 ** e <= max_tokens // 2])
+    few = [size for size in sizes if size < 1 or max_tokens // size < 2]
+    if few or not sizes:
+        raise CliError(f"sweep-chunk: chunk sizes {few or sizes} leave fewer than 2 slots "
+                       f"of max_tokens {max_tokens}")
     rows = []
     for size in sizes:
         sub = os.path.join(out, f"chunk_{size}")
@@ -216,9 +230,8 @@ def cmd_sweep_chunk(cfg, args):
         arm.parser.read_dict({s: dict(cfg.parser[s]) for s in cfg.parser.sections()})
         arm.parser["run"]["output_dir"] = sub
         arm.parser["pretrain"]["chunk_len"] = str(size)
-        arm.parser["pretrain"]["n_chunks"] = str(max(1, max_tokens // size))
-        ns = argparse.Namespace(objective=arm.get("pretrain", "objective"),
-                                pooling=arm.get("pretrain", "pooling"),
+        arm.parser["pretrain"]["n_chunks"] = str(max_tokens // size)
+        ns = argparse.Namespace(objective=arm.get("pretrain", "objective"), pooling=None,
                                 random_init=False, task=None, metrics="f1")
         if arm.get("corpus", "source") == "synthetic":
             cmd_gen_synthetic(arm, ns)
@@ -253,7 +266,8 @@ def build_parser():
     sp.add_argument("--objective", choices=OBJECTIVES, default=None)
 
     se = sub.add_parser("embed", help="embed the corpus with a checkpoint")
-    se.add_argument("--pooling", choices=tuple(POOLERS), default="max")
+    se.add_argument("--pooling", choices=tuple(POOLERS), default=None,
+                    help="default: the checkpoint's pretrain.pooling")
     se.add_argument("--random-init", action="store_true",
                     help="use an untrained encoder (baseline arm)")
 
@@ -264,7 +278,8 @@ def build_parser():
     sv.add_argument("--metrics", default="f1,cluster")
 
     sw = sub.add_parser("sweep-chunk", help="chunk-size ablation sweep")
-    sw.add_argument("--sizes", default="64,128,256,512")
+    sw.add_argument("--sizes", help="comma-separated chunk lengths; default: powers "
+                    "of two from 8 to pretrain.max_tokens // 2")
     return p
 
 

@@ -7,19 +7,17 @@ fused `tensor.attention` node, which keeps only the probabilities for its
 closed-form backward. `_block` is the one pre-LN transformer block; the
 dense and sparse paths differ only in the `attend` function they give it.
 
-The sparse path is banded: per-token scores are computed only against the
-2w+1 window and the global token set, never materializing an L x L score
-matrix. The window is read as 2w+1 shifted slices of K and V zero-padded by
-w on the sequence axis (`tensor.band_scores`, `tensor.band_combine`), so
+The sparse path is banded and one fused `tensor.sliding_attention` node:
+per-token scores are computed only against the 2w+1 window and the global
+token set, never materializing an L x L score matrix. The window is read as
+2w+1 shifted slices of K and V zero-padded by w on the sequence axis, so
 keys are never gathered per row. The global tokens are the prefix of the
-sequence, taken by slicing; their own rows attend densely through
-`tensor.attention`. A dense pass on the same weights serves as its
-correctness oracle.
+sequence; their own rows attend densely. A dense pass on the same weights
+serves as its correctness oracle.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -123,60 +121,30 @@ def _merge_heads(x):
 
 
 def _attend_sliding(q, k, v, key_mask, window, g, capture=None):
-    """Banded attention: each row sees its 2w+1 window plus the global set;
+    """Banded attention (`T.sliding_attention`): each row sees its 2w+1
+    window plus the global prefix {0..g-1} (`EncoderConfig.validate`);
     global rows see everything.
 
-    Band slot j of row i is key i+j-w, read from K and V zero-padded by w
-    (`T.band_scores`, `T.band_combine`). Slots past either end, on masked
-    keys or on a global key are masked out of the softmax (`band_valid`),
-    so their probability is exactly 0. `band_idx` (clipped to the
-    sequence) names each slot's key for the mask and for `capture`.
-
-    The global set is the prefix {0..g-1} (`EncoderConfig.validate`), so
-    the global keys, values and rows are the slice [:g]."""
-    b, h, l, dh = q.shape
-    w = window
-    scale = 1.0 / math.sqrt(dh)
-
-    ar = np.arange(l)
-    offs = np.arange(-w, w + 1)
-    raw = ar[:, None] + offs[None, :]           # (L, 2w+1)
-    band_idx = np.clip(raw, 0, l - 1)
-    in_range = (raw >= 0) & (raw < l)
-    not_global = band_idx >= g                  # global keys live in their own columns
-    band_key_ok = key_mask[:, band_idx]          # (B, L, 2w+1)
-    band_valid = in_range[None] & not_global[None] & band_key_ok
-
-    band_scores = T.band_scores(q, k, w)  # (B,H,L,2w+1)
-
-    kg = k[:, :, :g]                  # (B,H,G,dh)
-    vg = v[:, :, :g]
-    glob_scores = T.matmul(q, T.transpose(kg, (0, 1, 3, 2)))  # (B,H,L,G)
-    glob_valid = key_mask[:, :g]      # (B, G)
-
-    scores = T.scale(T.concat([band_scores, glob_scores], axis=-1), scale)
-    valid = np.concatenate(
-        [band_valid[:, None], np.broadcast_to(glob_valid[:, None, None, :], (b, 1, l, g))],
-        axis=-1)
-    probs = T.softmax(scores, mask=valid)
-
-    band_probs = probs[:, :, :, :2 * w + 1]
-    glob_probs = probs[:, :, :, 2 * w + 1:]
-    ctx = T.add(T.band_combine(band_probs, v, w), T.matmul(glob_probs, vg))
-
-    # global rows attend densely over the whole (masked) sequence
-    g_probs = []
-    g_ctx = T.attention(q[:, :, :g], k, v, key_mask, probs=g_probs)  # (B,H,G,dh)
-    ctx = T.concat([g_ctx, ctx[:, :, g:, :]], axis=2)
-
+    With `capture`, the layer's probabilities are appended in the band
+    layout: slot j of row i is key `band_idx[i, j]` (i+j-w clipped to the
+    sequence), `band_valid` marks the slots in range, on a readable key and
+    off the global keys, which have their own `global_probs` columns. The
+    global rows' dense probabilities are `global_row_probs`; their band and
+    global rows read 0."""
+    probs = [] if capture is not None else None
+    ctx = T.sliding_attention(q, k, v, key_mask, window, g, probs=probs)
     if capture is not None:
+        p, row_probs = probs
+        l, span = q.shape[2], 2 * window + 1
+        raw = np.arange(l)[:, None] + np.arange(-window, window + 1)
+        band_idx = np.clip(raw, 0, l - 1)
         capture.append({
-            "band_probs": probs.data[:, :, :, :2 * w + 1].copy(),
+            "band_probs": p[..., :span],
             "band_idx": band_idx,
-            "band_valid": band_valid.copy(),
-            "global_probs": probs.data[:, :, :, 2 * w + 1:].copy(),
+            "band_valid": ((raw >= g) & (raw < l))[None] & key_mask[:, band_idx],
+            "global_probs": p[..., span:],
             "global_idx": np.arange(g),
-            "global_row_probs": g_probs[0].copy(),
+            "global_row_probs": row_probs,
         })
     return ctx
 

@@ -7,8 +7,9 @@ topological order.
 
 Fused ops record one node with a closed-form backward pass: `linear`
 (x @ w + b over the last axis), `attention` (masked scaled dot-product
-attention) and the banded pair `band_scores` / `band_combine` for
-sliding-window attention.
+attention), `sliding_attention` (a band of keys plus a global prefix, on
+the private band kernels) and `cosine_nce` (the in-batch contrastive loss).
+Both attention ops share one in-place masked softmax and its gradient.
 """
 
 from __future__ import annotations
@@ -59,9 +60,6 @@ class Tensor:
 
     def __mul__(self, other):
         return mul(self, other)
-
-    def __truediv__(self, other):
-        return div(self, other)
 
     def __neg__(self):
         return scale(self, -1.0)
@@ -172,17 +170,6 @@ def mul(a, b):
     return _node(out, (a, b), bwd)
 
 
-def div(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    out = a.data / b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g / b.data, a.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.shape))
-
-    return _node(out, (a, b), bwd)
-
-
 def scale(a, c):
     a = _as_tensor(a)
     c = float(c)
@@ -209,16 +196,6 @@ def log(a):
 
     def bwd(g):
         _accum(a, g / a.data)
-
-    return _node(out, (a,), bwd)
-
-
-def sqrt(a):
-    a = _as_tensor(a)
-    out = np.sqrt(a.data)
-
-    def bwd(g):
-        _accum(a, g * 0.5 / out)
 
     return _node(out, (a,), bwd)
 
@@ -442,32 +419,6 @@ def _band_transpose(p, w):
                       writeable=False)
 
 
-def band_scores(q, k, w):
-    """Banded q.k products, (..., L, d) x (..., L, d) -> (..., L, 2w+1):
-    out[..., i, j] = q[..., i, :] . k[..., i+j-w, :], 0 past either end."""
-    q, k = _as_tensor(q), _as_tensor(k)
-    out = _band_dot(q.data, k.data, w)
-
-    def bwd(g):
-        _accum(q, _band_mix(g, k.data, w))
-        _accum(k, _band_mix(_band_transpose(g, w), q.data, w))
-
-    return _node(out, (q, k), bwd)
-
-
-def band_combine(p, v, w):
-    """Band-weighted sums, (..., L, 2w+1) x (..., L, d) -> (..., L, d):
-    out[..., i, :] = sum_j p[..., i, j] * v[..., i+j-w, :]."""
-    p, v = _as_tensor(p), _as_tensor(v)
-    out = _band_mix(p.data, v.data, w)
-
-    def bwd(g):
-        _accum(p, _band_dot(g, v.data, w))
-        _accum(v, _band_mix(_band_transpose(p.data, w), g, w))
-
-    return _node(out, (p, v), bwd)
-
-
 # ---------------------------------------------------------------------------
 # reductions
 
@@ -526,64 +477,112 @@ def masked_max(a, mask, axis):
 # ---------------------------------------------------------------------------
 # NN primitives
 
-def softmax(a, mask=None, axis=-1):
-    """Row-wise softmax; masked positions get exactly zero probability.
+def _masked_softmax_(s, invalid):
+    """Softmax over the last axis of the scores `s`, in place. Entries where
+    `invalid` (broadcast to s) is true get probability exactly 0, and a row
+    with no valid entry is all zeros (no NaN). Returns s."""
+    np.copyto(s, -np.inf, where=invalid)
+    mx = s.max(axis=-1, keepdims=True)
+    mx[~np.isfinite(mx)] = 0.0
+    s -= mx
+    np.exp(s, out=s)  # invalid entries: exp(-inf) = 0
+    denom = s.sum(axis=-1, keepdims=True)
+    np.divide(s, denom, out=s, where=denom > 0)
+    return s
 
-    Rows with every position masked produce all-zero rows (no NaN).
-    """
-    a = _as_tensor(a)
-    x = a.data
-    if mask is not None:
-        mask = np.broadcast_to(np.asarray(mask, dtype=bool), x.shape)
-        x = np.where(mask, x, -np.inf)
-    mx = np.max(x, axis=axis, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    e = np.exp(x - mx)
-    if mask is not None:
-        e = np.where(mask, e, 0.0)
-    denom = e.sum(axis=axis, keepdims=True)
-    out = np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
 
-    def bwd(g):
-        dot = (g * out).sum(axis=axis, keepdims=True)
-        _accum(a, out * (g - dot))
-
-    return _node(out, (a,), bwd)
+def _softmax_grad(p, dp, c):
+    """Gradient of the scores s for p = softmax(c * s) given dL/dp:
+    c * p * (dp - rowsum(dp * p)), written into dp and returned."""
+    dp -= (dp * p).sum(axis=-1, keepdims=True)
+    dp *= p
+    dp *= c
+    return dp
 
 
 def attention(q, k, v, key_mask, probs=None):
     """Masked scaled dot-product attention as one tape node.
 
     q (B,H,Lq,d), k (B,H,Lk,d), v (B,H,Lk,dv), key_mask (B,Lk) bool ->
-    context (B,H,Lq,dv). softmax(q.k^T / sqrt(d)) follows `softmax`'s
-    contract: masked keys get probability exactly 0, and a row with no
-    readable key gets zero probabilities and a zero context (no NaN).
-    Only the probabilities are kept for the closed-form backward; when
-    `probs` is a list, they are appended to it.
+    context (B,H,Lq,dv). softmax(q.k^T / sqrt(d)) follows
+    `_masked_softmax_`'s contract: masked keys get probability exactly 0,
+    and a row with no readable key gets zero probabilities and a zero
+    context (no NaN). Only the probabilities are kept for the closed-form
+    backward; when `probs` is a list, they are appended to it.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     c = 1.0 / math.sqrt(q.shape[-1])
     p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
     p *= c
-    np.copyto(p, -np.inf, where=~np.asarray(key_mask, dtype=bool)[:, None, None, :])
-    mx = p.max(axis=-1, keepdims=True)
-    mx[~np.isfinite(mx)] = 0.0
-    p -= mx
-    np.exp(p, out=p)  # masked keys: exp(-inf) = 0
-    denom = p.sum(axis=-1, keepdims=True)
-    np.divide(p, denom, out=p, where=denom > 0)
+    _masked_softmax_(p, ~np.asarray(key_mask, dtype=bool)[:, None, None, :])
     if probs is not None:
         probs.append(p)
     out = np.matmul(p, v.data)
 
     def bwd(g):
         _accum(v, np.matmul(np.swapaxes(p, -1, -2), g))
-        ds = np.matmul(g, np.swapaxes(v.data, -1, -2))
-        ds -= (ds * p).sum(axis=-1, keepdims=True)
-        ds *= p
-        ds *= c
+        ds = _softmax_grad(p, np.matmul(g, np.swapaxes(v.data, -1, -2)), c)
         _accum(q, np.matmul(ds, k.data))
         _accum(k, np.matmul(np.swapaxes(ds, -1, -2), q.data))
+
+    return _node(out, (q, k, v), bwd)
+
+
+def sliding_attention(q, k, v, key_mask, w, g, probs=None):
+    """Sliding-window attention with a global prefix {0..g-1}, as one tape node.
+
+    q, k, v (B,H,L,d), key_mask (B,L) bool -> context (B,H,L,d). Row i >= g
+    reads keys i-w..i+w and the global keys; a global row reads every key.
+    Both softmaxes follow `attention`'s contract. Only the probabilities are
+    kept (and appended to `probs` when it is a list): a (B,H,L,2w+1+g) array
+    whose slot j < 2w+1 is key i+j-w and whose last g columns are the global
+    keys, 0 past either end, on a masked key, on a band slot of a global key
+    and on the global rows; and the global rows' dense (B,H,g,L) array.
+    """
+    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
+    l, d = q.shape[-2:]
+    span = 2 * w + 1
+    c = 1.0 / math.sqrt(d)
+    key_mask = np.asarray(key_mask, dtype=bool)
+    kg, vg = k.data[:, :, :g], v.data[:, :, :g]
+
+    raw = np.arange(l)[:, None] + np.arange(-w, w + 1)  # (L, 2w+1): key of each slot
+    keys = np.concatenate([np.clip(raw, 0, l - 1), np.broadcast_to(np.arange(g), (l, g))], 1)
+    invalid = ~key_mask[:, None, keys]  # (B, 1, L, 2w+1+g)
+    invalid[..., :span] |= (raw < g) | (raw >= l)
+    invalid[:, :, :g] = True  # the global rows attend densely, in `pg`
+    p = np.empty(q.shape[:-1] + (span + g,), dtype=q.data.dtype)
+    p[..., :span] = _band_dot(q.data, k.data, w)
+    p[..., span:] = np.matmul(q.data, np.swapaxes(kg, -1, -2))
+    p *= c
+    _masked_softmax_(p, invalid)
+    pg = np.matmul(q.data[:, :, :g], np.swapaxes(k.data, -1, -2))
+    pg *= c
+    _masked_softmax_(pg, ~key_mask[:, None, None, :])
+    if probs is not None:
+        probs += [p, pg]
+    out = _band_mix(p[..., :span], v.data, w)
+    out += np.matmul(p[..., span:], vg)
+    out[:, :, :g] = np.matmul(pg, v.data)
+
+    def bwd(gr):
+        gv = _band_mix(_band_transpose(p[..., :span], w), gr, w)
+        gv[:, :, :g] += np.matmul(np.swapaxes(p[..., span:], -1, -2), gr)
+        gv += np.matmul(np.swapaxes(pg, -1, -2), gr[:, :, :g])
+        ds = np.empty_like(p)
+        ds[..., :span] = _band_dot(gr, v.data, w)
+        ds[..., span:] = np.matmul(gr, np.swapaxes(vg, -1, -2))
+        _softmax_grad(p, ds, c)
+        dsg = _softmax_grad(pg, np.matmul(gr[:, :, :g], np.swapaxes(v.data, -1, -2)), c)
+        gq = _band_mix(ds[..., :span], k.data, w)
+        gq += np.matmul(ds[..., span:], kg)
+        gq[:, :, :g] += np.matmul(dsg, k.data)
+        gk = _band_mix(_band_transpose(ds[..., :span], w), q.data, w)
+        gk[:, :, :g] += np.matmul(np.swapaxes(ds[..., span:], -1, -2), q.data)
+        gk += np.matmul(np.swapaxes(dsg, -1, -2), q.data[:, :, :g])
+        _accum(q, gq)
+        _accum(k, gk)
+        _accum(v, gv)
 
     return _node(out, (q, k, v), bwd)
 
@@ -640,23 +639,36 @@ def dropout(a, rate, rng, train):
     return _node(a.data * k, (a,), bwd)
 
 
-def normalize_rows(a, eps=0.0):
-    """Divide each row (last axis) by its L2 norm; zero-norm rows are an error."""
-    a = _as_tensor(a)
-    norms = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
-    if np.any(norms <= eps):
-        raise ValueError("normalize_rows: zero-norm row")
-    n = sqrt(sum_(mul(a, a), axis=-1, keepdims=True))
-    return div(a, n)
+def cosine_nce(a, c, tau):
+    """In-batch InfoNCE over cosine similarities, as one tape node: a, c (N, D)
+    -> (loss, sims) with the (N, N) array sims[i, j] = cos(a_i, c_j) and
+    loss = -(1/N) sum_i log softmax_j(sims[i, j] / tau)[i]. A zero-norm row
+    in either input is a ValueError."""
+    a, c = _as_tensor(a), _as_tensor(c, like=a)
+    na = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
+    nc = np.sqrt((c.data * c.data).sum(axis=-1, keepdims=True))
+    if np.any(na <= 0) or np.any(nc <= 0):
+        raise ValueError("cosine_nce: zero-norm row")
+    an, cn = a.data / na, c.data / nc
+    sims = np.matmul(an, cn.T)
+    n, s = sims.shape[0], 1.0 / tau
+    z = sims * s
+    z -= z.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    diag = np.arange(n)
 
+    def unit_grad(gu, u, norm):  # through u = x / |x|
+        return (gu - u * (gu * u).sum(axis=-1, keepdims=True)) / norm
 
-def cosine_similarity(a, b):
-    """Cosine similarity matrix between rows of a (N,d) and b (M,d)."""
-    an = normalize_rows(a)
-    bn = normalize_rows(b)
-    if an.ndim == 1 and bn.ndim == 1:
-        return sum_(mul(an, bn))
-    return matmul(an, transpose(bn, (1, 0)))
+    def bwd(g):
+        ds = np.exp(logp)
+        ds[diag, diag] -= 1.0
+        ds *= g * (s / n)
+        _accum(a, unit_grad(np.matmul(ds, cn), an, na))
+        _accum(c, unit_grad(np.matmul(ds.T, an), cn, nc))
+
+    loss = _node(logp[diag, diag].sum() * (-1.0 / n), (a, c), bwd)
+    return loss, sims
 
 
 # ---------------------------------------------------------------------------

@@ -116,15 +116,13 @@ def mnr_loss(anchors, cands, tau=0.05):
     """In-batch softmax contrastive loss over cosine similarities.
 
     loss = -(1/N) sum_i log softmax_j(cos(a_i, c_j)/tau)[i]; each anchor's
-    negatives are the other anchors' positives.
+    negatives are the other anchors' positives. Returns (loss, the (N, N)
+    cosine array); a zero-norm vector is a ValueError (`T.cosine_nce`).
     """
     n = anchors.shape[0]
     if n < 2:
         raise ValueError(f"mnr_loss needs N >= 2, got {n}")
-    sims = T.cosine_similarity(anchors, cands)       # (N, N); errors on zero norms
-    logp = T.log_softmax(T.scale(sims, 1.0 / tau), axis=-1)
-    diag = logp[np.arange(n), np.arange(n)]
-    return T.scale(T.sum_(diag), -1.0 / n), sims.data
+    return T.cosine_nce(anchors, cands, tau)
 
 
 # ---------------------------------------------------------------------------

@@ -123,6 +123,40 @@ class TestPipeline:
         assert main([*sets, "embed", "--pooling", "max"]) == 0
         assert (out / "embeddings.tsv").read_bytes() == want
 
+    def test_embed_pools_as_pretrained(self, tmp_path):
+        # with no --pooling, embed uses the checkpoint's pretrain.pooling (the
+        # config's with --random-init); an explicit flag still overrides it
+        out = tmp_path / "run"
+        mean = ["pretrain.pooling=mean"]
+        _run(out, "gen-synthetic")
+        assert _run(out, "pretrain", extra=mean) == 0
+        got = {}
+        for argv in ([], ["--pooling", "mean"], ["--pooling", "max"],
+                     ["--random-init"], ["--random-init", "--pooling", "mean"]):
+            assert _run(out, "embed", *argv, extra=mean if "--random-init" in argv else ()) == 0
+            got[" ".join(argv)] = (out / "embeddings.tsv").read_bytes()
+        assert got[""] == got["--pooling mean"] != got["--pooling max"]
+        assert got["--random-init"] == got["--random-init --pooling mean"]
+
+    def test_eval_scores_the_split_train_clf_used(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        _run(out, "gen-synthetic")
+        assert _run(out, "embed", "--random-init") == 0
+        assert _run(out, "train-clf") == 0
+        assert _run(out, "eval") == 0
+        want = (out / "metrics.txt").read_text()
+        for override in ("run.seed=5", "corpus.train_frac=0.5"):
+            (out / "metrics.txt").unlink()
+            assert _run(out, "eval", extra=[override]) == 0
+            assert (out / "metrics.txt").read_text() == want, override
+        # embeddings that no longer match the classifier's split
+        rows = (out / "embeddings.tsv").read_text().splitlines(keepends=True)
+        (out / "embeddings.tsv").write_text("".join(rows[:-1]))
+        capsys.readouterr()
+        assert _run(out, "eval") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "train-clf" in err
+
     def test_pretrain_log_format(self, tmp_path):
         out = tmp_path / "run"
         _run(out, "gen-synthetic")
@@ -241,6 +275,20 @@ class TestMissingArtifacts:
 
 
 class TestSweep:
+    def test_default_sizes_fit_max_tokens(self, tmp_path):
+        # powers of two from 8 that leave >= 2 slots of max_tokens 48
+        out = tmp_path / "run"
+        assert _run(out, "sweep-chunk") == 0
+        lines = (out / "sweep.tsv").read_text().splitlines()
+        assert [int(l.split("\t")[0]) for l in lines[1:]] == [8, 16]
+
+    def test_size_leaving_one_slot_rejected_before_any_arm(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert _run(out, "sweep-chunk", "--sizes", "8,128") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "128" in err
+        assert not (out / "chunk_8").exists()
+
     def test_sweep_rows_and_subdirs(self, tmp_path):
         out = tmp_path / "run"
         _run(out, "gen-synthetic")

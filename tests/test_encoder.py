@@ -6,6 +6,7 @@ from cpe import tensor as T
 from cpe.corpus import CLS_ID, PAD_ID
 from cpe.encoder import (EncoderConfig, encode_chunk, encode_sparse,
                          encoder_forward, init_params, pad_to_length)
+from test_tensor import _band_global_mask
 
 DENSE = EncoderConfig(vocab_size=20, dim=16, layers=2, heads=4, ff=32,
                       max_positions=12, dropout=0.1)
@@ -175,37 +176,20 @@ class TestSparseEncoder:
                             rng=np.random.default_rng(0)) < 1e-4
 
 
-def _gathered_attend_sliding(q, k, v, key_mask, window, g, capture=None):
-    """Sliding attention with the global keys, values and rows gathered by
-    `index_select` and the global rows as a scale/softmax/matmul chain:
-    the form that the [:g] slices and `T.attention` replace."""
-    b, h, l, dh = q.shape
-    w = window
-    gidx = np.arange(g)
-    scale = 1.0 / np.sqrt(dh)
-    raw = np.arange(l)[:, None] + np.arange(-w, w + 1)[None, :]
-    band_idx = np.clip(raw, 0, l - 1)
-    band_valid = ((raw >= 0) & (raw < l) & ~np.isin(band_idx, gidx))[None] \
-        & key_mask[:, band_idx]
-    kg = T.index_select(k, 2, gidx)
-    vg = T.index_select(v, 2, gidx)
-    scores = T.scale(T.concat([T.band_scores(q, k, w),
-                               T.matmul(q, T.transpose(kg, (0, 1, 3, 2)))], axis=-1), scale)
-    valid = np.concatenate(
-        [band_valid[:, None], np.broadcast_to(key_mask[:, None, None, :g], (b, 1, l, g))],
-        axis=-1)
-    probs = T.softmax(scores, mask=valid)
-    ctx = T.add(T.band_combine(probs[:, :, :, :2 * w + 1], v, w),
-                T.matmul(probs[:, :, :, 2 * w + 1:], vg))
-    qg = T.index_select(q, 2, gidx)
-    g_scores = T.scale(T.matmul(qg, T.transpose(k, (0, 1, 3, 2))), scale)
-    g_ctx = T.matmul(T.softmax(g_scores, mask=key_mask[:, None, None, :]), v)
-    return T.concat([g_ctx, ctx[:, :, g:, :]], axis=2)
+def _dense_attend_sliding(q, k, v, key_mask, window, g, capture=None):
+    """Sliding attention as dense attention: each row is its own batch entry
+    of `T.attention`, reading all L keys under its band+global key mask."""
+    b, h, l, d = q.shape
+    rows = np.repeat(np.arange(b), l)
+    allowed = _band_global_mask(key_mask, window, g).reshape(b * l, l)
+    ctx = T.attention(T.reshape(T.transpose(q, (0, 2, 1, 3)), (b * l, h, 1, d)),
+                      T.index_select(k, 0, rows), T.index_select(v, 0, rows), allowed)
+    return T.transpose(T.reshape(ctx, (b, l, h, d)), (0, 2, 1, 3))
 
 
 @pytest.mark.parametrize("global_tokens", [(0,), (0, 1, 2)])
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-def test_sliced_globals_match_gathered_globals(monkeypatch, global_tokens, dtype, tol):
+def test_sliding_encoder_matches_dense_reference(monkeypatch, global_tokens, dtype, tol):
     cfg = EncoderConfig(**vars(SLIDING))
     cfg.global_tokens = global_tokens
     rng = np.random.default_rng(len(global_tokens))
@@ -221,7 +205,7 @@ def test_sliced_globals_match_gathered_globals(monkeypatch, global_tokens, dtype
         return h.data, {n: p.grad for n, p in params.items()}
 
     new_h, new_g = run()
-    monkeypatch.setattr(encoder, "_attend_sliding", _gathered_attend_sliding)
+    monkeypatch.setattr(encoder, "_attend_sliding", _dense_attend_sliding)
     old_h, old_g = run()
     np.testing.assert_allclose(new_h, old_h, rtol=tol, atol=tol)
     for name in new_g:

@@ -1,13 +1,17 @@
-"""Every name a `cpe` module imports is used in that module.
+"""Every name a `cpe` module imports is used in that module, and every
+public function of `cpe.tensor` is used by some `cpe` module.
 
-`__init__.py` is exempt: its imports are the package's re-exports."""
+`__init__.py` is exempt from the first check: its imports are the
+package's re-exports."""
 
 import ast
+import inspect
 import pathlib
 
 import pytest
 
 import cpe
+from cpe import tensor
 
 SRC = pathlib.Path(cpe.__file__).parent
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -35,3 +39,18 @@ def test_detector_flags_only_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_every_public_tensor_function_is_referenced():
+    # `grad_check` is the one public function that serves only the tests
+    public = {name for name, obj in vars(tensor).items()
+              if inspect.isfunction(obj) and obj.__module__ == tensor.__name__
+              and not name.startswith("_")}
+    referenced = set()
+    for path in SRC.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    assert sorted(public - referenced - {"grad_check"}) == []

@@ -6,12 +6,16 @@ from cpe import tensor as T
 
 class TestPrimitives:
     def test_cosine_orthogonal(self):
-        sim = T.cosine_similarity(T.constant([1.0, 0.0]), T.constant([0.0, 1.0]))
-        assert abs(sim.item()) < 1e-7
+        _, sims = T.cosine_nce(T.constant([[1.0, 0.0], [0.0, 2.0]]),
+                               T.constant([[0.0, 3.0], [1.0, 0.0]]), tau=0.05)
+        np.testing.assert_allclose(sims, [[0.0, 1.0], [1.0, 0.0]], atol=1e-7)
 
     def test_softmax_uniform(self):
-        out = T.softmax(T.constant([0.0, 0.0, 0.0])).data
-        np.testing.assert_allclose(out, [1 / 3] * 3, atol=1e-7)
+        # equal scores: every readable key gets the same probability
+        probs = []
+        k = T.constant(np.random.default_rng(0).standard_normal((1, 1, 3, 2)))
+        T.attention(T.constant(np.zeros((1, 1, 1, 2))), k, k, np.ones((1, 3), bool), probs=probs)
+        np.testing.assert_allclose(probs[0], np.full((1, 1, 1, 3), 1 / 3), atol=1e-7)
 
     def test_masked_max_reduce(self):
         x = T.constant([[1.0, 3.0], [3.0, 1.0]])
@@ -19,17 +23,36 @@ class TestPrimitives:
         np.testing.assert_allclose(out, [3.0, 3.0])
 
     def test_masked_softmax_zero_prob_and_row_sum(self):
+        # the contract on `sliding_attention`'s probabilities: masked keys,
+        # band slots past either end or on a global key, and the global
+        # rows' band entries are exactly 0; every row sums to 1
         rng = np.random.default_rng(0)
-        x = T.constant(rng.standard_normal((5, 7)))
-        mask = rng.random((5, 7)) > 0.4
+        b, l, w, g = 5, 9, 2, 2
+        q, k, v = (T.constant(rng.standard_normal((b, 2, l, 3))) for _ in range(3))
+        mask = rng.random((b, l)) > 0.4
         mask[:, 0] = True
-        out = T.softmax(x, mask=mask).data
-        assert np.all(out[~mask] == 0.0)
-        np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-6)
+        probs = []
+        T.sliding_attention(q, k, v, mask, w, g, probs=probs)
+        p, pg = probs
+        raw = np.arange(l)[:, None] + np.arange(-w, w + 1)
+        slot_ok = ((raw >= g) & (raw < l))[None] & mask[:, np.clip(raw, 0, l - 1)]
+        ok = np.concatenate([slot_ok, np.broadcast_to(mask[:, None, :g], (b, l, g))], axis=-1)
+        ok[:, :g] = False
+        assert np.all(p[~np.broadcast_to(ok[:, None], p.shape)] == 0.0)
+        assert np.all(pg[~np.broadcast_to(mask[:, None, None, :], pg.shape)] == 0.0)
+        np.testing.assert_allclose(p[:, :, g:].sum(axis=-1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(pg.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_softmax_fully_masked_row_no_nan(self):
-        out = T.softmax(T.constant([[1.0, 2.0]]), mask=np.array([[False, False]])).data
-        assert np.all(out == 0.0)
+        # a batch row with no readable key: zero probabilities, zero context
+        rng = np.random.default_rng(1)
+        q, k, v = (T.constant(rng.standard_normal((2, 2, 6, 3))) for _ in range(3))
+        mask = np.ones((2, 6), dtype=bool)
+        mask[1] = False
+        probs = []
+        ctx = T.sliding_attention(q, k, v, mask, 1, 1, probs=probs).data
+        assert np.all(np.isfinite(ctx)) and np.all(ctx[1] == 0.0)
+        assert all(np.all(p[1] == 0.0) for p in probs)
 
     def test_shape_mismatch_names_shapes(self):
         with pytest.raises(T.ShapeError, match="matmul"):
@@ -101,13 +124,12 @@ PRIMITIVE_FNS = {
     "matmul": lambda p: T.sum_(T.matmul(p["a"], p["b"])),
     "add": lambda p: T.sum_(T.mul(T.add(p["a"], p["b"]), p["a"])),
     "mul": lambda p: T.sum_(T.mul(p["a"], p["b"])),
-    "div": lambda p: T.sum_(T.div(p["a"], T.add(T.mul(p["b"], p["b"]), 1.0))),
     "tanh": lambda p: T.sum_(T.tanh(p["a"])),
     "sigmoid": lambda p: T.sum_(T.sigmoid(p["a"])),
     "relu": lambda p: T.sum_(T.mul(T.relu(p["a"]), p["a"])),
     "exp": lambda p: T.sum_(T.exp(T.scale(p["a"], 0.3))),
     "log": lambda p: T.sum_(T.log(T.add(T.mul(p["a"], p["a"]), 1.0))),
-    "softmax": lambda p: T.sum_(T.mul(T.softmax(p["a"]), p["b"])),
+    "softmax": lambda p: T.sum_(T.mul(T.exp(T.log_softmax(p["a"])), p["b"])),
     "log_softmax": lambda p: T.sum_(T.mul(T.log_softmax(p["a"]), p["b"])),
     "layer_norm": lambda p: T.sum_(T.mul(
         T.layer_norm(p["a"], p["ln_g"], p["ln_b"]), p["b"])),
@@ -117,7 +139,7 @@ PRIMITIVE_FNS = {
         p["a"], np.array([True, False, True, True]), axis=0)),
     "concat_slice": lambda p: T.sum_(T.concat([p["a"], p["b"]], axis=1)[1:3, 2:5]),
     "index_select": lambda p: T.sum_(T.index_select(p["a"], 0, np.array([0, 2, 2, 1]))),
-    "cosine": lambda p: T.sum_(T.cosine_similarity(p["a"], p["b"])),
+    "cosine": lambda p: T.cosine_nce(p["a"], p["b"], tau=0.5)[0],
     "reshape_transpose": lambda p: T.sum_(T.mul(
         T.transpose(T.reshape(p["a"], (2, 2, 6)), (1, 0, 2)),
         T.transpose(T.reshape(p["b"], (2, 2, 6)), (1, 0, 2)))),
@@ -289,8 +311,8 @@ class TestLinear:
 
 
 def _old_band(q, k, v, p, w):
-    """The gather formulation the band ops replace: keys and values picked per
-    row with `index_select` at clipped band positions, then `mul` + `sum_`."""
+    """The gather formulation the band kernels replace: keys and values picked
+    per row with `index_select` at clipped band positions, then `mul` + `sum_`."""
     b, h, l, d = q.shape
     idx = np.clip(np.arange(l)[:, None] + np.arange(-w, w + 1)[None, :], 0, l - 1).reshape(-1)
     k_band = T.reshape(T.index_select(k, 2, idx), (b, h, l, 2 * w + 1, d))
@@ -305,73 +327,35 @@ def _in_range(l, w):
     return (raw >= 0) & (raw < l)
 
 
-class TestBandOps:
-    # (B, H, L, d) shapes; windows below, at and past the sequence length
-    CASES = [((2, 2, 7, 3), 2), ((1, 2, 5, 4), 1), ((2, 1, 4, 3), 4), ((1, 1, 3, 2), 5)]
-
-    @pytest.mark.parametrize("shape,w", CASES)
-    def test_grad_check_every_coordinate(self, shape, w):
-        # every coordinate is checked, so rows at both sequence edges are too
-        rng = np.random.default_rng(sum(shape) + w)
-        band = shape[:-1] + (2 * w + 1,)
-        params = {n: T.parameter(rng.standard_normal(shape)) for n in ("q", "k", "v")}
-        params["p"] = T.parameter(rng.standard_normal(band))
-        r_scores = rng.standard_normal(band)
-        r_ctx = rng.standard_normal(shape)
-
-        def fn(p):
-            s = T.sum_(T.mul(T.band_scores(p["q"], p["k"], w), r_scores))
-            c = T.sum_(T.mul(T.band_combine(p["p"], p["v"], w), r_ctx))
-            return T.add(s, c)
-
-        every = max(t.data.size for t in params.values())
-        assert T.grad_check(fn, params, num_samples=every) < 1e-7
-
-    @pytest.mark.parametrize("shape,w", CASES)
-    def test_out_of_range_slots_read_zero(self, shape, w):
-        rng = np.random.default_rng(1)
-        q, k = rng.standard_normal(shape), rng.standard_normal(shape)
-        out = T.band_scores(T.constant(q, np.float64), T.constant(k, np.float64), w).data
-        assert np.all(out[..., ~_in_range(shape[2], w)] == 0.0)
-
-    @pytest.mark.parametrize("shape,w", CASES + [((4, 4, 65, 16), 16)])
-    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    def test_matches_gather_formulation_on_valid_slots(self, shape, w, dtype, tol):
-        rng = np.random.default_rng(2)
-        ok = _in_range(shape[2], w)
-        band = shape[:-1] + (2 * w + 1,)
-        # probabilities are 0 on out-of-range slots, as the softmax mask makes them
-        p_data = rng.random(band) * ok
-        r_scores = rng.standard_normal(band) * ok
-        r_ctx = rng.standard_normal(shape)
-        data = {"q": rng.standard_normal(shape), "k": rng.standard_normal(shape),
-                "v": rng.standard_normal(shape), "p": p_data}
-
-        def run(fused):
-            t = {n: T.parameter(x.astype(dtype)) for n, x in data.items()}
-            if fused:
-                scores = T.band_scores(t["q"], t["k"], w)
-                ctx = T.band_combine(t["p"], t["v"], w)
-            else:
-                scores, ctx = _old_band(t["q"], t["k"], t["v"], t["p"], w)
-            T.backward(T.add(T.sum_(T.mul(scores, r_scores.astype(dtype))),
-                             T.sum_(T.mul(ctx, r_ctx.astype(dtype)))))
-            return scores.data, ctx.data, {n: x.grad for n, x in t.items()}
-
-        new_s, new_c, new_g = run(fused=True)
-        old_s, old_c, old_g = run(fused=False)
-        np.testing.assert_allclose(new_s[..., ok], old_s[..., ok], rtol=tol, atol=tol)
-        np.testing.assert_allclose(new_c, old_c, rtol=tol, atol=tol)
-        for name in ("q", "k", "v"):
-            np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol)
-        np.testing.assert_allclose(new_g["p"][..., ok], old_g["p"][..., ok], rtol=tol, atol=tol)
-
-
-def _old_attention(q, k, v, key_mask):
-    """The composed chain `attention` replaces: scores, scale, masked softmax, mix."""
+def _dense_reference(q, k, v, allowed):
+    """Masked attention from unfused ops: scaled q.k^T scores, -1e30 added
+    where `allowed` (B, Lq, Lk) is false, exp(log_softmax(.)), and a factor
+    that zeroes a row with no allowed key. Returns (context, probabilities)."""
+    dtype = q.data.dtype
+    bias = np.where(allowed, 0.0, -1e30).astype(dtype)[:, None]
+    has_key = allowed.any(axis=-1).astype(dtype)[:, None, :, None]
     scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
-    probs = T.softmax(scores, mask=key_mask[:, None, None, :])
+    probs = T.mul(T.exp(T.log_softmax(T.add(scores, bias))), has_key)
     return T.matmul(probs, v), probs
+
+
+def _band_global_mask(key_mask, w, g):
+    """(B, L, L) keys that `sliding_attention` lets each row read: its band,
+    the global prefix [:g], and every key for the global rows."""
+    i, j = np.arange(key_mask.shape[1])[:, None], np.arange(key_mask.shape[1])[None, :]
+    return ((np.abs(i - j) <= w) | (i < g) | (j < g))[None] & key_mask[:, None, :]
+
+
+def _band_to_dense(p, pg, w):
+    """The (B,H,L,L) probabilities that `sliding_attention`'s arrays stand for."""
+    l, g = p.shape[2], pg.shape[2]
+    dense = np.zeros(p.shape[:-1] + (l,), dtype=p.dtype)
+    raw = np.arange(l)[:, None] + np.arange(-w, w + 1)
+    rows, slots = np.nonzero(_in_range(l, w))
+    dense[..., rows, raw[rows, slots]] = p[..., rows, slots]
+    dense[..., :g] += p[..., 2 * w + 1:]
+    dense[..., :g, :] = pg
+    return dense
 
 
 def _attention_mask(b, lk):
@@ -381,6 +365,94 @@ def _attention_mask(b, lk):
     if b > 1:
         mask[-1] = False
     return mask
+
+
+class TestBandOps:
+    """The private band kernels and `sliding_attention`, the tape op built on them."""
+    # (B, H, L, d) shapes; windows below, at and past the sequence length
+    CASES = [((3, 2, 7, 3), 2), ((3, 2, 5, 4), 1), ((3, 1, 4, 3), 4), ((3, 1, 3, 2), 5)]
+
+    @pytest.mark.parametrize("shape,w", CASES)
+    def test_grad_check_every_coordinate(self, shape, w):
+        # every coordinate is checked, so rows at both sequence edges are too;
+        # the batch rows have a partly masked, a fully readable and no readable key
+        rng = np.random.default_rng(sum(shape) + w)
+        params = {n: T.parameter(rng.standard_normal(shape)) for n in ("q", "k", "v")}
+        mask = _attention_mask(shape[0], shape[2])
+        r = rng.standard_normal(shape)
+        every = max(t.data.size for t in params.values())
+        for g in (1, 3):
+            def fn(p):
+                ctx = T.sliding_attention(p["q"], p["k"], p["v"], mask, w, g)
+                return T.sum_(T.mul(ctx, r))
+
+            assert T.grad_check(fn, params, num_samples=every) < 1e-7, f"g={g}"
+
+    @pytest.mark.parametrize("shape,w", CASES)
+    def test_out_of_range_slots_read_zero(self, shape, w):
+        rng = np.random.default_rng(1)
+        out = T._band_dot(rng.standard_normal(shape), rng.standard_normal(shape), w)
+        assert np.all(out[..., ~_in_range(shape[2], w)] == 0.0)
+
+    @pytest.mark.parametrize("shape,w", CASES + [((4, 4, 65, 16), 16)])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_matches_gather_formulation_on_valid_slots(self, shape, w, dtype, tol):
+        # the kernels, and the backward identities `sliding_attention` builds
+        # from them, against the tape gradients of the gather formulation
+        rng = np.random.default_rng(2)
+        ok = _in_range(shape[2], w)
+        band = shape[:-1] + (2 * w + 1,)
+        # probabilities are 0 on out-of-range slots, as the softmax mask makes them
+        data = {"q": rng.standard_normal(shape), "k": rng.standard_normal(shape),
+                "v": rng.standard_normal(shape), "p": rng.random(band) * ok}
+        r_scores = (rng.standard_normal(band) * ok).astype(dtype)
+        r_ctx = rng.standard_normal(shape).astype(dtype)
+
+        q, k, v, p = (data[n].astype(dtype) for n in "qkvp")
+        new_s, new_c = T._band_dot(q, k, w), T._band_mix(p, v, w)
+        new_g = {"q": T._band_mix(r_scores, k, w),
+                 "k": T._band_mix(T._band_transpose(r_scores, w), q, w),
+                 "p": T._band_dot(r_ctx, v, w),
+                 "v": T._band_mix(T._band_transpose(p, w), r_ctx, w)}
+        t = {n: T.parameter(x.astype(dtype)) for n, x in data.items()}
+        old_s, old_c = _old_band(t["q"], t["k"], t["v"], t["p"], w)
+        T.backward(T.add(T.sum_(T.mul(old_s, r_scores)), T.sum_(T.mul(old_c, r_ctx))))
+        np.testing.assert_allclose(new_s[..., ok], old_s.data[..., ok], rtol=tol, atol=tol)
+        np.testing.assert_allclose(new_c, old_c.data, rtol=tol, atol=tol)
+        for name in ("q", "k", "v"):
+            np.testing.assert_allclose(new_g[name], t[name].grad, rtol=tol, atol=tol)
+        np.testing.assert_allclose(new_g["p"][..., ok], t["p"].grad[..., ok], rtol=tol, atol=tol)
+
+    @pytest.mark.parametrize("shape,w", CASES + [((4, 4, 65, 16), 16)])
+    @pytest.mark.parametrize("g", [1, 3])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_sliding_attention_matches_dense_reference(self, shape, w, g, dtype, tol):
+        rng = np.random.default_rng(4)
+        data = {n: rng.standard_normal(shape) for n in ("q", "k", "v")}
+        mask = _attention_mask(shape[0], shape[2])
+        r = rng.standard_normal(shape).astype(dtype)
+
+        def run(fused):
+            t = {n: T.parameter(x.astype(dtype)) for n, x in data.items()}
+            if fused:
+                probs = []
+                ctx = T.sliding_attention(t["q"], t["k"], t["v"], mask, w, g, probs=probs)
+                p = _band_to_dense(*probs, w)
+            else:
+                ctx, p = _dense_reference(t["q"], t["k"], t["v"],
+                                          _band_global_mask(mask, w, g))
+                p = p.data
+            T.backward(T.sum_(T.mul(ctx, r)))
+            return ctx.data, p, {n: x.grad for n, x in t.items()}
+
+        new_c, new_p, new_g = run(fused=True)
+        old_c, old_p, old_g = run(fused=False)
+        assert new_c.dtype == dtype and new_p.dtype == dtype
+        np.testing.assert_allclose(new_c, old_c, rtol=tol, atol=tol)
+        np.testing.assert_allclose(new_p, old_p, rtol=tol, atol=tol)
+        for name in ("q", "k", "v"):
+            assert new_g[name].dtype == dtype
+            np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol)
 
 
 class TestAttention:
@@ -440,7 +512,8 @@ class TestAttention:
                 ctx = T.attention(t["q"], t["k"], t["v"], mask, probs=probs)
                 p = probs[0]
             else:
-                ctx, p = _old_attention(t["q"], t["k"], t["v"], mask)
+                ctx, p = _dense_reference(t["q"], t["k"], t["v"],
+                                          np.broadcast_to(mask[:, None, :], (b, lq, lk)))
                 p = p.data
             T.backward(T.sum_(T.mul(ctx, r)))
             return ctx.data, p, {n: x.grad for n, x in t.items()}
@@ -453,3 +526,23 @@ class TestAttention:
         for name in ("q", "k", "v"):
             assert new_g[name].dtype == dtype
             np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol)
+
+
+class TestCosineNce:
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_grad_check_every_coordinate(self, n):
+        rng = np.random.default_rng(n)
+        params = {"a": T.parameter(rng.standard_normal((n, 4))),
+                  "c": T.parameter(rng.standard_normal((n, 4)))}
+
+        def fn(p):
+            return T.cosine_nce(p["a"], p["c"], tau=0.05)[0]
+
+        assert T.grad_check(fn, params, num_samples=4 * n) < 1e-7
+
+    def test_zero_norm_row_rejected(self):
+        a = np.ones((2, 3))
+        a[1] = 0.0
+        for x, y in ((a, np.ones((2, 3))), (np.ones((2, 3)), a)):
+            with pytest.raises(ValueError, match="zero-norm"):
+                T.cosine_nce(T.constant(x), T.constant(y), tau=0.05)
