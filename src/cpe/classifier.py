@@ -15,7 +15,7 @@ from .optim import AdamWConfig, AdamWState, adamw_step
 class ClassifierConfig:
     epochs: int = 20
     batch_size: int = 16
-    lr: float = 2e-5
+    lr: float = 1e-3
     hidden: tuple = (64, 64, 64)
     threshold: float = 0.5
     weight_decay: float = 0.001

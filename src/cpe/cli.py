@@ -17,7 +17,7 @@ from . import corpus as C
 from . import metrics as M
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifier import predict_batch, train_classifier
-from .config import ConfigError, ExperimentConfig
+from .config import ExperimentConfig
 from .encoder import EncoderConfig, init_params
 from .pooling import POOLERS
 from .training import OBJECTIVES, PretrainConfig, embed_documents, pretrain
@@ -95,7 +95,7 @@ def cmd_pretrain(cfg, args):
     out = _outdir(cfg)
     records = _load_records(cfg)
     vocab = C.build_vocab((r["text"] for r in records),
-                          min_freq=cfg.getint("corpus", "min_freq"))
+                          min_freq=cfg.get("corpus", "min_freq"))
     docs = C.encode_documents(records, vocab, task=_task(cfg))
     pcfg = cfg.pretrain_config(objective=args.objective)
     ecfg = cfg.encoder_config(vocab.size, pcfg.objective)
@@ -129,7 +129,7 @@ def cmd_embed(cfg, args):
     ckpt_path = os.path.join(out, "checkpoint.bin")
     if args.random_init:
         vocab = C.build_vocab((r["text"] for r in records),
-                              min_freq=cfg.getint("corpus", "min_freq"))
+                              min_freq=cfg.get("corpus", "min_freq"))
         pcfg = cfg.pretrain_config()
         ecfg = cfg.encoder_config(vocab.size, pcfg.objective)
         params = init_params(ecfg, cfg.seed)
@@ -156,7 +156,7 @@ def cmd_train_clf(cfg, args):
     num_labels = max((max(ls) for ls in labels if ls), default=-1) + 1
     if num_labels < 1:
         raise CliError("train-clf: corpus has no labels")
-    seed, frac = cfg.seed, cfg.getfloat("corpus", "train_frac")
+    seed, frac = cfg.seed, cfg.get("corpus", "train_frac")
     train_idx, _ = _split(len(embs), seed, frac)
     ccfg = cfg.classifier_config()
     params = train_classifier(embs[train_idx], [labels[i] for i in train_idx],
@@ -175,7 +175,7 @@ def cmd_eval(cfg, args):
     embs, ids, labels = M.load_embeddings(path)
     clf_path = os.path.join(out, "clf.bin")
     clf = load_checkpoint(clf_path) if os.path.exists(clf_path) else None
-    seed, frac = cfg.seed, cfg.getfloat("corpus", "train_frac")
+    seed, frac = cfg.seed, cfg.get("corpus", "train_frac")
     if clf is not None:  # score the split the head was trained on
         if clf[1].get("num_docs") != len(embs):
             raise CliError(f"embeddings.tsv has {len(embs)} rows, clf.bin was trained on a "
@@ -195,11 +195,11 @@ def cmd_eval(cfg, args):
             report["micro_f1"] = f1.micro_f1
         elif m == "cluster":
             pts = embs[test_idx]
-            if cfg.parser.getboolean("eval", "normalize"):
+            if cfg.get("eval", "normalize"):
                 norms = np.linalg.norm(pts, axis=1, keepdims=True)
                 pts = pts / np.maximum(norms, 1e-12)
-            assign = M.dbscan(pts, cfg.getfloat("eval", "dbscan_eps"),
-                              cfg.getint("eval", "dbscan_min_pts"))
+            assign = M.dbscan(pts, cfg.get("eval", "dbscan_eps"),
+                              cfg.get("eval", "dbscan_min_pts"))
             gold = [labels[i] for i in test_idx]
             h, c = M.homogeneity_completeness(assign, gold)
             report["homogeneity"] = h
@@ -216,7 +216,7 @@ def cmd_eval(cfg, args):
 
 def cmd_sweep_chunk(cfg, args):
     out = _outdir(cfg)
-    max_tokens = cfg.getint("pretrain", "max_tokens")
+    max_tokens = cfg.get("pretrain", "max_tokens")
     sizes = ([int(s) for s in args.sizes.split(",")] if args.sizes is not None else
              [2 ** e for e in range(3, max_tokens.bit_length()) if 2 ** e <= max_tokens // 2])
     few = [size for size in sizes if size < 1 or max_tokens // size < 2]
@@ -226,11 +226,9 @@ def cmd_sweep_chunk(cfg, args):
     rows = []
     for size in sizes:
         sub = os.path.join(out, f"chunk_{size}")
-        arm = ExperimentConfig.load(None, overrides=[])
-        arm.parser.read_dict({s: dict(cfg.parser[s]) for s in cfg.parser.sections()})
-        arm.parser["run"]["output_dir"] = sub
-        arm.parser["pretrain"]["chunk_len"] = str(size)
-        arm.parser["pretrain"]["n_chunks"] = str(max_tokens // size)
+        arm = ExperimentConfig({s: dict(keys) for s, keys in cfg.values.items()})
+        arm.values["run"]["output_dir"] = sub
+        arm.values["pretrain"].update(chunk_len=size, n_chunks=max_tokens // size)
         ns = argparse.Namespace(objective=arm.get("pretrain", "objective"), pooling=None,
                                 random_init=False, task=None, metrics="f1")
         if arm.get("corpus", "source") == "synthetic":
@@ -298,7 +296,8 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         cfg = ExperimentConfig.load(args.config, overrides=args.set)
         return COMMANDS[args.command](cfg, args)
-    except (CliError, ConfigError, C.CorpusError, ValueError, FloatingPointError) as e:
+    # ConfigError and CorpusError are ValueErrors
+    except (CliError, ValueError, FloatingPointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -234,6 +234,8 @@ class SyntheticSpec:
                 f"invalid doc_len range [{self.doc_len_min}, {self.doc_len_max}]")
         if self.vocab_per_topic < 1 or self.shared_vocab < 0:
             raise CorpusError("vocab sizes must be positive")
+        if not self.doc_alpha > 0:
+            raise CorpusError(f"doc_alpha must be > 0, got {self.doc_alpha}")
         if not (0.0 <= self.noise_rate <= 1.0):
             raise CorpusError(f"noise_rate must be in [0,1], got {self.noise_rate}")
         if self.task not in ("multiclass", "multilabel"):

@@ -28,12 +28,12 @@ class PretrainConfig:
     objective: str = "cpe-hier"
     epochs: int = 3
     batch_size: int = 4
-    lr: float = 2e-5
+    lr: float = 2e-4
     weight_decay: float = 0.001
     tau: float = 0.05
-    chunk_len: int = 128
-    n_chunks: int = 32
-    max_tokens: int = 4096
+    chunk_len: int = 16
+    n_chunks: int = 10
+    max_tokens: int = 160
     esimcse_rate: float = 0.15
     pooling: str = "max"
     seed: int = 0
@@ -324,8 +324,8 @@ def pretrain(docs, encoder_config, cfg, log=None):
 # ---------------------------------------------------------------------------
 # inference-time embedding
 
-def embed_documents(docs, params, encoder_config, pooling="max", chunk_len=128,
-                    n_chunks=32, max_tokens=4096, batch_size=32):
+def embed_documents(docs, params, encoder_config, pooling="max", *, chunk_len, n_chunks,
+                    max_tokens, batch_size=32):
     """Eval-mode document embeddings, (B, D) numpy array."""
     out = []
     if encoder_config.attention == "sliding":

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cpe.cli import main
-from cpe.config import ConfigError, ExperimentConfig
+from cpe.config import DEFAULTS, ConfigError, ExperimentConfig
 
 FAST = [
     "synthetic.num_docs=60", "synthetic.num_topics=3",
@@ -15,6 +20,9 @@ FAST = [
     "pretrain.max_tokens=48",
     "classifier.epochs=3", "classifier.lr=1e-3",
 ]
+
+
+STAGES = ["gen-synthetic", "pretrain", "embed", "train-clf", "eval"]
 
 
 def _run(outdir, *argv, extra=()):
@@ -28,12 +36,12 @@ class TestConfig:
     def test_defaults_load(self):
         cfg = ExperimentConfig.load()
         assert cfg.seed == 1
-        assert cfg.getint("pretrain", "chunk_len") == 16
+        assert cfg.get("pretrain", "chunk_len") == 16
 
     def test_override_applies(self):
         cfg = ExperimentConfig.load(overrides=["run.seed=7", "encoder.dim=32"])
         assert cfg.seed == 7
-        assert cfg.getint("encoder", "dim") == 32
+        assert cfg.get("encoder", "dim") == 32
 
     def test_bad_override_rejected(self):
         with pytest.raises(ConfigError, match="section.key=value"):
@@ -47,7 +55,19 @@ class TestConfig:
         ini = tmp_path / "exp.ini"
         ini.write_text("[encoder]\ndim = 24\n")
         cfg = ExperimentConfig.load(str(ini), overrides=["encoder.dim=48"])
-        assert cfg.getint("encoder", "dim") == 48
+        assert cfg.get("encoder", "dim") == 48
+
+    @pytest.mark.parametrize("text,named", [
+        ("[encoder]\ndim = 24\nwindw = 8\n", "encoder.windw"),
+        ("[DEFAULT]\nepochs = 3\n", "DEFAULT.epochs"),
+        ("epochs = 3\n", "no section headers"),
+    ], ids=["unknown-key", "default-section", "no-section"])
+    def test_bad_config_file_rejected(self, tmp_path, capsys, text, named):
+        ini = tmp_path / "exp.ini"
+        ini.write_text(text)
+        assert main(["--config", str(ini), "gen-synthetic"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err
 
     def test_auto_max_positions(self):
         cfg = ExperimentConfig.load(overrides=["pretrain.chunk_len=16",
@@ -91,6 +111,16 @@ class TestPipeline:
         assert a == b
         assert (outs[0] / "embeddings.tsv").read_bytes() == \
                (outs[1] / "embeddings.tsv").read_bytes()
+
+    def test_config_effective_reproduces_the_run(self, tmp_path):
+        out, again = tmp_path / "run", tmp_path / "again"
+        for stage in STAGES:
+            assert _run(out, stage) == 0
+        argv = ["--config", str(out / "config_effective.ini"), "--set", f"run.output_dir={again}"]
+        for stage in STAGES:
+            assert main([*argv, stage]) == 0
+        for name in ("checkpoint.bin", "metrics.txt"):
+            assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
     def test_default_settings_train_on_every_document(self, tmp_path, capsys):
         # only the output directory and a small corpus: the default chunking
@@ -168,6 +198,17 @@ class TestPipeline:
         float(loss)
 
 
+# section.key=value overrides that load rejects: an unknown section or key
+# (the program derives seed, vocab_size, max_positions and global_tokens),
+# a value that does not parse as the key's type, or a non-finite float
+LOAD_TIME_REJECTED = [
+    "pretrain.chunk_lenn=32", "pretrian.epochs=9", "pretrain.seed=77",
+    "encoder.max_positions=33", "encoder.global_tokens=0,1,2",
+    "pretrain.epochs=abc", "classifier.hidden=a,b,c", "eval.normalize=maybe",
+    "classifier.lr=inf", "pretrain.tau=nan",
+]
+
+
 class TestMissingArtifacts:
     def test_pretrain_without_corpus(self, tmp_path, capsys):
         assert _run(tmp_path / "x", "pretrain") == 1
@@ -218,6 +259,8 @@ class TestMissingArtifacts:
         assert err.startswith("error:") and "usage:" not in err
 
     @pytest.mark.parametrize("stage,override", [
+        *[("gen-synthetic", override) for override in LOAD_TIME_REJECTED],
+        ("gen-synthetic", "synthetic.doc_alpha=0"),
         ("gen-synthetic", "run.seed=-1"),
         ("pretrain", "run.seed=-1"),
         ("pretrain", "encoder.heads=0"),
@@ -238,6 +281,20 @@ class TestMissingArtifacts:
         key = override.split("=")[0].split(".")[1]
         assert err.startswith("error:") and key in err
         assert not (out / "checkpoint.bin").exists()
+        if stage == "gen-synthetic":
+            assert not (out / "corpus.jsonl").exists()
+        if override in LOAD_TIME_REJECTED:  # rejected before any stage runs
+            assert override.split("=")[0] in err
+            assert not (out / "config_effective.ini").exists()
+
+    def test_output_dir_on_a_file_rejected(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        assert _run(tmp_path / "file", "gen-synthetic") == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_corpus_source_on_a_directory_rejected(self, tmp_path, capsys):
+        assert _run(tmp_path / "x", "pretrain", extra=[f"corpus.source={tmp_path}"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("frac", ["0", "1", "1.5", "-0.5", "0.001"])
     def test_train_frac_leaving_an_empty_split_rejected(self, tmp_path, capsys, frac):
@@ -303,3 +360,46 @@ class TestSweep:
         for l in lines[1:]:
             _, mac, mic = l.split("\t")
             assert 0.0 <= float(mac) <= 1.0 and 0.0 <= float(mic) <= 1.0
+
+
+# Every key but the output directory, plus misspelt keys, each with small
+# values of its type (no large size), zero, negative, non-finite and
+# malformed text.
+def _candidates(default):
+    if isinstance(default, bool):
+        return ["true", "false", "maybe"]
+    if isinstance(default, tuple):
+        return ["1,2,3", "4,4,4", "0,1,1", "-1,2,2", "a,b,c"]
+    if isinstance(default, str):
+        return [default, "", "abc", "cpe-long", "simcse", "esimcse", "sliding", "mean",
+                "multilabel"]
+    if isinstance(default, int):
+        return ["1", "2", "3", "4", "0", "-1", "nan", "abc"]
+    return ["0.5", "0.1", "1", "0", "-1", "nan", "abc"]
+
+
+CANDIDATES = {f"{section}.{key}": _candidates(default)
+              for section, keys in DEFAULTS.items() for key, default in keys.items()
+              if key != "output_dir"}
+CANDIDATES.update({key: ["1"] for key in ("pretrain.chunk_lenn", "pretrian.epochs",
+                                           "encoder.max_positions", "run.sede")})
+OVERRIDE = st.sampled_from(sorted(CANDIDATES)).flatmap(
+    lambda key: st.sampled_from(CANDIDATES[key]).map(lambda value: f"{key}={value}"))
+
+
+class TestRandomOverrides:
+    # the pipeline in order reaches every stage; other orders reach the
+    # missing-artifact paths
+    @settings(derandomize=True, max_examples=25, deadline=None)
+    @given(overrides=st.lists(OVERRIDE, max_size=2),
+           stages=st.one_of(st.just(STAGES), st.permutations(STAGES),
+                            st.lists(st.sampled_from(STAGES), min_size=1, max_size=6)))
+    def test_each_stage_succeeds_or_prints_one_error(self, overrides, stages):
+        with tempfile.TemporaryDirectory() as out:
+            for stage in stages:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = _run(out, stage, extra=["synthetic.num_docs=24", *overrides])
+                lines = err.getvalue().splitlines()
+                assert rc == 0 or (rc == 1 and len(lines) == 1
+                                   and lines[0].startswith("error:")), (stage, rc, lines)
