@@ -22,10 +22,14 @@ class ClassifierConfig:
     seed: int = 0
 
     def validate(self):
-        if self.epochs < 0 or self.batch_size < 1 or self.lr <= 0:
-            raise ValueError("epochs/batch_size/lr must be positive")
-        if len(self.hidden) != 3:
-            raise ValueError("the head uses exactly three hidden layers")
+        if self.epochs < 0:
+            raise ValueError(f"classifier.epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"classifier.batch_size must be >= 1, got {self.batch_size}")
+        if self.lr <= 0:
+            raise ValueError(f"classifier.lr must be positive, got {self.lr}")
+        if len(self.hidden) != 3 or min(self.hidden) < 1:
+            raise ValueError(f"classifier.hidden must be three widths >= 1, got {self.hidden}")
 
 
 def init_mlp(input_dim, num_labels, hidden=(64, 64, 64), seed=0):

@@ -66,8 +66,6 @@ def _task(cfg, override=None):
 
 def _split(n, seed, frac):
     """(train, test) indices of n documents: a seeded permutation cut at frac."""
-    if not 0 < frac < 1:
-        raise CliError(f"corpus.train_frac must be in (0, 1), got {frac}")
     cut = int(frac * n)
     if not 0 < cut < n:
         raise CliError(f"corpus.train_frac={frac} leaves an empty train or test "

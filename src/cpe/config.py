@@ -2,7 +2,9 @@
 command-line overrides. The `synthetic`, `encoder`, `pretrain` and
 `classifier` keys are the fields of the dataclasses they build, less the
 ones the program derives; a key's type is the type of its default. Load
-rejects an unknown key or a malformed value with a ConfigError naming it."""
+rejects an unknown key, a malformed value and a value out of range (the
+dataclasses' `validate` checks and `RANGES`) with a ConfigError naming it;
+checks that depend on a stage's `--objective` run when it builds its configs."""
 
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from .training import PretrainConfig
 SECTIONS = {"synthetic": SyntheticSpec, "encoder": EncoderConfig,
             "pretrain": PretrainConfig, "classifier": ClassifierConfig}
 DERIVED = ("seed", "vocab_size", "max_positions", "global_tokens")
+PLACEHOLDERS = {"encoder": {"vocab_size": 1}}  # derived fields without a default
 
 DEFAULTS = {
     "run": {"seed": 1, "output_dir": "out"},
@@ -55,6 +58,25 @@ def _text(value):
     return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
 
 
+# ranges of the keys that no dataclass validates: (section, key, test, wording)
+RANGES = [("run", "seed", lambda v: v >= 0, ">= 0"),
+          ("corpus", "train_frac", lambda v: 0 < v < 1, "in (0, 1)"),
+          ("eval", "dbscan_eps", lambda v: v > 0, "positive"),
+          ("eval", "dbscan_min_pts", lambda v: v >= 1, ">= 1")]
+
+
+def _check_ranges(values):
+    try:
+        for name, cls in SECTIONS.items():
+            cls(**values[name], **PLACEHOLDERS.get(name, {})).validate()
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+    for section, key, ok, wording in RANGES:
+        value = values[section][key]
+        if not ok(value):
+            raise ConfigError(f"{section}.{key} must be {wording}, got {value}")
+
+
 @dataclass
 class ExperimentConfig:
     values: dict  # section -> key -> typed value
@@ -89,6 +111,7 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown config key {section}.{name}; keys: "
                                   f"{', '.join(values[section])}")
             values[section][name] = _parse(f"{section}.{name}", text, DEFAULTS[section][name])
+        _check_ranges(values)
         return cls(values)
 
     def get(self, section, key):
@@ -96,10 +119,7 @@ class ExperimentConfig:
 
     @property
     def seed(self):
-        seed = self.get("run", "seed")
-        if seed < 0:
-            raise ConfigError(f"run.seed must be >= 0, got {seed}")
-        return seed
+        return self.get("run", "seed")
 
     @property
     def output_dir(self):

@@ -226,20 +226,21 @@ class SyntheticSpec:
 
     def validate(self):
         if self.num_topics < 2:
-            raise CorpusError(f"num_topics must be >= 2, got {self.num_topics}")
+            raise CorpusError(f"synthetic.num_topics must be >= 2, got {self.num_topics}")
         if self.num_docs < 1:
-            raise CorpusError("num_docs must be >= 1")
+            raise CorpusError(f"synthetic.num_docs must be >= 1, got {self.num_docs}")
         if not (1 <= self.doc_len_min <= self.doc_len_max):
-            raise CorpusError(
-                f"invalid doc_len range [{self.doc_len_min}, {self.doc_len_max}]")
+            raise CorpusError(f"synthetic.doc_len_min and synthetic.doc_len_max: invalid "
+                              f"range [{self.doc_len_min}, {self.doc_len_max}]")
         if self.vocab_per_topic < 1 or self.shared_vocab < 0:
-            raise CorpusError("vocab sizes must be positive")
+            raise CorpusError(f"synthetic.vocab_per_topic must be >= 1 and synthetic.shared_vocab "
+                              f">= 0, got {self.vocab_per_topic} and {self.shared_vocab}")
         if not self.doc_alpha > 0:
-            raise CorpusError(f"doc_alpha must be > 0, got {self.doc_alpha}")
+            raise CorpusError(f"synthetic.doc_alpha must be > 0, got {self.doc_alpha}")
         if not (0.0 <= self.noise_rate <= 1.0):
-            raise CorpusError(f"noise_rate must be in [0,1], got {self.noise_rate}")
+            raise CorpusError(f"synthetic.noise_rate must be in [0, 1], got {self.noise_rate}")
         if self.task not in ("multiclass", "multilabel"):
-            raise CorpusError(f"unknown task '{self.task}'")
+            raise CorpusError(f"synthetic.task must be multiclass or multilabel, got '{self.task}'")
 
 
 def _doc_rng(seed, doc_index):

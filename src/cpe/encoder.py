@@ -4,10 +4,12 @@ vector as the sequence representation.
 
 Each projection is one fused `tensor.linear` node and dense attention one
 fused `tensor.attention` node, which keeps only the probabilities for its
-closed-form backward. `_block` is the one pre-LN transformer block; the
-dense and sparse paths differ only in the `attend` function they give it.
+closed-form backward; both attention ops split the (B, L, D) projections
+into heads themselves. `encoder_forward` holds the one pre-LN transformer
+block; the dense and sparse paths differ only in the attention call.
 
-The sparse path is banded and one fused `tensor.sliding_attention` node:
+Every sliding config, whatever its window, takes the sparse path. It is
+banded and one fused `tensor.sliding_attention` node:
 per-token scores are computed only against the 2w+1 window and the global
 token set, never materializing an L x L score matrix. The window is read as
 2w+1 shifted slices of K and V zero-padded by w on the sequence axis, so
@@ -43,16 +45,16 @@ class EncoderConfig:
         for name in ("dim", "heads", "layers", "ff"):
             value = getattr(self, name)
             if value < 1:
-                raise ValueError(f"encoder {name} must be >= 1, got {value}")
+                raise ValueError(f"encoder.{name} must be >= 1, got {value}")
         if not 0 <= self.dropout < 1:
-            raise ValueError(f"encoder dropout must be in [0, 1), got {self.dropout}")
+            raise ValueError(f"encoder.dropout must be in [0, 1), got {self.dropout}")
         if self.dim % self.heads != 0:
-            raise ValueError(f"dim {self.dim} not divisible by heads {self.heads}")
+            raise ValueError(f"encoder.heads {self.heads} does not divide encoder.dim {self.dim}")
         if self.attention not in ("dense", "sliding"):
-            raise ValueError(f"unknown attention mode '{self.attention}'")
+            raise ValueError(f"unknown encoder.attention '{self.attention}'")
         if self.attention == "sliding":
             if self.window < 1:
-                raise ValueError(f"window must be >= 1, got {self.window}")
+                raise ValueError(f"encoder.window must be >= 1, got {self.window}")
             g = tuple(sorted(self.global_tokens))
             if g != tuple(range(len(g))) or 0 not in g:
                 raise ValueError("global tokens must be a prefix {0..G-1} including CLS")
@@ -109,21 +111,10 @@ def _linear(x, params, name):
     return T.linear(x, params[name + "_w"], params[name + "_b"])
 
 
-def _split_heads(x, heads):
-    b, l, d = x.shape
-    dh = d // heads
-    return T.transpose(T.reshape(x, (b, l, heads, dh)), (0, 2, 1, 3))  # (B,H,L,dh)
-
-
-def _merge_heads(x):
-    b, h, l, dh = x.shape
-    return T.reshape(T.transpose(x, (0, 2, 1, 3)), (b, l, h * dh))
-
-
-def _attend_sliding(q, k, v, key_mask, window, g, capture=None):
-    """Banded attention (`T.sliding_attention`): each row sees its 2w+1
-    window plus the global prefix {0..g-1} (`EncoderConfig.validate`);
-    global rows see everything.
+def _attend_sliding(q, k, v, key_mask, heads, window, g, capture=None):
+    """Banded attention (`T.sliding_attention`) over (B, L, D) q, k and v:
+    each row sees its 2w+1 window plus the global prefix {0..g-1}
+    (`EncoderConfig.validate`); global rows see everything.
 
     With `capture`, the layer's probabilities are appended in the band
     layout: slot j of row i is key `band_idx[i, j]` (i+j-w clipped to the
@@ -132,10 +123,10 @@ def _attend_sliding(q, k, v, key_mask, window, g, capture=None):
     global rows' dense probabilities are `global_row_probs`; their band and
     global rows read 0."""
     probs = [] if capture is not None else None
-    ctx = T.sliding_attention(q, k, v, key_mask, window, g, probs=probs)
+    ctx = T.sliding_attention(q, k, v, key_mask, heads, window, g, probs=probs)
     if capture is not None:
         p, row_probs = probs
-        l, span = q.shape[2], 2 * window + 1
+        l, span = q.shape[1], 2 * window + 1
         raw = np.arange(l)[:, None] + np.arange(-window, window + 1)
         band_idx = np.clip(raw, 0, l - 1)
         capture.append({
@@ -149,32 +140,17 @@ def _attend_sliding(q, k, v, key_mask, window, g, capture=None):
     return ctx
 
 
-def _block(h, params, pre, config, attend, rng, train):
-    """One pre-LN transformer block over (B, L, D) states: attention, then a
-    ReLU feed-forward, each added back as a residual after dropout.
-
-    `pre` prefixes the block's parameter names, `config` gives `heads` and
-    `dropout`, and `attend(q, k, v)` maps (B,H,L,dh) heads to the context."""
-    x = T.layer_norm(h, params[pre + "ln1_g"], params[pre + "ln1_b"])
-    q = _split_heads(_linear(x, params, pre + "q"), config.heads)
-    k = _split_heads(_linear(x, params, pre + "k"), config.heads)
-    v = _split_heads(_linear(x, params, pre + "v"), config.heads)
-    a = _linear(_merge_heads(attend(q, k, v)), params, pre + "o")
-    h = T.add(h, T.dropout(a, config.dropout, rng, train))
-    x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])
-    f = _linear(T.relu(_linear(x, params, pre + "ff1")), params, pre + "ff2")
-    return T.add(h, T.dropout(f, config.dropout, rng, train))
-
-
 def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=None):
     """Run the encoder over a batch; returns the (B, L, D) hidden states.
 
     `ids` is (B, L) int, `mask` is (B, L) bool (true for real tokens incl.
-    CLS). Attention never reads masked keys.
+    CLS). Attention never reads masked keys. Each layer is a pre-LN block:
+    attention, then a ReLU feed-forward, each added back as a residual
+    after dropout.
     """
     ids = np.atleast_2d(np.asarray(ids))
     mask = np.atleast_2d(np.asarray(mask, dtype=bool))
-    b, l = ids.shape
+    l = ids.shape[1]
     if l > config.max_positions:
         raise ValueError(f"sequence length {l} exceeds max positions {config.max_positions}")
     if train and rng is None:
@@ -184,18 +160,19 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
               T.reshape(params["pos_emb"][:l], (1, l, config.dim)))
     h = T.dropout(h, config.dropout, rng, train)
 
-    def attend(q, k, v):
-        if config.attention == "sliding" and config.window < l:
-            return _attend_sliding(q, k, v, mask, config.window, len(config.global_tokens),
-                                   capture=capture)
-        probs = [] if capture is not None and config.attention == "sliding" else None
-        ctx = T.attention(q, k, v, mask, probs=probs)
-        if probs:
-            capture.append({"dense_probs": probs[0].copy()})
-        return ctx
-
     for i in range(config.layers):
-        h = _block(h, params, f"layer{i}.", config, attend, rng, train)
+        pre = f"layer{i}."
+        x = T.layer_norm(h, params[pre + "ln1_g"], params[pre + "ln1_b"])
+        q, k, v = (_linear(x, params, pre + name) for name in "qkv")
+        if config.attention == "sliding":
+            ctx = _attend_sliding(q, k, v, mask, config.heads, config.window,
+                                  len(config.global_tokens), capture=capture)
+        else:
+            ctx = T.attention(q, k, v, mask, config.heads)
+        h = T.add(h, T.dropout(_linear(ctx, params, pre + "o"), config.dropout, rng, train))
+        x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])
+        f = _linear(T.relu(_linear(x, params, pre + "ff1")), params, pre + "ff2")
+        h = T.add(h, T.dropout(f, config.dropout, rng, train))
     return T.layer_norm(h, params["lnf_g"], params["lnf_b"])
 
 

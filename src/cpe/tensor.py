@@ -9,7 +9,8 @@ Fused ops record one node with a closed-form backward pass: `linear`
 (x @ w + b over the last axis), `attention` (masked scaled dot-product
 attention), `sliding_attention` (a band of keys plus a global prefix, on
 the private band kernels) and `cosine_nce` (the in-batch contrastive loss).
-Both attention ops share one in-place masked softmax and its gradient.
+Both attention ops take and return (B, L, D), split the heads themselves in
+both passes, and share one in-place masked softmax and its gradient.
 """
 
 from __future__ import annotations
@@ -301,17 +302,6 @@ def reshape(a, shape):
     return _node(out, (a,), bwd)
 
 
-def transpose(a, axes):
-    a = _as_tensor(a)
-    out = np.transpose(a.data, axes)
-    inv = np.argsort(axes)
-
-    def bwd(g):
-        _accum(a, np.transpose(g, inv))
-
-    return _node(out, (a,), bwd)
-
-
 def concat(tensors, axis=0):
     tensors = [_as_tensor(t) for t in tensors]
     out = np.concatenate([t.data for t in tensors], axis=axis)
@@ -500,91 +490,104 @@ def _softmax_grad(p, dp, c):
     return dp
 
 
-def attention(q, k, v, key_mask, probs=None):
-    """Masked scaled dot-product attention as one tape node.
+def _split_heads(x, heads):  # (B, L, H*d) -> (B, H, L, d), a view
+    return x.reshape(x.shape[:2] + (heads, -1)).transpose(0, 2, 1, 3)
 
-    q (B,H,Lq,d), k (B,H,Lk,d), v (B,H,Lk,dv), key_mask (B,Lk) bool ->
-    context (B,H,Lq,dv). softmax(q.k^T / sqrt(d)) follows
+
+def _merge_heads(x):  # (B, H, L, d) -> (B, L, H*d), a copy
+    return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], -1)
+
+
+def attention(q, k, v, key_mask, heads, probs=None):
+    """Masked multi-head scaled dot-product attention as one tape node.
+
+    q (B,Lq,D), k and v (B,Lk,D), key_mask (B,Lk) bool -> context (B,Lq,D),
+    over `heads` heads of d = D/heads. softmax(q.k^T / sqrt(d)) follows
     `_masked_softmax_`'s contract: masked keys get probability exactly 0,
     and a row with no readable key gets zero probabilities and a zero
-    context (no NaN). Only the probabilities are kept for the closed-form
-    backward; when `probs` is a list, they are appended to it.
+    context (no NaN). Only the (B,H,Lq,Lk) probabilities are kept for the
+    closed-form backward; when `probs` is a list, they are appended to it.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    c = 1.0 / math.sqrt(q.shape[-1])
-    p = np.matmul(q.data, np.swapaxes(k.data, -1, -2))
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    c = 1.0 / math.sqrt(qh.shape[-1])
+    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
     p *= c
     _masked_softmax_(p, ~np.asarray(key_mask, dtype=bool)[:, None, None, :])
     if probs is not None:
         probs.append(p)
-    out = np.matmul(p, v.data)
+    out = _merge_heads(np.matmul(p, vh))
 
     def bwd(g):
-        _accum(v, np.matmul(np.swapaxes(p, -1, -2), g))
-        ds = _softmax_grad(p, np.matmul(g, np.swapaxes(v.data, -1, -2)), c)
-        _accum(q, np.matmul(ds, k.data))
-        _accum(k, np.matmul(np.swapaxes(ds, -1, -2), q.data))
+        gh = _split_heads(g, heads)
+        _accum(v, _merge_heads(np.matmul(np.swapaxes(p, -1, -2), gh)))
+        ds = _softmax_grad(p, np.matmul(gh, np.swapaxes(vh, -1, -2)), c)
+        _accum(q, _merge_heads(np.matmul(ds, kh)))
+        _accum(k, _merge_heads(np.matmul(np.swapaxes(ds, -1, -2), qh)))
 
     return _node(out, (q, k, v), bwd)
 
 
-def sliding_attention(q, k, v, key_mask, w, g, probs=None):
+def sliding_attention(q, k, v, key_mask, heads, w, g, probs=None):
     """Sliding-window attention with a global prefix {0..g-1}, as one tape node.
 
-    q, k, v (B,H,L,d), key_mask (B,L) bool -> context (B,H,L,d). Row i >= g
-    reads keys i-w..i+w and the global keys; a global row reads every key.
-    Both softmaxes follow `attention`'s contract. Only the probabilities are
-    kept (and appended to `probs` when it is a list): a (B,H,L,2w+1+g) array
-    whose slot j < 2w+1 is key i+j-w and whose last g columns are the global
-    keys, 0 past either end, on a masked key, on a band slot of a global key
-    and on the global rows; and the global rows' dense (B,H,g,L) array.
+    q, k, v (B,L,D), key_mask (B,L) bool -> context (B,L,D), over `heads`
+    heads. Row i >= g reads keys i-w..i+w and the global keys; a global row
+    reads every key. Both softmaxes follow `attention`'s contract. Only the
+    probabilities are kept (and appended to `probs` when it is a list): a
+    (B,H,L,2w+1+g) array whose slot j < 2w+1 is key i+j-w and whose last g
+    columns are the global keys, 0 past either end, on a masked key, on a
+    band slot of a global key and on the global rows; and the global rows'
+    dense (B,H,g,L) array.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
-    l, d = q.shape[-2:]
+    qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
+    l, d = qh.shape[-2:]
     span = 2 * w + 1
     c = 1.0 / math.sqrt(d)
     key_mask = np.asarray(key_mask, dtype=bool)
-    kg, vg = k.data[:, :, :g], v.data[:, :, :g]
+    kg, vg = kh[:, :, :g], vh[:, :, :g]
 
     raw = np.arange(l)[:, None] + np.arange(-w, w + 1)  # (L, 2w+1): key of each slot
     keys = np.concatenate([np.clip(raw, 0, l - 1), np.broadcast_to(np.arange(g), (l, g))], 1)
     invalid = ~key_mask[:, None, keys]  # (B, 1, L, 2w+1+g)
     invalid[..., :span] |= (raw < g) | (raw >= l)
     invalid[:, :, :g] = True  # the global rows attend densely, in `pg`
-    p = np.empty(q.shape[:-1] + (span + g,), dtype=q.data.dtype)
-    p[..., :span] = _band_dot(q.data, k.data, w)
-    p[..., span:] = np.matmul(q.data, np.swapaxes(kg, -1, -2))
+    p = np.empty(qh.shape[:-1] + (span + g,), dtype=qh.dtype)
+    p[..., :span] = _band_dot(qh, kh, w)
+    p[..., span:] = np.matmul(qh, np.swapaxes(kg, -1, -2))
     p *= c
     _masked_softmax_(p, invalid)
-    pg = np.matmul(q.data[:, :, :g], np.swapaxes(k.data, -1, -2))
+    pg = np.matmul(qh[:, :, :g], np.swapaxes(kh, -1, -2))
     pg *= c
     _masked_softmax_(pg, ~key_mask[:, None, None, :])
     if probs is not None:
         probs += [p, pg]
-    out = _band_mix(p[..., :span], v.data, w)
+    out = _band_mix(p[..., :span], vh, w)
     out += np.matmul(p[..., span:], vg)
-    out[:, :, :g] = np.matmul(pg, v.data)
+    out[:, :, :g] = np.matmul(pg, vh)
 
-    def bwd(gr):
+    def bwd(grad):
+        gr = _split_heads(grad, heads)
         gv = _band_mix(_band_transpose(p[..., :span], w), gr, w)
         gv[:, :, :g] += np.matmul(np.swapaxes(p[..., span:], -1, -2), gr)
         gv += np.matmul(np.swapaxes(pg, -1, -2), gr[:, :, :g])
         ds = np.empty_like(p)
-        ds[..., :span] = _band_dot(gr, v.data, w)
+        ds[..., :span] = _band_dot(gr, vh, w)
         ds[..., span:] = np.matmul(gr, np.swapaxes(vg, -1, -2))
         _softmax_grad(p, ds, c)
-        dsg = _softmax_grad(pg, np.matmul(gr[:, :, :g], np.swapaxes(v.data, -1, -2)), c)
-        gq = _band_mix(ds[..., :span], k.data, w)
+        dsg = _softmax_grad(pg, np.matmul(gr[:, :, :g], np.swapaxes(vh, -1, -2)), c)
+        gq = _band_mix(ds[..., :span], kh, w)
         gq += np.matmul(ds[..., span:], kg)
-        gq[:, :, :g] += np.matmul(dsg, k.data)
-        gk = _band_mix(_band_transpose(ds[..., :span], w), q.data, w)
-        gk[:, :, :g] += np.matmul(np.swapaxes(ds[..., span:], -1, -2), q.data)
-        gk += np.matmul(np.swapaxes(dsg, -1, -2), q.data[:, :, :g])
-        _accum(q, gq)
-        _accum(k, gk)
-        _accum(v, gv)
+        gq[:, :, :g] += np.matmul(dsg, kh)
+        gk = _band_mix(_band_transpose(ds[..., :span], w), qh, w)
+        gk[:, :, :g] += np.matmul(np.swapaxes(ds[..., span:], -1, -2), qh)
+        gk += np.matmul(np.swapaxes(dsg, -1, -2), qh[:, :, :g])
+        _accum(q, _merge_heads(gq))
+        _accum(k, _merge_heads(gk))
+        _accum(v, _merge_heads(gv))
 
-    return _node(out, (q, k, v), bwd)
+    return _node(_merge_heads(out), (q, k, v), bwd)
 
 
 def log_softmax(a, axis=-1):

@@ -40,15 +40,17 @@ class PretrainConfig:
 
     def validate(self):
         if self.objective not in OBJECTIVES:
-            raise ValueError(f"unknown objective '{self.objective}'")
-        if self.batch_size < 2:
-            raise ValueError("contrastive batch size must be >= 2")
+            raise ValueError(f"unknown pretrain.objective '{self.objective}'")
+        if self.batch_size < 2:  # the loss needs in-batch negatives
+            raise ValueError(f"pretrain.batch_size must be >= 2, got {self.batch_size}")
         if self.tau <= 0:
-            raise ValueError("temperature must be positive")
+            raise ValueError(f"pretrain.tau must be positive, got {self.tau}")
         if self.lr <= 0:
-            raise ValueError(f"pretrain lr must be positive, got {self.lr}")
+            raise ValueError(f"pretrain.lr must be positive, got {self.lr}")
+        if not 0 <= self.esimcse_rate <= 1:
+            raise ValueError(f"pretrain.esimcse_rate must be in [0, 1], got {self.esimcse_rate}")
         if self.pooling not in POOLERS:
-            raise ValueError(f"pretrain pooling must be one of {', '.join(POOLERS)}, "
+            raise ValueError(f"pretrain.pooling must be one of {', '.join(POOLERS)}, "
                              f"got '{self.pooling}'")
 
 
@@ -99,8 +101,6 @@ def sample_pair_long(doc, chunk_len, budget, rng):
 
 def esimcse_augment(tokens, rate, rng):
     """Duplicate each token in place independently with probability `rate`."""
-    if rate < 0 or rate > 1:
-        raise ValueError(f"repetition rate must be in [0,1], got {rate}")
     out = []
     for t in tokens:
         out.append(t)
@@ -274,18 +274,12 @@ def pretrain(docs, encoder_config, cfg, log=None):
             batch_idx = order[lo:lo + cfg.batch_size]
             if cfg.objective == "cpe-hier":
                 pairs = [sample_pair_hier(chunked[i], rng) for i in batch_idx]
-                pairs = [p for p in pairs if p is not None]
-                if len(pairs) < 2:
-                    continue
                 anchors, cands = forward_cpe_hier(pairs, params, encoder_config,
                                                   pooling=cfg.pooling, train=True, rng=rng)
             elif cfg.objective == "cpe-long":
                 pairs = [sample_pair_long(eligible[i], cfg.chunk_len,
                                           encoder_config.max_positions, rng)
                          for i in batch_idx]
-                pairs = [p for p in pairs if p is not None]
-                if len(pairs) < 2:
-                    continue
                 anchors, cands = forward_cpe_long(pairs, params, encoder_config,
                                                   train=True, rng=rng)
             elif cfg.objective == "simcse":

@@ -111,9 +111,12 @@ class TestSparseEncoder:
         ids, mask = _batch(rng, 2, 20, cfg)
         mask[0, 14:] = False
         ids[0, 14:] = PAD_ID
-        h_sparse, _ = encode_sparse(ids, mask, params, cfg)
+        capture = []
+        h_sparse, _ = encode_sparse(ids, mask, params, cfg, capture=capture)
         h_dense = encoder_forward(ids, mask, params, self._dense_twin(cfg))
         np.testing.assert_allclose(h_sparse.data, h_dense.data, atol=1e-5)
+        # the sliding kernel ran, whatever the window
+        assert len(capture) == cfg.layers and all("band_probs" in c for c in capture)
 
     def test_narrow_window_attention_support(self):
         # token 5 with w=1 sees only {4,5,6} plus the global set
@@ -176,15 +179,15 @@ class TestSparseEncoder:
                             rng=np.random.default_rng(0)) < 1e-4
 
 
-def _dense_attend_sliding(q, k, v, key_mask, window, g, capture=None):
+def _dense_attend_sliding(q, k, v, key_mask, heads, window, g, capture=None):
     """Sliding attention as dense attention: each row is its own batch entry
     of `T.attention`, reading all L keys under its band+global key mask."""
-    b, h, l, d = q.shape
+    b, l, d = q.shape
     rows = np.repeat(np.arange(b), l)
     allowed = _band_global_mask(key_mask, window, g).reshape(b * l, l)
-    ctx = T.attention(T.reshape(T.transpose(q, (0, 2, 1, 3)), (b * l, h, 1, d)),
-                      T.index_select(k, 0, rows), T.index_select(v, 0, rows), allowed)
-    return T.transpose(T.reshape(ctx, (b, l, h, d)), (0, 2, 1, 3))
+    ctx = T.attention(T.reshape(q, (b * l, 1, d)), T.index_select(k, 0, rows),
+                      T.index_select(v, 0, rows), allowed, heads)
+    return T.reshape(ctx, (b, l, d))
 
 
 @pytest.mark.parametrize("global_tokens", [(0,), (0, 1, 2)])
@@ -210,6 +213,32 @@ def test_sliding_encoder_matches_dense_reference(monkeypatch, global_tokens, dty
     np.testing.assert_allclose(new_h, old_h, rtol=tol, atol=tol)
     for name in new_g:
         np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol, err_msg=name)
+
+
+def _tape_nodes(out):
+    """Recorded nodes (tensors with a backward) that `out` depends on."""
+    seen, stack = set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t._backward is not None:
+            seen.add(id(t))
+            stack.extend(t._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("attention", ["dense", "sliding"])
+@pytest.mark.parametrize("layers", [1, 3])
+@pytest.mark.parametrize("train", [True, False])
+def test_tape_nodes_per_encoder_pass(attention, layers, train):
+    # embedding, position slice + reshape, add, [dropout] and the final
+    # layer norm; per block: two layer norms, six linears, attention, relu,
+    # two residual adds and [two dropouts]. No node only moves heads around.
+    cfg = EncoderConfig(vocab_size=20, dim=16, layers=layers, heads=4, ff=32,
+                        max_positions=12, dropout=0.1, attention=attention, window=2)
+    ids, mask = _batch(np.random.default_rng(0), 2, 12, cfg)
+    h = encoder_forward(ids, mask, init_params(cfg, 0), cfg, train=train,
+                        rng=np.random.default_rng(1))
+    assert _tape_nodes(h) == (6 + 14 * layers if train else 5 + 12 * layers)
 
 
 def test_pad_to_length():

@@ -13,8 +13,8 @@ class TestPrimitives:
     def test_softmax_uniform(self):
         # equal scores: every readable key gets the same probability
         probs = []
-        k = T.constant(np.random.default_rng(0).standard_normal((1, 1, 3, 2)))
-        T.attention(T.constant(np.zeros((1, 1, 1, 2))), k, k, np.ones((1, 3), bool), probs=probs)
+        k = T.constant(np.random.default_rng(0).standard_normal((1, 3, 2)))
+        T.attention(T.constant(np.zeros((1, 1, 2))), k, k, np.ones((1, 3), bool), 1, probs=probs)
         np.testing.assert_allclose(probs[0], np.full((1, 1, 1, 3), 1 / 3), atol=1e-7)
 
     def test_masked_max_reduce(self):
@@ -28,11 +28,11 @@ class TestPrimitives:
         # rows' band entries are exactly 0; every row sums to 1
         rng = np.random.default_rng(0)
         b, l, w, g = 5, 9, 2, 2
-        q, k, v = (T.constant(rng.standard_normal((b, 2, l, 3))) for _ in range(3))
+        q, k, v = (T.constant(rng.standard_normal((b, l, 2 * 3))) for _ in range(3))
         mask = rng.random((b, l)) > 0.4
         mask[:, 0] = True
         probs = []
-        T.sliding_attention(q, k, v, mask, w, g, probs=probs)
+        T.sliding_attention(q, k, v, mask, 2, w, g, probs=probs)
         p, pg = probs
         raw = np.arange(l)[:, None] + np.arange(-w, w + 1)
         slot_ok = ((raw >= g) & (raw < l))[None] & mask[:, np.clip(raw, 0, l - 1)]
@@ -46,11 +46,11 @@ class TestPrimitives:
     def test_softmax_fully_masked_row_no_nan(self):
         # a batch row with no readable key: zero probabilities, zero context
         rng = np.random.default_rng(1)
-        q, k, v = (T.constant(rng.standard_normal((2, 2, 6, 3))) for _ in range(3))
+        q, k, v = (T.constant(rng.standard_normal((2, 6, 2 * 3))) for _ in range(3))
         mask = np.ones((2, 6), dtype=bool)
         mask[1] = False
         probs = []
-        ctx = T.sliding_attention(q, k, v, mask, 1, 1, probs=probs).data
+        ctx = T.sliding_attention(q, k, v, mask, 2, 1, 1, probs=probs).data
         assert np.all(np.isfinite(ctx)) and np.all(ctx[1] == 0.0)
         assert all(np.all(p[1] == 0.0) for p in probs)
 
@@ -141,8 +141,7 @@ PRIMITIVE_FNS = {
     "index_select": lambda p: T.sum_(T.index_select(p["a"], 0, np.array([0, 2, 2, 1]))),
     "cosine": lambda p: T.cosine_nce(p["a"], p["b"], tau=0.5)[0],
     "reshape_transpose": lambda p: T.sum_(T.mul(
-        T.transpose(T.reshape(p["a"], (2, 2, 6)), (1, 0, 2)),
-        T.transpose(T.reshape(p["b"], (2, 2, 6)), (1, 0, 2)))),
+        T.reshape(p["a"], (2, 2, 6)), T.reshape(p["b"], (2, 2, 6)))),
 }
 
 
@@ -327,16 +326,25 @@ def _in_range(l, w):
     return (raw >= 0) & (raw < l)
 
 
-def _dense_reference(q, k, v, allowed):
-    """Masked attention from unfused ops: scaled q.k^T scores, -1e30 added
-    where `allowed` (B, Lq, Lk) is false, exp(log_softmax(.)), and a factor
-    that zeroes a row with no allowed key. Returns (context, probabilities)."""
+def _dense_reference(q, k, v, allowed, heads):
+    """Multi-head masked attention from unfused ops in a (B, Lq, Lk, H)
+    layout: scores as broadcast `mul` + `sum_` of q and k, scaled, -1e30
+    added where `allowed` (B, Lq, Lk) is false, exp(log_softmax(.)) over the
+    keys, a factor that zeroes a row with no allowed key, and the context as
+    broadcast `mul` + `sum_` of the probabilities and v. Returns (context
+    (B, Lq, D), probabilities (B, H, Lq, Lk) as numpy)."""
+    b, lq, d = q.shape
+    lk, dh = k.shape[1], d // heads
     dtype = q.data.dtype
-    bias = np.where(allowed, 0.0, -1e30).astype(dtype)[:, None]
-    has_key = allowed.any(axis=-1).astype(dtype)[:, None, :, None]
-    scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(q.shape[-1]))
-    probs = T.mul(T.exp(T.log_softmax(T.add(scores, bias))), has_key)
-    return T.matmul(probs, v), probs
+    bias = np.where(allowed, 0.0, -1e30).astype(dtype)[..., None]
+    has_key = allowed.any(axis=-1).astype(dtype)[:, :, None, None]
+    qs = T.reshape(q, (b, lq, 1, heads, dh))
+    ks = T.reshape(k, (b, 1, lk, heads, dh))
+    scores = T.scale(T.sum_(T.mul(qs, ks), axis=-1), 1.0 / np.sqrt(dh))  # (B, Lq, Lk, H)
+    probs = T.mul(T.exp(T.log_softmax(T.add(scores, bias), axis=2)), has_key)
+    ctx = T.sum_(T.mul(T.reshape(probs, (b, lq, lk, heads, 1)),
+                       T.reshape(v, (b, 1, lk, heads, dh))), axis=2)
+    return T.reshape(ctx, (b, lq, d)), np.moveaxis(probs.data, 3, 1)
 
 
 def _band_global_mask(key_mask, w, g):
@@ -367,6 +375,13 @@ def _attention_mask(b, lk):
     return mask
 
 
+def _tokens_major(shape):
+    """The (B, L, H*d) shape of q, k and v that the attention ops take for
+    (B, H, L, d) heads."""
+    b, h, l, d = shape
+    return (b, l, h * d)
+
+
 class TestBandOps:
     """The private band kernels and `sliding_attention`, the tape op built on them."""
     # (B, H, L, d) shapes; windows below, at and past the sequence length
@@ -377,13 +392,14 @@ class TestBandOps:
         # every coordinate is checked, so rows at both sequence edges are too;
         # the batch rows have a partly masked, a fully readable and no readable key
         rng = np.random.default_rng(sum(shape) + w)
-        params = {n: T.parameter(rng.standard_normal(shape)) for n in ("q", "k", "v")}
+        full = _tokens_major(shape)
+        params = {n: T.parameter(rng.standard_normal(full)) for n in ("q", "k", "v")}
         mask = _attention_mask(shape[0], shape[2])
-        r = rng.standard_normal(shape)
+        r = rng.standard_normal(full)
         every = max(t.data.size for t in params.values())
         for g in (1, 3):
             def fn(p):
-                ctx = T.sliding_attention(p["q"], p["k"], p["v"], mask, w, g)
+                ctx = T.sliding_attention(p["q"], p["k"], p["v"], mask, shape[1], w, g)
                 return T.sum_(T.mul(ctx, r))
 
             assert T.grad_check(fn, params, num_samples=every) < 1e-7, f"g={g}"
@@ -428,20 +444,21 @@ class TestBandOps:
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_sliding_attention_matches_dense_reference(self, shape, w, g, dtype, tol):
         rng = np.random.default_rng(4)
-        data = {n: rng.standard_normal(shape) for n in ("q", "k", "v")}
+        heads, full = shape[1], _tokens_major(shape)
+        data = {n: rng.standard_normal(full) for n in ("q", "k", "v")}
         mask = _attention_mask(shape[0], shape[2])
-        r = rng.standard_normal(shape).astype(dtype)
+        r = rng.standard_normal(full).astype(dtype)
 
         def run(fused):
             t = {n: T.parameter(x.astype(dtype)) for n, x in data.items()}
             if fused:
                 probs = []
-                ctx = T.sliding_attention(t["q"], t["k"], t["v"], mask, w, g, probs=probs)
+                ctx = T.sliding_attention(t["q"], t["k"], t["v"], mask, heads, w, g,
+                                          probs=probs)
                 p = _band_to_dense(*probs, w)
             else:
                 ctx, p = _dense_reference(t["q"], t["k"], t["v"],
-                                          _band_global_mask(mask, w, g))
-                p = p.data
+                                          _band_global_mask(mask, w, g), heads)
             T.backward(T.sum_(T.mul(ctx, r)))
             return ctx.data, p, {n: x.grad for n, x in t.items()}
 
@@ -456,30 +473,31 @@ class TestBandOps:
 
 
 class TestAttention:
-    # (B, H, Lq, Lk, d): square, Lq < Lk as for the global rows, Lq > Lk
+    # (B, H, Lq, Lk, d), q being (B, Lq, H*d): square, Lq < Lk as for the
+    # global rows, Lq > Lk
     CASES = [(3, 2, 4, 4, 3), (2, 2, 1, 6, 4), (3, 1, 5, 3, 2)]
 
     @pytest.mark.parametrize("b,h,lq,lk,d", CASES)
     def test_grad_check_every_coordinate(self, b, h, lq, lk, d):
         rng = np.random.default_rng(b * 100 + lq * 10 + lk)
-        params = {"q": T.parameter(rng.standard_normal((b, h, lq, d))),
-                  "k": T.parameter(rng.standard_normal((b, h, lk, d))),
-                  "v": T.parameter(rng.standard_normal((b, h, lk, d)))}
+        params = {"q": T.parameter(rng.standard_normal((b, lq, h * d))),
+                  "k": T.parameter(rng.standard_normal((b, lk, h * d))),
+                  "v": T.parameter(rng.standard_normal((b, lk, h * d)))}
         mask = _attention_mask(b, lk)
-        r = rng.standard_normal((b, h, lq, d))
+        r = rng.standard_normal((b, lq, h * d))
 
         def fn(p):
-            return T.sum_(T.mul(T.attention(p["q"], p["k"], p["v"], mask), r))
+            return T.sum_(T.mul(T.attention(p["q"], p["k"], p["v"], mask, h), r))
 
         every = max(t.data.size for t in params.values())
         assert T.grad_check(fn, params, num_samples=every) < 1e-7
 
     def test_softmax_contract(self):
         rng = np.random.default_rng(0)
-        q, k, v = (T.constant(rng.standard_normal((3, 2, 4, 5))) for _ in range(3))
+        q, k, v = (T.constant(rng.standard_normal((3, 4, 2 * 5))) for _ in range(3))
         mask = _attention_mask(3, 4)
         probs = []
-        ctx = T.attention(q, k, v, mask, probs=probs).data
+        ctx = T.attention(q, k, v, mask, 2, probs=probs).data
         p = probs[0]
         assert p.shape == (3, 2, 4, 4)
         assert np.all(p[0, :, :, 2:] == 0.0)  # masked keys: exactly zero
@@ -489,32 +507,32 @@ class TestAttention:
 
     def test_probs_list_is_optional(self):
         rng = np.random.default_rng(1)
-        q, k, v = (T.constant(rng.standard_normal((1, 1, 3, 2))) for _ in range(3))
+        q, k, v = (T.constant(rng.standard_normal((1, 3, 2))) for _ in range(3))
         mask = np.ones((1, 3), dtype=bool)
         probs = []
-        a = T.attention(q, k, v, mask, probs=probs).data
-        b = T.attention(q, k, v, mask).data
+        a = T.attention(q, k, v, mask, 1, probs=probs).data
+        b = T.attention(q, k, v, mask, 1).data
         assert np.array_equal(a, b) and len(probs) == 1
 
     @pytest.mark.parametrize("b,h,lq,lk,d", CASES + [(4, 4, 129, 129, 16)])
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_matches_composed_chain(self, b, h, lq, lk, d, dtype, tol):
         rng = np.random.default_rng(3)
-        data = {"q": rng.standard_normal((b, h, lq, d)), "k": rng.standard_normal((b, h, lk, d)),
-                "v": rng.standard_normal((b, h, lk, d))}
+        data = {"q": rng.standard_normal((b, lq, h * d)),
+                "k": rng.standard_normal((b, lk, h * d)),
+                "v": rng.standard_normal((b, lk, h * d))}
         mask = _attention_mask(b, lk)
-        r = rng.standard_normal((b, h, lq, d)).astype(dtype)
+        r = rng.standard_normal((b, lq, h * d)).astype(dtype)
 
         def run(fused):
             t = {n: T.parameter(x.astype(dtype)) for n, x in data.items()}
             if fused:
                 probs = []
-                ctx = T.attention(t["q"], t["k"], t["v"], mask, probs=probs)
+                ctx = T.attention(t["q"], t["k"], t["v"], mask, h, probs=probs)
                 p = probs[0]
             else:
                 ctx, p = _dense_reference(t["q"], t["k"], t["v"],
-                                          np.broadcast_to(mask[:, None, :], (b, lq, lk)))
-                p = p.data
+                                          np.broadcast_to(mask[:, None, :], (b, lq, lk)), h)
             T.backward(T.sum_(T.mul(ctx, r)))
             return ctx.data, p, {n: x.grad for n, x in t.items()}
 
