@@ -20,7 +20,7 @@ from .training import PretrainConfig
 
 SECTIONS = {"synthetic": SyntheticSpec, "encoder": EncoderConfig,
             "pretrain": PretrainConfig, "classifier": ClassifierConfig}
-DERIVED = ("seed", "vocab_size", "max_positions", "global_tokens")
+DERIVED = ("seed", "vocab_size", "max_positions", "global_tokens", "attention")
 PLACEHOLDERS = {"encoder": {"vocab_size": 1}}  # derived fields without a default
 
 DEFAULTS = {
@@ -60,6 +60,7 @@ def _text(value):
 
 # ranges of the keys that no dataclass validates: (section, key, test, wording)
 RANGES = [("run", "seed", lambda v: v >= 0, ">= 0"),
+          ("corpus", "min_freq", lambda v: v >= 1, ">= 1"),
           ("corpus", "train_frac", lambda v: 0 < v < 1, "in (0, 1)"),
           ("eval", "dbscan_eps", lambda v: v > 0, "positive"),
           ("eval", "dbscan_min_pts", lambda v: v >= 1, ">= 1")]
@@ -133,11 +134,11 @@ class ExperimentConfig:
         return PretrainConfig(**dict(p, objective=objective or p["objective"]), seed=self.seed)
 
     def encoder_config(self, vocab_size, objective):
-        e, p = self.values["encoder"], self.values["pretrain"]
-        attention = "sliding" if objective == "cpe-long" else e["attention"]
+        p = self.values["pretrain"]
+        attention = "sliding" if objective == "cpe-long" else "dense"
         tokens = p["max_tokens"] if attention == "sliding" else p["chunk_len"]
-        return EncoderConfig(**dict(e, attention=attention), vocab_size=vocab_size,
-                             max_positions=tokens + 1)
+        return EncoderConfig(**self.values["encoder"], attention=attention,
+                             vocab_size=vocab_size, max_positions=tokens + 1)
 
     def classifier_config(self):
         return ClassifierConfig(**self.values["classifier"], seed=self.seed)

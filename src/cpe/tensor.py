@@ -11,6 +11,10 @@ attention), `sliding_attention` (a band of keys plus a global prefix, on
 the private band kernels) and `cosine_nce` (the in-batch contrastive loss).
 Both attention ops take and return (B, L, D), split the heads themselves in
 both passes, and share one in-place masked softmax and its gradient.
+`masked_mean` and `masked_max` pool rows (R, D) per document: the rows fill
+the true slots of a (B, n) mask in row-major order, so scattering them into
+a (B, n, D) array is the forward layout and indexing its gradient by the
+mask is the backward.
 """
 
 from __future__ import annotations
@@ -302,21 +306,6 @@ def reshape(a, shape):
     return _node(out, (a,), bwd)
 
 
-def concat(tensors, axis=0):
-    tensors = [_as_tensor(t) for t in tensors]
-    out = np.concatenate([t.data for t in tensors], axis=axis)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd(g):
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accum(t, g[tuple(idx)])
-
-    return _node(out, tuple(tensors), bwd)
-
-
 def _is_basic_key(key):
     """True for keys of slices, ints, None and Ellipsis, which pick each
     position at most once (numpy basic indexing)."""
@@ -428,40 +417,48 @@ def sum_(a, axis=None, keepdims=False):
     return _node(out, (a,), bwd)
 
 
-def masked_mean(a, mask, axis):
-    """Mean over `axis` counting only positions where `mask` is true."""
-    a = _as_tensor(a)
+def _scatter_rows(rows, mask, fill, op):
+    """Lay rows (R, D) over the true slots of a (B, n) bool mask, in
+    row-major order, in a (B, n, D) array of `fill`. Every document needs
+    a true slot, and the mask one true slot per row."""
     mask = np.asarray(mask, dtype=bool)
-    m = np.broadcast_to(np.expand_dims(mask, -1) if mask.ndim < a.ndim else mask, a.shape)
-    cnt = m.sum(axis=axis, keepdims=True)
-    if np.any(cnt == 0):
-        raise ValueError("masked_mean: a reduction slice has zero unmasked entries")
-    out = (a.data * m).sum(axis=axis) / np.squeeze(cnt, axis=axis)
+    if rows.ndim != 2 or mask.ndim != 2 or mask.sum() != rows.shape[0]:
+        raise ShapeError(f"{op}: rows {rows.shape} do not fill the "
+                         f"{int(mask.sum())} true slots of mask {mask.shape}")
+    if not mask.any(axis=1).all():
+        raise ValueError(f"{op}: a document has zero unmasked slots")
+    full = np.full(mask.shape + rows.shape[1:], fill, dtype=rows.data.dtype)
+    full[mask] = rows.data
+    return full, mask
+
+
+def masked_mean(rows, mask):
+    """Per-document mean (B, D) of rows (R, D) laid out by a (B, n) mask."""
+    rows = _as_tensor(rows)
+    full, mask = _scatter_rows(rows, mask, 0.0, "masked_mean")
+    cnt = mask.sum(axis=1, keepdims=True).astype(full.dtype)
+    out = full.sum(axis=1) / cnt
 
     def bwd(g):
-        gg = np.expand_dims(g, axis) / cnt
-        _accum(a, np.broadcast_to(gg, a.shape) * m)
+        _accum(rows, np.broadcast_to((g / cnt)[:, None], mask.shape + g.shape[1:])[mask])
 
-    return _node(out, (a,), bwd)
+    return _node(out, (rows,), bwd)
 
 
-def masked_max(a, mask, axis):
-    """Elementwise max over `axis`, ignoring masked positions."""
-    a = _as_tensor(a)
-    mask = np.asarray(mask, dtype=bool)
-    m = np.broadcast_to(np.expand_dims(mask, -1) if mask.ndim < a.ndim else mask, a.shape)
-    if not m.any(axis=axis).all():
-        raise ValueError("masked_max: a reduction slice has zero unmasked entries")
-    neg = np.where(m, a.data, -np.inf)
-    idx = np.argmax(neg, axis=axis)
-    out = np.take_along_axis(neg, np.expand_dims(idx, axis), axis=axis).squeeze(axis)
+def masked_max(rows, mask):
+    """Per-document elementwise max (B, D) of rows (R, D) laid out by a
+    (B, n) mask."""
+    rows = _as_tensor(rows)
+    full, mask = _scatter_rows(rows, mask, -np.inf, "masked_max")
+    idx = np.argmax(full, axis=1)[:, None]
+    out = np.take_along_axis(full, idx, axis=1)[:, 0]
 
     def bwd(g):
-        full = np.zeros_like(a.data)
-        np.put_along_axis(full, np.expand_dims(idx, axis), np.expand_dims(g, axis), axis=axis)
-        _accum(a, full)
+        gfull = np.zeros_like(full)
+        np.put_along_axis(gfull, idx, g[:, None], axis=1)
+        _accum(rows, gfull[mask])
 
-    return _node(out, (a,), bwd)
+    return _node(out, (rows,), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,17 @@ class PretrainConfig:
     def validate(self):
         if self.objective not in OBJECTIVES:
             raise ValueError(f"unknown pretrain.objective '{self.objective}'")
+        if self.epochs < 1:
+            raise ValueError(f"pretrain.epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 2:  # the loss needs in-batch negatives
             raise ValueError(f"pretrain.batch_size must be >= 2, got {self.batch_size}")
+        if self.chunk_len < 1:
+            raise ValueError(f"pretrain.chunk_len must be >= 1, got {self.chunk_len}")
+        if self.n_chunks < 1:
+            raise ValueError(f"pretrain.n_chunks must be >= 1, got {self.n_chunks}")
+        if self.max_tokens < self.chunk_len:
+            raise ValueError(f"pretrain.max_tokens must be >= pretrain.chunk_len "
+                             f"({self.chunk_len}), got {self.max_tokens}")
         if self.tau <= 0:
             raise ValueError(f"pretrain.tau must be positive, got {self.tau}")
         if self.lr <= 0:
@@ -129,37 +138,25 @@ def mnr_loss(anchors, cands, tau=0.05):
 # batched document embedding (hierarchical path)
 
 def _collect_rows(chunked_docs):
-    """Every real chunk of a batch as encoder rows.
+    """Every real chunk of a batch as encoder rows, in document order.
 
-    Returns (ids (M, L), mask (M, L), slot_rows (B, n), chunk_mask (B, n)),
-    where slot_rows names each slot's row and padding slots hold -1."""
+    Returns (ids (M, L), mask (M, L), chunk_mask (B, n)); the rows fill
+    the true slots of chunk_mask in row-major order."""
     if not any(cd.chunk_mask.any() for cd in chunked_docs):
         raise ValueError("embed_chunked_batch: no real chunks in batch")
     chunk_mask = np.stack([cd.chunk_mask for cd in chunked_docs])
-    slot_rows = np.full(chunk_mask.shape, -1)
-    slot_rows[chunk_mask] = np.arange(chunk_mask.sum())
     ids = np.concatenate([cd.chunks[cd.chunk_mask] for cd in chunked_docs])
     mask = np.concatenate([cd.token_mask[cd.chunk_mask] for cd in chunked_docs])
-    return ids, mask, slot_rows, chunk_mask
-
-
-def _pool_rows(cls, slot_rows, chunk_mask, pooling):
-    """Pool encoded rows `cls` (R, D) per document; `slot_rows` picks each
-    slot's row (padding slots -1, given a zero vector). Returns (B, D)."""
-    r, d = cls.shape
-    padded = T.concat([cls, T.constant(np.zeros((1, d), dtype=np.float32))], axis=0)
-    idx = np.where(slot_rows < 0, r, slot_rows)  # sentinel row of zeros
-    per_doc = T.reshape(T.index_select(padded, 0, idx.reshape(-1)), idx.shape + (d,))
-    return POOLERS[pooling](per_doc, chunk_mask)
+    return ids, mask, chunk_mask
 
 
 def embed_chunked_batch(chunked_docs, params, config, pooling="max",
                         train=False, rng=None):
     """Encode every real chunk of a batch of ChunkedDocuments and pool per
     document. Returns a (B, D) Tensor on one autodiff graph."""
-    ids, mask, slot_rows, chunk_mask = _collect_rows(chunked_docs)
+    ids, mask, chunk_mask = _collect_rows(chunked_docs)
     cls = encode_chunk(ids, mask, params, config, train=train, rng=rng)  # (M, D)
-    return _pool_rows(cls, slot_rows, chunk_mask, pooling)
+    return POOLERS[pooling](cls, chunk_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -169,12 +166,12 @@ def forward_cpe_hier(pairs, params, config, pooling="max", train=False, rng=None
     """One encoder pass: the positives are stacked after the anchors' M real
     chunks (both chunk_len + 1 wide); the first M [CLS] rows are pooled per
     anchor and the rest are the candidates."""
-    ids, mask, slot_rows, chunk_mask = _collect_rows([p.anchor for p in pairs])
+    ids, mask, chunk_mask = _collect_rows([p.anchor for p in pairs])
     m = ids.shape[0]
     cls = encode_chunk(np.concatenate([ids, np.stack([p.positive_ids for p in pairs])]),
                        np.concatenate([mask, np.stack([p.positive_mask for p in pairs])]),
                        params, config, train=train, rng=rng)
-    return _pool_rows(cls, slot_rows, chunk_mask, pooling), cls[m:]
+    return POOLERS[pooling](cls[:m], chunk_mask), cls[m:]
 
 
 def forward_cpe_long(pairs, params, config, train=False, rng=None):

@@ -10,6 +10,7 @@ from cpe.optim import AdamWConfig, AdamWState, adamw_step
 from cpe.training import (PretrainConfig, embed_chunked_batch, esimcse_augment,
                           forward_cpe_hier, forward_cpe_long, forward_simcse,
                           mnr_loss, pretrain, sample_pair_hier, sample_pair_long)
+from test_encoder import _tape_nodes
 
 CFG = EncoderConfig(vocab_size=30, dim=16, layers=1, heads=2, ff=32,
                     max_positions=9, dropout=0.1)
@@ -224,6 +225,17 @@ class TestForwards:
 
         assert T.grad_check(fn, params, num_samples=2,
                             rng=np.random.default_rng(0)) < 1e-4
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_tape_nodes_per_hier_step(self, layers):
+        # one train-mode encoder pass, then the [CLS] slice, the anchor and
+        # candidate slices, one pooling node and the loss: no node only
+        # moves rows around
+        cfg = EncoderConfig(**{**vars(CFG), "layers": layers})
+        a, c = forward_cpe_hier(self._pairs(), init_params(cfg, 0), cfg, train=True,
+                                rng=np.random.default_rng(0))
+        loss, _ = mnr_loss(a, c)
+        assert _tape_nodes(loss) == 6 + 14 * layers + 5
 
     def test_long_smoke_and_grad(self):
         cfg = EncoderConfig(vocab_size=30, dim=8, layers=1, heads=2, ff=16,
