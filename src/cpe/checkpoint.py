@@ -11,6 +11,7 @@ The container is stable across minor versions of this package.
 from __future__ import annotations
 
 import json
+import zipfile
 
 import numpy as np
 
@@ -18,6 +19,10 @@ from . import tensor as T
 from .corpus import Vocab
 
 VERSION = 1
+
+
+class CheckpointError(ValueError):
+    pass
 
 
 def save_checkpoint(path, params, config=None, vocab=None):
@@ -32,17 +37,30 @@ def save_checkpoint(path, params, config=None, vocab=None):
 
 
 def load_checkpoint(path):
-    """Returns (params name->Tensor, config dict, vocab or None)."""
+    """Returns (params name->Tensor, config dict, vocab or None).
+
+    A file that is not a checkpoint of this version (not a zip archive, a
+    damaged one, one without `__version__` or `__config__`) raises a
+    CheckpointError that names `path`; a missing file stays an OSError."""
     with open(path, "rb") as f:
-        with np.load(f, allow_pickle=False) as z:
-            version = int(z["__version__"])
-            if version != VERSION:
-                raise ValueError(f"unsupported checkpoint version {version}")
-            config = json.loads(str(z["__config__"]))
-            vocab = None
-            if "__vocab__" in z.files:
-                tokens = str(z["__vocab__"])
-                vocab = Vocab.from_tokens(tokens.split("\n")) if tokens else Vocab()
-            params = {name[len("param/"):]: T.parameter(z[name], name=name[len("param/"):])
-                      for name in z.files if name.startswith("param/")}
+        try:
+            if not zipfile.is_zipfile(f):
+                raise ValueError("not a zip archive")
+            f.seek(0)
+            with np.load(f, allow_pickle=False) as z:
+                missing = sorted({"__version__", "__config__"} - set(z.files))
+                if missing:
+                    raise ValueError(f"no {' or '.join(missing)} entry")
+                version = int(z["__version__"])
+                if version != VERSION:
+                    raise ValueError(f"unsupported checkpoint version {version}")
+                config = json.loads(str(z["__config__"]))
+                vocab = None
+                if "__vocab__" in z.files:
+                    tokens = str(z["__vocab__"])
+                    vocab = Vocab.from_tokens(tokens.split("\n")) if tokens else Vocab()
+                params = {name[len("param/"):]: T.parameter(z[name], name=name[len("param/"):])
+                          for name in z.files if name.startswith("param/")}
+        except (ValueError, EOFError, zipfile.BadZipFile) as e:
+            raise CheckpointError(f"{path} is not a readable checkpoint: {e}") from None
     return params, config, vocab

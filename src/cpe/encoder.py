@@ -8,6 +8,13 @@ closed-form backward; both attention ops split the (B, L, D) projections
 into heads themselves. `encoder_forward` holds the one pre-LN transformer
 block; the dense and sparse paths differ only in the attention call.
 
+By default it returns every row's hidden state, which the sliding path's
+dense oracle and attention `capture` read. Every training and embedding
+path reads only the [CLS] row, through `encode_chunk`, which passes
+`cls_only`: the last block then still projects keys and values from every
+row, but runs its query, attention, feed-forward, dropouts and the final
+norm on row 0 alone.
+
 Every sliding config, whatever its window, takes the sparse path. It is
 banded and one fused `tensor.sliding_attention` node:
 per-token scores are computed only against the 2w+1 window and the global
@@ -140,13 +147,22 @@ def _attend_sliding(q, k, v, key_mask, heads, window, g, capture=None):
     return ctx
 
 
-def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=None):
+def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=None,
+                    cls_only=False):
     """Run the encoder over a batch; returns the (B, L, D) hidden states.
 
     `ids` is (B, L) int, `mask` is (B, L) bool (true for real tokens incl.
     CLS). Attention never reads masked keys. Each layer is a pre-LN block:
     attention, then a ReLU feed-forward, each added back as a residual
     after dropout.
+
+    With `cls_only`, the last block computes the [CLS] row alone and the
+    result is (B, 1, D): its keys and values still come from every row, but
+    the query, the residual, the feed-forward, both dropouts and the final
+    norm are row 0's. [CLS] is a global row, so it reads every unmasked key
+    in one dense `tensor.attention` call on either path. The row equals row
+    0 of the full pass (up to float rounding); only the dropout draws
+    differ. `capture` needs every row, so the two do not combine.
     """
     ids = np.atleast_2d(np.asarray(ids))
     mask = np.atleast_2d(np.asarray(mask, dtype=bool))
@@ -155,6 +171,8 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
         raise ValueError(f"sequence length {l} exceeds max positions {config.max_positions}")
     if train and rng is None:
         raise ValueError("train mode requires an rng for dropout")
+    if cls_only and capture is not None:
+        raise ValueError("capture records every row's attention; it cannot run with cls_only")
 
     h = T.add(T.embedding(params["tok_emb"], ids),
               T.reshape(params["pos_emb"][:l], (1, l, config.dim)))
@@ -162,13 +180,17 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
 
     for i in range(config.layers):
         pre = f"layer{i}."
+        last_cls = cls_only and i == config.layers - 1
         x = T.layer_norm(h, params[pre + "ln1_g"], params[pre + "ln1_b"])
-        q, k, v = (_linear(x, params, pre + name) for name in "qkv")
-        if config.attention == "sliding":
+        q = _linear(x[:, :1] if last_cls else x, params, pre + "q")
+        k, v = (_linear(x, params, pre + name) for name in "kv")
+        if config.attention == "sliding" and not last_cls:
             ctx = _attend_sliding(q, k, v, mask, config.heads, config.window,
                                   len(config.global_tokens), capture=capture)
         else:
             ctx = T.attention(q, k, v, mask, config.heads)
+        if last_cls:
+            h = h[:, :1]
         h = T.add(h, T.dropout(_linear(ctx, params, pre + "o"), config.dropout, rng, train))
         x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])
         f = _linear(T.relu(_linear(x, params, pre + "ff1")), params, pre + "ff2")
@@ -177,8 +199,12 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
 
 
 def encode_chunk(ids, mask, params, config, train=False, rng=None):
-    """[CLS] vectors, shape (B, D), for a batch of chunk token sequences."""
-    h = encoder_forward(ids, mask, params, config, train=train, rng=rng)
+    """[CLS] vectors, shape (B, D), for a batch of token sequences: chunks,
+    or whole documents on the sliding path.
+
+    The last block runs on the [CLS] row only (`encoder_forward`'s
+    `cls_only`), since no other row of it is read."""
+    h = encoder_forward(ids, mask, params, config, train=train, rng=rng, cls_only=True)
     return h[:, 0, :]
 
 

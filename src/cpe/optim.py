@@ -21,6 +21,7 @@ class AdamWState:
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
+    scratch: dict = field(default_factory=dict)  # name -> two buffers shaped like m
 
 
 def adamw_step(params, grads, state, hyper=None):
@@ -28,7 +29,9 @@ def adamw_step(params, grads, state, hyper=None):
 
     Weight decay is decoupled: the decay term never enters the moment
     estimates. Raises on NaN gradients so divergence surfaces instead of
-    propagating silently.
+    propagating silently. Every intermediate goes to one of two scratch
+    buffers per parameter, and `p.data` is updated in place, so a step
+    allocates nothing after the first.
     """
     if hyper is None:
         hyper = AdamWConfig()
@@ -46,14 +49,17 @@ def adamw_step(params, grads, state, hyper=None):
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        m = state.m[name]
-        v = state.v[name]
+            state.scratch[name] = (np.empty_like(p.data), np.empty_like(p.data))
+        m, v = state.m[name], state.v[name]
+        a, b = state.scratch[name]
         m *= hyper.beta1
-        m += (1.0 - hyper.beta1) * g
+        m += np.multiply(1.0 - hyper.beta1, g, out=a)
         v *= hyper.beta2
-        v += (1.0 - hyper.beta2) * g * g
-        mhat = m / bc1
-        vhat = v / bc2
-        p.data = p.data * (1.0 - hyper.lr * hyper.weight_decay) \
-            - hyper.lr * mhat / (np.sqrt(vhat) + hyper.eps)
+        np.multiply(1.0 - hyper.beta2, g, out=a)
+        v += np.multiply(a, g, out=a)
+        # p * (1 - lr*wd) - lr * (m/bc1) / (sqrt(v/bc2) + eps)
+        np.multiply(hyper.lr, np.divide(m, bc1, out=a), out=a)
+        np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), hyper.eps, out=b)
+        p.data *= 1.0 - hyper.lr * hyper.weight_decay
+        p.data -= np.divide(a, b, out=a)
     return params, state

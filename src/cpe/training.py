@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import Document, chunk
-from .encoder import EncoderConfig, encode_chunk, encoder_forward, init_params, pad_to_length
+from .encoder import EncoderConfig, encode_chunk, init_params, pad_to_length
 from .optim import AdamWConfig, AdamWState, adamw_step
 from .pooling import POOLERS
 
@@ -177,12 +177,10 @@ def forward_cpe_hier(pairs, params, config, pooling="max", train=False, rng=None
 def forward_cpe_long(pairs, params, config, train=False, rng=None):
     ref_ids = np.stack([p.anchor[0] for p in pairs])
     ref_mask = np.stack([p.anchor[1] for p in pairs])
-    ah = encoder_forward(ref_ids, ref_mask, params, config, train=train, rng=rng)
-    anchors = ah[:, 0, :]
-    ch = encoder_forward(np.stack([p.positive_ids for p in pairs]),
-                         np.stack([p.positive_mask for p in pairs]),
-                         params, config, train=train, rng=rng)
-    return anchors, ch[:, 0, :]
+    anchors = encode_chunk(ref_ids, ref_mask, params, config, train=train, rng=rng)
+    return anchors, encode_chunk(np.stack([p.positive_ids for p in pairs]),
+                                 np.stack([p.positive_mask for p in pairs]),
+                                 params, config, train=train, rng=rng)
 
 
 def forward_simcse(chunked_docs, params, config, pooling="max", rng=None):
@@ -240,6 +238,12 @@ def pretrain(docs, encoder_config, cfg, log=None):
     encoder_config.validate()
     if cfg.objective == "cpe-long" and encoder_config.attention != "sliding":
         raise ValueError("cpe-long requires a sliding-attention encoder config")
+    if cfg.objective == "cpe-hier":  # it holds out one of at least two chunks
+        if cfg.n_chunks < 2:
+            raise ValueError(f"pretrain.n_chunks must be >= 2 for cpe-hier, got {cfg.n_chunks}")
+        if cfg.max_tokens < 2 * cfg.chunk_len:
+            raise ValueError(f"pretrain.max_tokens must be >= 2 * pretrain.chunk_len "
+                             f"({2 * cfg.chunk_len}) for cpe-hier, got {cfg.max_tokens}")
 
     eligible = [d for d in docs if _eligible(d, cfg)]
     skipped = len(docs) - len(eligible)
@@ -324,8 +328,8 @@ def embed_documents(docs, params, encoder_config, pooling="max", *, chunk_len, n
             group = docs[lo:lo + batch_size]
             ids, masks = zip(*(pad_to_length(d.tokens, encoder_config.max_positions)
                                for d in group))
-            h = encoder_forward(np.stack(ids), np.stack(masks), params, encoder_config)
-            out.append(h.data[:, 0, :])
+            out.append(encode_chunk(np.stack(ids), np.stack(masks), params,
+                                    encoder_config).data)
         return np.concatenate(out, axis=0)
     for lo in range(0, len(docs), batch_size):
         group = docs[lo:lo + batch_size]

@@ -1,8 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from cpe import tensor as T
-from cpe.checkpoint import VERSION, load_checkpoint, save_checkpoint
+from cpe.checkpoint import VERSION, CheckpointError, load_checkpoint, save_checkpoint
 from cpe.corpus import Vocab, build_vocab
 
 
@@ -66,3 +68,28 @@ def test_version_mismatch_rejected(tmp_path):
 def test_missing_file_raises(tmp_path):
     with pytest.raises(FileNotFoundError):
         load_checkpoint(tmp_path / "nope.bin")
+
+
+@pytest.mark.parametrize("damage", ["truncated", "empty", "not-a-zip", "npy",
+                                    "no-version", "no-config"])
+def test_damaged_file_names_the_path(tmp_path, damage):
+    path = tmp_path / "ckpt.bin"
+    save_checkpoint(path, _params(), config={"a": 1})
+    data = path.read_bytes()
+    if damage == "truncated":
+        path.write_bytes(data[:len(data) // 2])
+    elif damage == "empty":
+        path.write_bytes(b"")
+    elif damage == "not-a-zip":
+        path.write_text("hello\n")
+    elif damage == "npy":
+        with open(path, "wb") as f:
+            np.save(f, np.arange(3))
+    else:
+        with open(path, "rb") as f:
+            z = dict(np.load(f))
+        del z[{"no-version": "__version__", "no-config": "__config__"}[damage]]
+        with open(path, "wb") as f:
+            np.savez(f, **z)
+    with pytest.raises(CheckpointError, match=re.escape(str(path))):
+        load_checkpoint(path)

@@ -322,6 +322,34 @@ class TestMissingArtifacts:
         assert err.startswith("error:") and "pooling" in err and "transformer" in err
         assert not (out / "checkpoint.bin").exists()
 
+    @pytest.mark.parametrize("override", ["pretrain.max_tokens=15", "pretrain.n_chunks=1"])
+    def test_cpe_hier_with_one_chunk_slot_rejected(self, tmp_path, capsys, override):
+        # cpe-hier holds out one of at least two chunks (chunk_len 8 here);
+        # the baselines train on one chunk per document
+        out = tmp_path / "x"
+        _run(out, "gen-synthetic")
+        capsys.readouterr()
+        assert _run(out, "pretrain", extra=[override]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert override.split("=")[0] in err and "cpe-hier" in err
+        assert not (out / "checkpoint.bin").exists()
+        assert _run(out, "pretrain", "--objective", "simcse", extra=[override]) == 0
+
+    @pytest.mark.parametrize("artifact,stage", [("checkpoint.bin", "embed"),
+                                                ("clf.bin", "eval")])
+    def test_truncated_checkpoint_rejected(self, tmp_path, capsys, artifact, stage):
+        out = tmp_path / "x"
+        for s in STAGES[:4]:
+            assert _run(out, s) == 0
+        data = (out / artifact).read_bytes()
+        (out / artifact).write_bytes(data[:len(data) // 2])
+        capsys.readouterr()
+        assert _run(out, stage) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(out / artifact) in err
+
     def test_embed_transformer_pooling_rejected(self, tmp_path, capsys):
         # no stage trains an aggregator, so an embedding would come from random weights
         out = tmp_path / "x"

@@ -233,12 +233,56 @@ def test_tape_nodes_per_encoder_pass(attention, layers, train):
     # embedding, position slice + reshape, add, [dropout] and the final
     # layer norm; per block: two layer norms, six linears, attention, relu,
     # two residual adds and [two dropouts]. No node only moves heads around.
+    # cls_only adds the last block's two row-0 slices, of its LN1 output
+    # (the query) and of the residual stream.
     cfg = EncoderConfig(vocab_size=20, dim=16, layers=layers, heads=4, ff=32,
                         max_positions=12, dropout=0.1, attention=attention, window=2)
     ids, mask = _batch(np.random.default_rng(0), 2, 12, cfg)
-    h = encoder_forward(ids, mask, init_params(cfg, 0), cfg, train=train,
-                        rng=np.random.default_rng(1))
-    assert _tape_nodes(h) == (6 + 14 * layers if train else 5 + 12 * layers)
+    for cls_only in (False, True):
+        h = encoder_forward(ids, mask, init_params(cfg, 0), cfg, train=train,
+                            rng=np.random.default_rng(1), cls_only=cls_only)
+        assert h.shape == (2, 1 if cls_only else 12, cfg.dim)
+        assert _tape_nodes(h) == (6 + 14 * layers if train else 5 + 12 * layers) + 2 * cls_only
+
+
+@pytest.mark.parametrize("attention", ["dense", "sliding"])
+@pytest.mark.parametrize("global_tokens", [(0,), (0, 1, 2)])
+@pytest.mark.parametrize("layers", [1, 3])
+def test_cls_only_matches_full_pass_row0(attention, global_tokens, layers):
+    # float64 oracle: the [CLS]-only last block gives row 0 of the full pass
+    # and the same gradient for every parameter. layer{-1}.k_b's true
+    # gradient is 0 (softmax ignores a shift shared by all keys), so the
+    # gradients are compared against the largest one, not entry by entry.
+    cfg = EncoderConfig(vocab_size=20, dim=16, layers=layers, heads=4, ff=32,
+                        max_positions=24, dropout=0.0, attention=attention, window=2,
+                        global_tokens=global_tokens)
+    rng = np.random.default_rng(layers + len(global_tokens))
+    ids, mask = _batch(rng, 3, 24, cfg)
+    mask[1, 15:] = False
+    ids[1, 15:] = PAD_ID
+    r = rng.standard_normal((3, cfg.dim))
+
+    def run(cls_only):
+        params = {n: T.parameter(p.data.astype(np.float64)) for n, p in init_params(cfg, 4).items()}
+        cls = encoder_forward(ids, mask, params, cfg, cls_only=cls_only)[:, 0, :]
+        T.backward(T.sum_(T.mul(cls, r)))
+        return cls.data, {n: p.grad for n, p in params.items()}
+
+    full, full_g = run(False)
+    cls, cls_g = run(True)
+    np.testing.assert_allclose(cls, full, rtol=0, atol=1e-12)
+    scale = max(np.abs(g).max() for g in full_g.values())
+    assert scale > 0
+    for name, g in full_g.items():
+        np.testing.assert_allclose(cls_g[name] / scale, g / scale, rtol=0, atol=1e-12,
+                                   err_msg=name)
+
+
+def test_cls_only_with_capture_rejected():
+    ids, mask = _batch(np.random.default_rng(0), 1, 12, SLIDING)
+    with pytest.raises(ValueError, match="cls_only"):
+        encoder_forward(ids, mask, init_params(SLIDING, 0), SLIDING, capture=[],
+                        cls_only=True)
 
 
 def test_pad_to_length():

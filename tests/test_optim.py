@@ -58,3 +58,24 @@ def test_step_count_increments():
     for i in range(3):
         adamw_step(params, {"w": np.array(0.1)}, state, AdamWConfig())
     assert state.step == 3
+
+
+def test_in_place_update_matches_reference_formula_bit_for_bit():
+    # the textbook expression, one full-size temporary per operation
+    hyper = AdamWConfig(lr=1e-3, weight_decay=0.01)
+    rng = np.random.default_rng(0)
+    w = rng.standard_normal((5, 3)).astype(np.float32)
+    params, state = {"w": T.parameter(w.copy())}, AdamWState()
+    m, v = np.zeros_like(w), np.zeros_like(w)
+    for t in range(1, 6):
+        g = rng.standard_normal(w.shape).astype(np.float32)
+        adamw_step(params, {"w": g}, state, hyper)
+        m = m * hyper.beta1 + (1.0 - hyper.beta1) * g
+        v = v * hyper.beta2 + (1.0 - hyper.beta2) * g * g
+        mhat, vhat = m / (1.0 - hyper.beta1 ** t), v / (1.0 - hyper.beta2 ** t)
+        w = w * (1.0 - hyper.lr * hyper.weight_decay) \
+            - hyper.lr * mhat / (np.sqrt(vhat) + hyper.eps)
+        assert params["w"].data.dtype == np.float32
+        np.testing.assert_array_equal(params["w"].data, w)
+        np.testing.assert_array_equal(state.m["w"], m)
+        np.testing.assert_array_equal(state.v["w"], v)

@@ -7,8 +7,8 @@ from cpe import tensor as T
 from cpe.corpus import CLS_ID, Document, chunk
 from cpe.encoder import EncoderConfig, encode_chunk, init_params
 from cpe.optim import AdamWConfig, AdamWState, adamw_step
-from cpe.training import (PretrainConfig, embed_chunked_batch, esimcse_augment,
-                          forward_cpe_hier, forward_cpe_long, forward_simcse,
+from cpe.training import (PretrainConfig, embed_chunked_batch, embed_documents,
+                          esimcse_augment, forward_cpe_hier, forward_cpe_long, forward_simcse,
                           mnr_loss, pretrain, sample_pair_hier, sample_pair_long)
 from test_encoder import _tape_nodes
 
@@ -228,14 +228,14 @@ class TestForwards:
 
     @pytest.mark.parametrize("layers", [1, 2])
     def test_tape_nodes_per_hier_step(self, layers):
-        # one train-mode encoder pass, then the [CLS] slice, the anchor and
-        # candidate slices, one pooling node and the loss: no node only
-        # moves rows around
+        # one train-mode [CLS]-only encoder pass (its two row-0 slices
+        # included), then the [CLS] slice, the anchor and candidate slices,
+        # one pooling node and the loss: no node only moves rows around
         cfg = EncoderConfig(**{**vars(CFG), "layers": layers})
         a, c = forward_cpe_hier(self._pairs(), init_params(cfg, 0), cfg, train=True,
                                 rng=np.random.default_rng(0))
         loss, _ = mnr_loss(a, c)
-        assert _tape_nodes(loss) == 6 + 14 * layers + 5
+        assert _tape_nodes(loss) == 6 + 14 * layers + 2 + 5
 
     def test_long_smoke_and_grad(self):
         cfg = EncoderConfig(vocab_size=30, dim=8, layers=1, heads=2, ff=16,
@@ -267,6 +267,66 @@ class TestForwards:
         T.backward(loss)
         assert bystander.grad is None
         assert params["tok_emb"].grad is not None
+
+
+class TestClsOnlyForwards:
+    """Every forward the CLI reaches runs the last block on [CLS] alone: with
+    two layers, each encoder pass is one attention call over every row and
+    then one whose query is the single [CLS] row."""
+
+    LONG = EncoderConfig(vocab_size=30, dim=8, layers=2, heads=2, ff=16,
+                         max_positions=40, dropout=0.1, attention="sliding", window=3)
+
+    def _query_rows(self, monkeypatch):
+        rows = []
+
+        def record(op):
+            def wrapped(q, *args, **kwargs):
+                rows.append(q.shape[1])
+                return op(q, *args, **kwargs)
+            return wrapped
+
+        for name in ("attention", "sliding_attention"):
+            monkeypatch.setattr(T, name, record(getattr(T, name)))
+        return rows
+
+    def _assert_cls_only(self, rows, passes):
+        assert len(rows) == 2 * passes and all(n > 1 for n in rows[::2]), rows
+        assert rows[1::2] == [1] * passes, rows
+
+    def _docs(self, n=4):
+        return [_doc(32, seed=i, doc_id=str(i)) for i in range(n)]
+
+    def test_forward_cpe_hier(self, monkeypatch):
+        cfg = EncoderConfig(**{**vars(CFG), "layers": 2})
+        rows = self._query_rows(monkeypatch)
+        forward_cpe_hier(TestForwards()._pairs(), init_params(cfg, 0), cfg, train=True,
+                         rng=np.random.default_rng(0))
+        self._assert_cls_only(rows, 1)
+
+    def test_forward_cpe_long(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        pairs = [sample_pair_long(_doc(60, seed=i, doc_id=str(i)), 16, 40, rng)
+                 for i in range(3)]
+        rows = self._query_rows(monkeypatch)
+        forward_cpe_long(pairs, init_params(self.LONG, 0), self.LONG, train=True, rng=rng)
+        self._assert_cls_only(rows, 2)
+
+    def test_embed_chunked_batch(self, monkeypatch):
+        cfg = EncoderConfig(**{**vars(CFG), "layers": 2})
+        rows = self._query_rows(monkeypatch)
+        embed_chunked_batch([chunk(d, 8, 4, 32) for d in self._docs()],
+                            init_params(cfg, 0), cfg)
+        self._assert_cls_only(rows, 1)
+
+    @pytest.mark.parametrize("sliding", [False, True])
+    def test_embed_documents(self, monkeypatch, sliding):
+        cfg = self.LONG if sliding else EncoderConfig(**{**vars(CFG), "layers": 2})
+        rows = self._query_rows(monkeypatch)
+        embs = embed_documents(self._docs(5), init_params(cfg, 0), cfg, chunk_len=8,
+                               n_chunks=4, max_tokens=32, batch_size=2)
+        assert embs.shape == (5, cfg.dim)
+        self._assert_cls_only(rows, 3)
 
 
 def _tiny_corpus(n=24, length=40):
