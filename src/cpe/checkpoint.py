@@ -21,10 +21,6 @@ from .corpus import Vocab
 VERSION = 1
 
 
-class CheckpointError(ValueError):
-    pass
-
-
 def save_checkpoint(path, params, config=None, vocab=None):
     arrays = {"__version__": np.int64(VERSION),
               "__config__": np.array(json.dumps(config or {}, sort_keys=True))}
@@ -41,7 +37,8 @@ def load_checkpoint(path):
 
     A file that is not a checkpoint of this version (not a zip archive, a
     damaged one, one without `__version__` or `__config__`) raises a
-    CheckpointError that names `path`; a missing file stays an OSError."""
+    ValueError that names `path`; a file that cannot be opened stays an
+    OSError."""
     with open(path, "rb") as f:
         try:
             if not zipfile.is_zipfile(f):
@@ -61,6 +58,6 @@ def load_checkpoint(path):
                     vocab = Vocab.from_tokens(tokens.split("\n")) if tokens else Vocab()
                 params = {name[len("param/"):]: T.parameter(z[name], name=name[len("param/"):])
                           for name in z.files if name.startswith("param/")}
-        except (ValueError, EOFError, zipfile.BadZipFile) as e:
-            raise CheckpointError(f"{path} is not a readable checkpoint: {e}") from None
+        except (ValueError, OSError, zipfile.BadZipFile) as e:  # OSError: a bad offset
+            raise ValueError(f"{path} is not a readable checkpoint: {e}") from None
     return params, config, vocab

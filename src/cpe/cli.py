@@ -294,7 +294,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         cfg = ExperimentConfig.load(args.config, overrides=args.set)
         return COMMANDS[args.command](cfg, args)
-    # ConfigError, CorpusError and CheckpointError are ValueErrors
+    # ConfigError and CorpusError are ValueErrors, as are load_checkpoint's errors
     except (CliError, ValueError, FloatingPointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

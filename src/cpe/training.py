@@ -241,9 +241,9 @@ def pretrain(docs, encoder_config, cfg, log=None):
     if cfg.objective == "cpe-hier":  # it holds out one of at least two chunks
         if cfg.n_chunks < 2:
             raise ValueError(f"pretrain.n_chunks must be >= 2 for cpe-hier, got {cfg.n_chunks}")
-        if cfg.max_tokens < 2 * cfg.chunk_len:
-            raise ValueError(f"pretrain.max_tokens must be >= 2 * pretrain.chunk_len "
-                             f"({2 * cfg.chunk_len}) for cpe-hier, got {cfg.max_tokens}")
+        if cfg.max_tokens <= cfg.chunk_len:
+            raise ValueError(f"pretrain.max_tokens must be > pretrain.chunk_len "
+                             f"({cfg.chunk_len}) for cpe-hier, got {cfg.max_tokens}")
 
     eligible = [d for d in docs if _eligible(d, cfg)]
     skipped = len(docs) - len(eligible)
@@ -253,13 +253,6 @@ def pretrain(docs, encoder_config, cfg, log=None):
     chunked = None
     if cfg.objective != "cpe-long":
         chunked = [chunk(d, cfg.chunk_len, cfg.n_chunks, cfg.max_tokens) for d in eligible]
-        if cfg.objective == "cpe-hier":
-            keep = [i for i, cd in enumerate(chunked) if cd.chunk_mask.sum() >= 2]
-            skipped += len(chunked) - len(keep)
-            eligible = [eligible[i] for i in keep]
-            chunked = [chunked[i] for i in keep]
-            if len(eligible) < 2:
-                raise ValueError(f"all documents skipped (skipped={skipped})")
 
     params = init_params(encoder_config, cfg.seed)
     rng = np.random.default_rng(cfg.seed)

@@ -322,7 +322,7 @@ class TestMissingArtifacts:
         assert err.startswith("error:") and "pooling" in err and "transformer" in err
         assert not (out / "checkpoint.bin").exists()
 
-    @pytest.mark.parametrize("override", ["pretrain.max_tokens=15", "pretrain.n_chunks=1"])
+    @pytest.mark.parametrize("override", ["pretrain.max_tokens=8", "pretrain.n_chunks=1"])
     def test_cpe_hier_with_one_chunk_slot_rejected(self, tmp_path, capsys, override):
         # cpe-hier holds out one of at least two chunks (chunk_len 8 here);
         # the baselines train on one chunk per document
@@ -335,6 +335,13 @@ class TestMissingArtifacts:
         assert override.split("=")[0] in err and "cpe-hier" in err
         assert not (out / "checkpoint.bin").exists()
         assert _run(out, "pretrain", "--objective", "simcse", extra=[override]) == 0
+
+    def test_cpe_hier_with_partial_second_slot_trains(self, tmp_path):
+        # max_tokens 9..15 with chunk_len 8: the second slot is partial
+        out = tmp_path / "x"
+        _run(out, "gen-synthetic")
+        assert _run(out, "pretrain", extra=["pretrain.max_tokens=15"]) == 0
+        assert (out / "checkpoint.bin").exists()
 
     @pytest.mark.parametrize("artifact,stage", [("checkpoint.bin", "embed"),
                                                 ("clf.bin", "eval")])
