@@ -36,7 +36,8 @@ def load_checkpoint(path):
     """Returns (params name->Tensor, config dict, vocab or None).
 
     A file that is not a checkpoint of this version (not a zip archive, a
-    damaged one, one without `__version__` or `__config__`) raises a
+    damaged one, one whose members are flagged encrypted or patched, one
+    without `__version__` or `__config__`) raises a
     ValueError that names `path`; a file that cannot be opened stays an
     OSError."""
     with open(path, "rb") as f:
@@ -58,6 +59,8 @@ def load_checkpoint(path):
                     vocab = Vocab.from_tokens(tokens.split("\n")) if tokens else Vocab()
                 params = {name[len("param/"):]: T.parameter(z[name], name=name[len("param/"):])
                           for name in z.files if name.startswith("param/")}
-        except (ValueError, OSError, zipfile.BadZipFile) as e:  # OSError: a bad offset
+        # OSError: a bad offset; RuntimeError: a member flagged as encrypted, or
+        # (NotImplementedError) as a compressed patched file
+        except (ValueError, OSError, RuntimeError, zipfile.BadZipFile) as e:
             raise ValueError(f"{path} is not a readable checkpoint: {e}") from None
     return params, config, vocab

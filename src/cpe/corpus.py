@@ -163,7 +163,9 @@ def unchunk(chunked):
 # JSONL ingestion
 
 def load_jsonl(path):
-    """One {"id", "text", "labels"} record per line; order preserved."""
+    """One {"id", "text", "labels"} object per line, with a string text and a
+    list of non-negative integer labels; order preserved. Any other line
+    raises a CorpusError that names the path and the line."""
     records = []
     with open(path) as f:
         for lineno, line in enumerate(f, start=1):
@@ -174,9 +176,18 @@ def load_jsonl(path):
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise CorpusError(f"{path}: malformed JSON on line {lineno}: {e}") from e
+            if not isinstance(obj, dict):
+                raise CorpusError(f"{path}: line {lineno} is not a JSON object")
             for key in ("id", "text", "labels"):
                 if key not in obj:
                     raise CorpusError(f"{path}: line {lineno} missing field '{key}'")
+            if not isinstance(obj["text"], str):
+                raise CorpusError(f"{path}: line {lineno} field 'text' is not a string")
+            labels = obj["labels"]
+            if not (isinstance(labels, list) and all(
+                    type(x) is int and x >= 0 for x in labels)):  # bool is not a label
+                raise CorpusError(f"{path}: line {lineno} field 'labels' is not a list "
+                                  f"of non-negative integers")
             records.append(obj)
     return records
 

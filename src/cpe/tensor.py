@@ -15,6 +15,15 @@ both passes, and share one in-place masked softmax and its gradient.
 the true slots of a (B, n) mask in row-major order, so scattering them into
 a (B, n, D) array is the forward layout and indexing its gradient by the
 mask is the backward.
+
+The row kernels make as few full-size passes over their arrays as they
+can. `layer_norm` flattens its input to rows (M, D) once, takes the row
+means as a GEMV and the row dots with `einsum`, and updates in place. The
+masked softmax sums its rows by GEMV and divides in place, and its gradient
+takes the row dot with `einsum`. The attention ops scale the (..., L, d)
+query by 1/sqrt(d) instead of the (..., L, L) scores, and in the backward
+the q and k gradients instead of the score gradient. The `index_select`
+backward sorts the ids once and sums each id's rows as one segment.
 """
 
 from __future__ import annotations
@@ -337,18 +346,23 @@ def slice_(a, key):
 
 
 def index_select(a, axis, indices):
-    """Gather along `axis` with an integer index array (duplicate-safe backward)."""
+    """Gather along `axis` with an integer index array. The backward sorts the
+    ids once and sums the rows of each repeated id as one segment."""
     a = _as_tensor(a)
     indices = np.asarray(indices)
     out = np.take(a.data, indices, axis=axis)
 
     def bwd(g):
         # collapse the index dimensions gathered at `axis` to one
-        flat_idx = indices.reshape(-1)
         gm = np.moveaxis(g, tuple(range(axis, axis + indices.ndim)), tuple(range(indices.ndim)))
-        gm = gm.reshape((flat_idx.size,) + gm.shape[indices.ndim:])
+        gm = gm.reshape((indices.size,) + gm.shape[indices.ndim:])
         full = np.zeros(np.moveaxis(a.data, axis, 0).shape, dtype=g.dtype)
-        np.add.at(full, flat_idx, gm)
+        if indices.size:
+            ids = indices.reshape(-1) % full.shape[0]  # negative ids wrap, as in `np.take`
+            order = np.argsort(ids, kind="stable")
+            ids = ids[order]
+            starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
+            full[ids[starts]] = np.add.reduceat(gm[order], starts, axis=0)
         _accum(a, np.moveaxis(full, 0, axis))
 
     return _node(out, (a,), bwd)
@@ -465,25 +479,27 @@ def masked_max(rows, mask):
 # NN primitives
 
 def _masked_softmax_(s, invalid):
-    """Softmax over the last axis of the scores `s`, in place. Entries where
-    `invalid` (broadcast to s) is true get probability exactly 0, and a row
-    with no valid entry is all zeros (no NaN). Returns s."""
-    np.copyto(s, -np.inf, where=invalid)
+    """Softmax over the last axis of the finite scores `s`, in place. Entries
+    where `invalid` (broadcast to s) is true get probability exactly 0, and a
+    row with no valid entry is all zeros (no NaN). Returns s."""
+    # an additive -inf mask: a broadcast add is several times faster than
+    # `np.copyto(..., where=)` with a broadcast mask
+    s += np.where(invalid, -np.inf, 0.0).astype(s.dtype)
     mx = s.max(axis=-1, keepdims=True)
     mx[~np.isfinite(mx)] = 0.0
     s -= mx
     np.exp(s, out=s)  # invalid entries: exp(-inf) = 0
-    denom = s.sum(axis=-1, keepdims=True)
-    np.divide(s, denom, out=s, where=denom > 0)
+    denom = np.matmul(s, np.ones(s.shape[-1], dtype=s.dtype))[..., None]
+    denom[denom == 0] = 1.0  # a row with no valid entry stays all zeros
+    s /= denom
     return s
 
 
-def _softmax_grad(p, dp, c):
-    """Gradient of the scores s for p = softmax(c * s) given dL/dp:
-    c * p * (dp - rowsum(dp * p)), written into dp and returned."""
-    dp -= (dp * p).sum(axis=-1, keepdims=True)
+def _softmax_grad(p, dp):
+    """Gradient of the scores s for p = softmax(s) given dL/dp:
+    p * (dp - rowsum(dp * p)), written into dp and returned."""
+    dp -= np.einsum("...j,...j->...", dp, p)[..., None]
     dp *= p
-    dp *= c
     return dp
 
 
@@ -508,8 +524,7 @@ def attention(q, k, v, key_mask, heads, probs=None):
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
     c = 1.0 / math.sqrt(qh.shape[-1])
-    p = np.matmul(qh, np.swapaxes(kh, -1, -2))
-    p *= c
+    p = np.matmul(qh * c, np.swapaxes(kh, -1, -2))
     _masked_softmax_(p, ~np.asarray(key_mask, dtype=bool)[:, None, None, :])
     if probs is not None:
         probs.append(p)
@@ -518,9 +533,13 @@ def attention(q, k, v, key_mask, heads, probs=None):
     def bwd(g):
         gh = _split_heads(g, heads)
         _accum(v, _merge_heads(np.matmul(np.swapaxes(p, -1, -2), gh)))
-        ds = _softmax_grad(p, np.matmul(gh, np.swapaxes(vh, -1, -2)), c)
-        _accum(q, _merge_heads(np.matmul(ds, kh)))
-        _accum(k, _merge_heads(np.matmul(np.swapaxes(ds, -1, -2), qh)))
+        ds = _softmax_grad(p, np.matmul(gh, np.swapaxes(vh, -1, -2)))
+        gq = np.matmul(ds, kh)
+        gq *= c
+        _accum(q, _merge_heads(gq))
+        gk = np.matmul(np.swapaxes(ds, -1, -2), qh)
+        gk *= c
+        _accum(k, _merge_heads(gk))
 
     return _node(out, (q, k, v), bwd)
 
@@ -550,13 +569,12 @@ def sliding_attention(q, k, v, key_mask, heads, w, g, probs=None):
     invalid = ~key_mask[:, None, keys]  # (B, 1, L, 2w+1+g)
     invalid[..., :span] |= (raw < g) | (raw >= l)
     invalid[:, :, :g] = True  # the global rows attend densely, in `pg`
+    qs = qh * c  # forward only: the backward scales gq and gk instead
     p = np.empty(qh.shape[:-1] + (span + g,), dtype=qh.dtype)
-    p[..., :span] = _band_dot(qh, kh, w)
-    p[..., span:] = np.matmul(qh, np.swapaxes(kg, -1, -2))
-    p *= c
+    p[..., :span] = _band_dot(qs, kh, w)
+    p[..., span:] = np.matmul(qs, np.swapaxes(kg, -1, -2))
     _masked_softmax_(p, invalid)
-    pg = np.matmul(qh[:, :, :g], np.swapaxes(kh, -1, -2))
-    pg *= c
+    pg = np.matmul(qs[:, :, :g], np.swapaxes(kh, -1, -2))
     _masked_softmax_(pg, ~key_mask[:, None, None, :])
     if probs is not None:
         probs += [p, pg]
@@ -572,14 +590,16 @@ def sliding_attention(q, k, v, key_mask, heads, w, g, probs=None):
         ds = np.empty_like(p)
         ds[..., :span] = _band_dot(gr, vh, w)
         ds[..., span:] = np.matmul(gr, np.swapaxes(vg, -1, -2))
-        _softmax_grad(p, ds, c)
-        dsg = _softmax_grad(pg, np.matmul(gr[:, :, :g], np.swapaxes(vh, -1, -2)), c)
+        _softmax_grad(p, ds)
+        dsg = _softmax_grad(pg, np.matmul(gr[:, :, :g], np.swapaxes(vh, -1, -2)))
         gq = _band_mix(ds[..., :span], kh, w)
         gq += np.matmul(ds[..., span:], kg)
         gq[:, :, :g] += np.matmul(dsg, kh)
+        gq *= c
         gk = _band_mix(_band_transpose(ds[..., :span], w), qh, w)
         gk[:, :, :g] += np.matmul(np.swapaxes(ds[..., span:], -1, -2), qh)
         gk += np.matmul(np.swapaxes(dsg, -1, -2), qh[:, :, :g])
+        gk *= c
         _accum(q, _merge_heads(gq))
         _accum(k, _merge_heads(gk))
         _accum(v, _merge_heads(gv))
@@ -602,26 +622,32 @@ def log_softmax(a, axis=-1):
 
 
 def layer_norm(a, gamma, beta, eps=1e-5):
-    """Normalize the last axis, then apply learned scale/shift."""
+    """Normalize the last axis, then apply learned scale/shift. The leading
+    axes are flattened to rows (M, D) once; the gamma and beta gradients are
+    one reduction each over the rows."""
     a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gamma.data + beta.data
     d = a.shape[-1]
+    x = a.data.reshape(-1, d)
+    avg = np.full(d, 1.0 / d, dtype=x.dtype)
+    xhat = x - np.matmul(x, avg)[:, None]
+    inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + eps))[:, None]
+    xhat *= inv
+    out = xhat * gamma.data
+    out += beta.data
 
     def bwd(g):
-        _accum(gamma, _unbroadcast(g * xhat, gamma.shape))
-        _accum(beta, _unbroadcast(g, beta.shape))
-        dxhat = g * gamma.data
-        ga = inv * (dxhat
-                    - dxhat.mean(axis=-1, keepdims=True)
-                    - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / d)
-        _accum(a, ga)
+        g = g.reshape(-1, d)
+        _accum(gamma, np.einsum("ij,ij->j", g, xhat))
+        _accum(beta, np.matmul(np.ones(len(g), dtype=g.dtype), g))
+        # inv * (dxhat - rowmean(dxhat) - xhat * rowmean(dxhat * xhat))
+        dx = g * gamma.data
+        dot = np.einsum("ij,ij->i", dx, xhat) / d
+        dx -= np.matmul(dx, avg)[:, None]
+        dx -= xhat * dot[:, None]
+        dx *= inv
+        _accum(a, dx.reshape(a.shape))
 
-    return _node(out, (a, gamma, beta), bwd)
+    return _node(out.reshape(a.shape), (a, gamma, beta), bwd)
 
 
 def dropout(a, rate, rng, train):

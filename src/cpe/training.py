@@ -306,6 +306,7 @@ def pretrain(docs, encoder_config, cfg, log=None):
             if log is not None:
                 log(line)
     result.steps = step
+    T.zero_gradients(params)  # the last step's gradients are no part of the model
     return result
 
 

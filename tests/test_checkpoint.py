@@ -1,4 +1,5 @@
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -6,6 +7,16 @@ import pytest
 from cpe import tensor as T
 from cpe.checkpoint import VERSION, load_checkpoint, save_checkpoint
 from cpe.corpus import Vocab, build_vocab
+
+
+def set_zip_flag(data, bit):
+    """`data`, a zip archive, with general-purpose flag `bit` set in its
+    first local file header and its first central directory header."""
+    data = bytearray(data)
+    for signature, offset in ((b"PK\x03\x04", 6), (b"PK\x01\x02", 8)):
+        at = data.index(signature) + offset
+        struct.pack_into("<H", data, at, struct.unpack_from("<H", data, at)[0] | 1 << bit)
+    return bytes(data)
 
 
 def _params(seed=0):
@@ -71,7 +82,8 @@ def test_missing_file_raises(tmp_path):
 
 
 @pytest.mark.parametrize("damage", ["truncated", "middle-cut", "empty", "not-a-zip", "npy",
-                                    "no-version", "no-config"])
+                                    "no-version", "no-config", "encrypted-flag",
+                                    "patched-flag"])
 def test_damaged_file_names_the_path(tmp_path, damage):
     path = tmp_path / "ckpt.bin"
     save_checkpoint(path, _params(), config={"a": 1})
@@ -84,6 +96,10 @@ def test_damaged_file_names_the_path(tmp_path, damage):
         path.write_bytes(b"")
     elif damage == "not-a-zip":
         path.write_text("hello\n")
+    elif damage == "encrypted-flag":  # zipfile: RuntimeError
+        path.write_bytes(set_zip_flag(data, 0))
+    elif damage == "patched-flag":  # zipfile: NotImplementedError
+        path.write_bytes(set_zip_flag(data, 5))
     elif damage == "npy":
         with open(path, "wb") as f:
             np.save(f, np.arange(3))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cpe.cli import main
 from cpe.config import DEFAULTS, ConfigError, ExperimentConfig
+from test_checkpoint import set_zip_flag
 
 FAST = [
     "synthetic.num_docs=60", "synthetic.num_topics=3",
@@ -356,6 +357,36 @@ class TestMissingArtifacts:
         err = capsys.readouterr().err
         assert err.startswith("error:") and err.count("\n") == 1
         assert str(out / artifact) in err
+
+    @pytest.mark.parametrize("bit", [0, 5], ids=["encrypted", "patched"])
+    def test_zip_flagged_checkpoint_rejected(self, tmp_path, capsys, bit):
+        # zipfile raises RuntimeError / NotImplementedError for these flags
+        out = tmp_path / "x"
+        for s in STAGES[:2]:
+            assert _run(out, s) == 0
+        path = out / "checkpoint.bin"
+        path.write_bytes(set_zip_flag(path.read_bytes(), bit))
+        capsys.readouterr()
+        assert _run(out, "embed") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err
+        assert not (out / "embeddings.tsv").exists()
+
+    @pytest.mark.parametrize("line", ['{"id": "d", "text": "a b", "labels": 3}', "5"],
+                             ids=["int-labels", "scalar-line"])
+    def test_corpus_record_of_the_wrong_type_rejected(self, tmp_path, capsys, line):
+        out = tmp_path / "x"
+        assert _run(out, "gen-synthetic") == 0
+        path = out / "corpus.jsonl"
+        path.write_text(path.read_text() + line + "\n")
+        n = path.read_text().count("\n")
+        capsys.readouterr()
+        assert _run(out, "pretrain") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{path}: line {n} " in err
+        assert not (out / "checkpoint.bin").exists()
 
     def test_embed_transformer_pooling_rejected(self, tmp_path, capsys):
         # no stage trains an aggregator, so an embedding would come from random weights

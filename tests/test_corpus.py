@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -119,6 +120,26 @@ class TestJsonl:
                      '{"id":"2","text":"b","labels":[]}\n'
                      '{oops\n')
         with pytest.raises(CorpusError, match="line 3"):
+            load_jsonl(p)
+
+    @pytest.mark.parametrize("line,named", [
+        ("5", "not a JSON object"),
+        ('["a", "b"]', "not a JSON object"),
+        ('"text"', "not a JSON object"),
+        ("null", "not a JSON object"),
+        ('{"id":"2","text":7,"labels":[]}', "'text'"),
+        ('{"id":"2","text":null,"labels":[]}', "'text'"),
+        ('{"id":"2","text":"b","labels":3}', "'labels'"),
+        ('{"id":"2","text":"b","labels":"01"}', "'labels'"),
+        ('{"id":"2","text":"b","labels":[-1]}', "'labels'"),
+        ('{"id":"2","text":"b","labels":[1.0]}', "'labels'"),
+        ('{"id":"2","text":"b","labels":[true]}', "'labels'"),
+        ('{"id":"2","text":"b","labels":[[0]]}', "'labels'"),
+    ])
+    def test_record_of_the_wrong_type_names_path_and_line(self, tmp_path, line, named):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"id":"1","text":"a","labels":[0, 2]}\n' + line + "\n")
+        with pytest.raises(CorpusError, match=f"{re.escape(str(p))}: line 2 .*{named}"):
             load_jsonl(p)
 
     def test_empty_file(self, tmp_path):

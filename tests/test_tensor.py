@@ -544,6 +544,109 @@ class TestAttention:
             np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol)
 
 
+def _masked_softmax_oracle(s, invalid):
+    """Softmax over the last axis with the `invalid` entries left out; a row
+    with none left is all zeros. Row sums by `sum`, then a `where=` divide."""
+    s = np.where(invalid, -np.inf, s)
+    mx = s.max(axis=-1, keepdims=True)
+    mx[~np.isfinite(mx)] = 0.0
+    e = np.exp(s - mx)
+    denom = e.sum(axis=-1, keepdims=True)
+    return np.divide(e, denom, out=np.zeros_like(e), where=denom > 0)
+
+
+class TestMaskedSoftmaxContract:
+    """Both attention ops scale the query, not the scores, and normalise each
+    row by a GEMV row sum; their probabilities against the formulas above
+    on the scaled scores, where d = 12 makes the scale inexact."""
+
+    @pytest.mark.parametrize("op", ["attention", "sliding_attention"])
+    @pytest.mark.parametrize("d", [8, 12, 16])
+    @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+    def test_probabilities_match_oracle(self, op, d, dtype, tol):
+        rng = np.random.default_rng(d)
+        b, h, l, w, g = 3, 2, 11, 2, 2
+        q, k, v = (rng.standard_normal((b, l, h * d)).astype(dtype) for _ in range(3))
+        mask = _attention_mask(b, l)  # batch row 0 partly masked, the last fully
+        qh, kh = (x.reshape(b, l, h, d).transpose(0, 2, 1, 3) for x in (q, k))
+        probs = []
+        if op == "attention":
+            T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), mask, h, probs=probs)
+            p, allowed = probs[0], np.broadcast_to(mask[:, None, :], (b, l, l))
+        else:
+            T.sliding_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), mask, h, w, g,
+                                probs=probs)
+            p, allowed = _band_to_dense(*probs, w), _band_global_mask(mask, w, g)
+        allowed = np.broadcast_to(allowed[:, None], p.shape)
+        assert p.dtype == dtype
+        assert np.all(p[~allowed] == 0.0)  # exactly zero, not merely small
+        assert np.all(p[-1] == 0.0)  # no readable key: all zeros, no NaN
+        np.testing.assert_allclose(p[:-1].sum(axis=-1), 1.0, rtol=tol)
+        scores = np.matmul(qh, np.swapaxes(kh, -1, -2)) / np.sqrt(d)
+        np.testing.assert_allclose(p, _masked_softmax_oracle(scores, ~allowed),
+                                   rtol=tol, atol=tol)
+
+
+def _layer_norm_oracle(x, gamma, beta, g, eps=1e-5):
+    """Layer norm over the last axis on the unflattened array: the output and
+    the (x, gamma, beta) gradients for upstream gradient g."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    xhat = xc * inv
+    dxhat = g * gamma
+    gx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / x.shape[-1])
+    lead = tuple(range(x.ndim - 1))
+    return xhat * gamma + beta, gx, (g * xhat).sum(axis=lead), g.sum(axis=lead)
+
+
+class TestLayerNorm:
+    @pytest.mark.parametrize("shape", [(7,), (5, 7), (3, 4, 7)])
+    def test_matches_oracle(self, shape):
+        rng = np.random.default_rng(len(shape))
+        x = rng.standard_normal(shape) * 3.0 + 1.0
+        gamma, beta, g = rng.standard_normal(7), rng.standard_normal(7), rng.standard_normal(shape)
+        t = [T.parameter(v) for v in (x, gamma, beta)]
+        out = T.layer_norm(*t)
+        T.backward(T.sum_(T.mul(out, g)))
+        got = [out.data] + [p.grad for p in t]
+        for name, a, want in zip(("out", "x", "gamma", "beta"), got,
+                                 _layer_norm_oracle(x, gamma, beta, g)):
+            assert a.shape == want.shape and a.dtype == np.float64, name
+            np.testing.assert_allclose(a, want, rtol=1e-12, atol=1e-12, err_msg=name)
+
+    def test_keeps_float32(self):
+        rng = np.random.default_rng(0)
+        t = [T.parameter(rng.standard_normal(s).astype(np.float32)) for s in ((2, 3, 8), 8, 8)]
+        out = T.layer_norm(*t)
+        T.backward(T.sum_(out))
+        assert out.data.dtype == np.float32
+        assert all(p.grad.dtype == np.float32 for p in t)
+
+
+class TestIndexSelectBackward:
+    @pytest.mark.parametrize("shape,axis,ids", [
+        ((6, 4), 0, [[3, 1, 3], [0, 3, 5]]),  # repeated and unsorted
+        ((6, 4), 0, [5, -1, 0, -6, 0]),  # a negative id names the same row as np.take
+        ((6, 4), 0, np.zeros(0, dtype=np.int64)),
+        ((3, 5, 2), 1, [[4, 0], [4, 4], [2, 0]]),
+        ((3, 5, 2), 1, np.zeros((2, 0), dtype=np.int64)),
+        ((3, 5, 2), 2, [1, 1, 0]),
+    ])
+    def test_matches_add_at(self, shape, axis, ids):
+        rng = np.random.default_rng(len(shape) + axis)
+        ids = np.asarray(ids)
+        a = T.parameter(rng.standard_normal(shape))
+        out = T.index_select(a, axis, ids)
+        g = rng.standard_normal(out.shape)
+        T.backward(T.sum_(T.mul(out, g)))
+        want = np.zeros(shape)
+        np.add.at(want, (slice(None),) * axis + (ids,), g)
+        assert a.grad.shape == shape
+        np.testing.assert_allclose(a.grad, want, rtol=1e-12, atol=1e-12)
+
+
 class TestCosineNce:
     @pytest.mark.parametrize("n", [2, 5])
     def test_grad_check_every_coordinate(self, n):

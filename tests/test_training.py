@@ -362,6 +362,11 @@ class TestPretrain:
         for k in r1.params:
             assert np.array_equal(r1.params[k].data, r2.params[k].data), k
 
+    def test_returned_params_hold_no_gradients(self):
+        # a kept PretrainResult holds the model, not the last step's gradients
+        res = pretrain(_tiny_corpus(), CFG, self._cfg())
+        assert res.steps > 0 and all(p.grad is None for p in res.params.values())
+
     def test_all_docs_skipped_errors(self):
         shorts = [Document(id=str(i), tokens=(5, 6)) for i in range(8)]
         with pytest.raises(ValueError, match="skipped"):
