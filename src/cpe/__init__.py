@@ -3,10 +3,10 @@
 from .corpus import (CLS_ID, PAD_ID, UNK_ID, ChunkedDocument, Document,
                      SyntheticSpec, Vocab, build_vocab, chunk, gen_synthetic,
                      load_jsonl, tokenize)
-from .encoder import EncoderConfig, encode_chunk, encode_sparse, init_params
+from .encoder import EncoderConfig, encode_chunk, init_params
 from .pooling import pool_max, pool_mean
 from .training import PretrainConfig, mnr_loss, pretrain, sample_pair_hier, sample_pair_long
-from .classifier import ClassifierConfig, mlp_forward, predict_batch, train_classifier
+from .classifier import ClassifierConfig, predict_batch, train_classifier
 from .metrics import dbscan, export_embeddings, f1_scores, homogeneity_completeness
 from .checkpoint import load_checkpoint, save_checkpoint
 

@@ -55,17 +55,6 @@ def mlp_logits(x, params):
     return h
 
 
-def mlp_forward(x, params, task):
-    """Probability vector(s): sigmoid per label (multilabel) or softmax
-    over labels (multiclass)."""
-    z = mlp_logits(x, params)
-    if task == "multilabel":
-        return T.sigmoid(z)
-    if task == "multiclass":
-        return T.exp(T.log_softmax(z, axis=-1))
-    raise ValueError(f"unknown task '{task}'")
-
-
 def _labels_to_targets(labels, num_labels, task):
     y = np.zeros((len(labels), num_labels), dtype=np.float32)
     for i, ls in enumerate(labels):
@@ -80,17 +69,13 @@ def _labels_to_targets(labels, num_labels, task):
 
 
 def classification_loss(logits, targets, task):
-    """Mean cross-entropy: categorical (multiclass) or per-label binary."""
-    y = T.constant(targets) if not isinstance(targets, T.Tensor) else targets
-    n = logits.shape[0]
+    """Mean cross-entropy as one tape node: categorical (multiclass) or
+    per-label binary on the logits (multilabel)."""
     if task == "multiclass":
-        logp = T.log_softmax(logits, axis=-1)
-        return T.scale(T.sum_(T.mul(logp, y)), -1.0 / n)
-    p = T.sigmoid(logits)
-    eps = 1e-7
-    ll = T.add(T.mul(y, T.log(T.add(p, eps))),
-               T.mul(T.sub(1.0, y), T.log(T.add(T.sub(1.0, p), eps))))
-    return T.scale(T.sum_(ll), -1.0 / (n * logits.shape[-1]))
+        return T.softmax_cross_entropy(logits, targets)
+    if task == "multilabel":
+        return T.bce_with_logits(logits, targets)
+    raise ValueError(f"unknown task '{task}'")
 
 
 def train_classifier(embeddings, labels, num_labels, task, config, params=None):
@@ -116,14 +101,17 @@ def train_classifier(embeddings, labels, num_labels, task, config, params=None):
 
 
 def predict_batch(embeddings, params, task, threshold=0.5):
-    """Label sets and probabilities for (N, D) embeddings. Multilabel: the
-    labels with probability >= threshold. Multiclass: {argmax} with
-    lowest-id tie-break."""
-    probs = mlp_forward(T.constant(np.asarray(embeddings, dtype=np.float32)),
-                        params, task).data
+    """Label sets and probabilities for (N, D) embeddings: softmax over the
+    labels (multiclass) or a logistic per label (multilabel), computed from
+    the logits with the loss nodes' helpers. Multilabel: the labels with
+    probability >= threshold. Multiclass: {argmax} with lowest-id tie-break."""
+    logits = mlp_logits(np.asarray(embeddings, dtype=np.float32), params).data
     if task == "multiclass":
+        probs = np.exp(T._log_probs(logits))
         preds = [{int(np.argmax(row))} for row in probs]
-    else:
+    elif task == "multilabel":
+        probs = T._logistic(logits)
         preds = [set(np.flatnonzero(row >= threshold).tolist()) for row in probs]
+    else:
+        raise ValueError(f"unknown task '{task}'")
     return preds, probs
-

@@ -18,7 +18,7 @@ from . import metrics as M
 from .checkpoint import load_checkpoint, save_checkpoint
 from .classifier import predict_batch, train_classifier
 from .config import ExperimentConfig
-from .encoder import EncoderConfig, init_params
+from .encoder import EncoderConfig, init_params, param_specs
 from .pooling import POOLERS
 from .training import OBJECTIVES, PretrainConfig, embed_documents, pretrain
 
@@ -112,13 +112,27 @@ def cmd_pretrain(cfg, args):
     return 0
 
 
-def _checkpoint_configs(meta):
-    """The encoder and pretrain configs a checkpoint was trained with."""
+def _checkpoint_configs(path, params, meta, vocab):
+    """The encoder and pretrain configs a checkpoint was trained with, checked
+    against its vocabulary and every parameter's name and shape."""
     try:
         enc = dict(meta["encoder"], global_tokens=tuple(meta["encoder"]["global_tokens"]))
-        return EncoderConfig(**enc), PretrainConfig(**meta["pretrain"])
-    except (KeyError, TypeError) as e:
-        raise CliError(f"checkpoint does not describe its model ({e}); re-run 'pretrain'")
+        ecfg, pcfg = EncoderConfig(**enc), PretrainConfig(**meta["pretrain"])
+        ecfg.validate()
+    except (KeyError, TypeError, ValueError) as e:
+        raise CliError(f"{path}: checkpoint does not describe its model ({e}); "
+                       f"re-run 'pretrain'")
+    if vocab is None or vocab.size != ecfg.vocab_size:
+        raise CliError(f"{path}: the vocabulary has {0 if vocab is None else vocab.size} tokens, "
+                       f"the encoder echo {ecfg.vocab_size}; re-run 'pretrain'")
+    want = param_specs(ecfg)
+    for name in sorted(want.keys() | params.keys()):
+        got = params[name].shape if name in params else "absent"
+        echo = want[name][0] if name in want else "absent"
+        if got != echo:
+            raise CliError(f"{path}: parameter {name} is {got} in the weights but {echo} "
+                           f"in the encoder echo; re-run 'pretrain'")
+    return ecfg, pcfg
 
 
 def cmd_embed(cfg, args):
@@ -134,7 +148,7 @@ def cmd_embed(cfg, args):
     else:
         _require(ckpt_path, "pretrain", hint="(or pass --random-init)")
         params, meta, vocab = load_checkpoint(ckpt_path)
-        ecfg, pcfg = _checkpoint_configs(meta)
+        ecfg, pcfg = _checkpoint_configs(ckpt_path, params, meta, vocab)
 
     docs = C.encode_documents(records, vocab, task=_task(cfg))
     embs = embed_documents(docs, params, ecfg, pooling=args.pooling or pcfg.pooling,

@@ -56,14 +56,6 @@ class Vocab:
                 f.write(tok + "\n")
 
     @classmethod
-    def load(cls, path):
-        v = cls()
-        with open(path) as f:
-            for line in f:
-                v.add(line.rstrip("\n"))
-        return v
-
-    @classmethod
     def from_tokens(cls, tokens):
         v = cls()
         for tok in tokens:
@@ -145,18 +137,6 @@ def chunk(doc, chunk_len, n_chunks, max_tokens):
         token_mask[i, 0] = True
         token_mask[i, 1:1 + len(piece)] = True
     return ChunkedDocument(chunks, chunk_mask, token_mask, doc_id=doc.id)
-
-
-def unchunk(chunked):
-    """Inverse of `chunk` up to truncation: unmasked non-CLS tokens in order."""
-    out = []
-    for i in range(chunked.chunks.shape[0]):
-        if not chunked.chunk_mask[i]:
-            continue
-        row = chunked.chunks[i]
-        keep = chunked.token_mask[i]
-        out.extend(int(t) for t, k in zip(row[1:], keep[1:]) if k)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -78,40 +78,37 @@ def _trunc_normal(rng, shape, std=0.02):
     return (x * std).astype(np.float32)
 
 
-def init_params(config, seed):
-    """Truncated-normal weights (std 0.02), layer-norm scale 1 / shift 0."""
-    config.validate()
-    rng = np.random.default_rng(seed)
+def param_specs(config):
+    """Name -> (shape, fill) of every encoder parameter, in creation order:
+    what a checkpoint of `config` holds. The fill is "normal" (truncated,
+    std 0.02), "zeros" or "ones"."""
     d, f = config.dim, config.ff
-    p = {}
-
-    def w(name, shape):
-        p[name] = T.parameter(_trunc_normal(rng, shape), name=name)
-
-    def zeros(name, shape):
-        p[name] = T.parameter(np.zeros(shape, dtype=np.float32), name=name)
-
-    def ones(name, shape):
-        p[name] = T.parameter(np.ones(shape, dtype=np.float32), name=name)
-
-    w("tok_emb", (config.vocab_size, d))
-    w("pos_emb", (config.max_positions, d))
+    specs = {"tok_emb": ((config.vocab_size, d), "normal"),
+             "pos_emb": ((config.max_positions, d), "normal")}
     for i in range(config.layers):
         pre = f"layer{i}."
-        for proj in ("q", "k", "v", "o"):
-            w(pre + proj + "_w", (d, d))
-            zeros(pre + proj + "_b", (d,))
-        w(pre + "ff1_w", (d, f))
-        zeros(pre + "ff1_b", (f,))
-        w(pre + "ff2_w", (f, d))
-        zeros(pre + "ff2_b", (d,))
-        ones(pre + "ln1_g", (d,))
-        zeros(pre + "ln1_b", (d,))
-        ones(pre + "ln2_g", (d,))
-        zeros(pre + "ln2_b", (d,))
-    ones("lnf_g", (d,))
-    zeros("lnf_b", (d,))
-    return p
+        for proj, shape in (("q", (d, d)), ("k", (d, d)), ("v", (d, d)), ("o", (d, d)),
+                            ("ff1", (d, f)), ("ff2", (f, d))):
+            specs[pre + proj + "_w"] = (shape, "normal")
+            specs[pre + proj + "_b"] = (shape[1:], "zeros")
+        for norm in ("ln1", "ln2"):
+            specs[pre + norm + "_g"] = ((d,), "ones")
+            specs[pre + norm + "_b"] = ((d,), "zeros")
+    specs["lnf_g"] = ((d,), "ones")
+    specs["lnf_b"] = ((d,), "zeros")
+    return specs
+
+
+def init_params(config, seed):
+    """The parameters of `param_specs(config)`: truncated-normal weights
+    (std 0.02), layer-norm scale 1 / shift 0."""
+    config.validate()
+    rng = np.random.default_rng(seed)
+    fills = {"normal": lambda shape: _trunc_normal(rng, shape),
+             "zeros": lambda shape: np.zeros(shape, dtype=np.float32),
+             "ones": lambda shape: np.ones(shape, dtype=np.float32)}
+    return {name: T.parameter(fills[fill](shape), name=name)
+            for name, (shape, fill) in param_specs(config).items()}
 
 
 def _linear(x, params, name):
@@ -174,8 +171,7 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
     if cls_only and capture is not None:
         raise ValueError("capture records every row's attention; it cannot run with cls_only")
 
-    h = T.add(T.embedding(params["tok_emb"], ids),
-              T.reshape(params["pos_emb"][:l], (1, l, config.dim)))
+    h = T.add(T.embedding(params["tok_emb"], ids), params["pos_emb"][:l])
     h = T.dropout(h, config.dropout, rng, train)
 
     for i in range(config.layers):
@@ -206,15 +202,6 @@ def encode_chunk(ids, mask, params, config, train=False, rng=None):
     `cls_only`), since no other row of it is read."""
     h = encoder_forward(ids, mask, params, config, train=train, rng=rng, cls_only=True)
     return h[:, 0, :]
-
-
-def encode_sparse(ids, mask, params, config, train=False, rng=None, capture=None):
-    """Sliding-window encoder; returns (hidden (B,L,D), cls (B,D))."""
-    if config.attention != "sliding":
-        raise ValueError("encode_sparse requires a sliding-attention config")
-    config.validate()
-    h = encoder_forward(ids, mask, params, config, train=train, rng=rng, capture=capture)
-    return h, h[:, 0, :]
 
 
 def pad_to_length(tokens, length, cls_prefix=True):

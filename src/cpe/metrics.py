@@ -186,18 +186,29 @@ def export_embeddings(path, embeddings, ids, labels):
 
 
 def load_embeddings(path):
-    """Inverse of export_embeddings; returns (embeddings, ids, labels)."""
+    """Inverse of export_embeddings; returns (embeddings, ids, labels). A row
+    with other than the header's column count, a label cell that is not
+    comma-joined integers or a value that is not a finite float raises a
+    ValueError naming the path and the line."""
     ids, labels, rows = [], [], []
     with open(path) as f:
         header = f.readline().rstrip("\n").split("\t")
         d = len(header) - 2
-        for line in f:
+        for lineno, line in enumerate(f, start=2):
             parts = line.rstrip("\n").split("\t")
+            if len(parts) != len(header):
+                raise ValueError(f"{path}: line {lineno} has {len(parts)} columns, "
+                                 f"the header {len(header)}")
+            try:
+                labels.append(frozenset(map(int, parts[1].split(","))) if parts[1] else frozenset())
+                rows.append([float(v) for v in parts[2:]])
+            except ValueError as e:
+                raise ValueError(f"{path}: line {lineno}: {e}") from None
             ids.append(parts[0])
-            lab = parts[1]
-            labels.append(frozenset(int(x) for x in lab.split(",")) if lab else frozenset())
-            rows.append([float(v) for v in parts[2:]])
     embs = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, d))
+    bad = np.flatnonzero(~np.isfinite(embs).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: line {bad[0] + 2} has a non-finite value")
     return embs, ids, labels
 
 

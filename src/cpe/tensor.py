@@ -8,7 +8,11 @@ topological order.
 Fused ops record one node with a closed-form backward pass: `linear`
 (x @ w + b over the last axis), `attention` (masked scaled dot-product
 attention), `sliding_attention` (a band of keys plus a global prefix, on
-the private band kernels) and `cosine_nce` (the in-batch contrastive loss).
+the private band kernels) and the three losses: `cosine_nce` (the in-batch
+contrastive loss), `softmax_cross_entropy` (the multiclass head) and
+`bce_with_logits` (the multilabel head). The losses take the log softmax
+and the logistic from two private helpers, which the classifier's
+predictions share.
 Both attention ops take and return (B, L, D), split the heads themselves in
 both passes, and share one in-place masked softmax and its gradient.
 `masked_mean` and `masked_max` pool rows (R, D) per document: the rows fill
@@ -69,26 +73,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return slice_(self, key)
 
     def item(self):
         return float(self.data)
-
-    def detach(self):
-        return Tensor(self.data, requires_grad=False)
 
 
 def parameter(data, name=None):
@@ -159,61 +148,6 @@ def add(a, b):
     return _node(out, (a, b), bwd)
 
 
-def sub(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    out = a.data - b.data
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(-g, b.shape))
-
-    return _node(out, (a, b), bwd)
-
-
-def mul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
-    try:
-        out = a.data * b.data
-    except ValueError:
-        raise ShapeError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
-
-    def bwd(g):
-        _accum(a, _unbroadcast(g * b.data, a.shape))
-        _accum(b, _unbroadcast(g * a.data, b.shape))
-
-    return _node(out, (a, b), bwd)
-
-
-def scale(a, c):
-    a = _as_tensor(a)
-    c = float(c)
-
-    def bwd(g):
-        _accum(a, g * c)
-
-    return _node(a.data * c, (a,), bwd)
-
-
-def exp(a):
-    a = _as_tensor(a)
-    out = np.exp(a.data)
-
-    def bwd(g):
-        _accum(a, g * out)
-
-    return _node(out, (a,), bwd)
-
-
-def log(a):
-    a = _as_tensor(a)
-    out = np.log(a.data)
-
-    def bwd(g):
-        _accum(a, g / a.data)
-
-    return _node(out, (a,), bwd)
-
-
 def relu(a):
     a = _as_tensor(a)
     out = np.maximum(a.data, 0)
@@ -230,19 +164,6 @@ def tanh(a):
 
     def bwd(g):
         _accum(a, g * (1.0 - out * out))
-
-    return _node(out, (a,), bwd)
-
-
-def sigmoid(a):
-    a = _as_tensor(a)
-    # stable: avoid exp overflow on large negatives
-    out = np.where(a.data >= 0,
-                   1.0 / (1.0 + np.exp(-np.abs(a.data))),
-                   np.exp(-np.abs(a.data)) / (1.0 + np.exp(-np.abs(a.data))))
-
-    def bwd(g):
-        _accum(a, g * out * (1.0 - out))
 
     return _node(out, (a,), bwd)
 
@@ -303,16 +224,6 @@ def linear(x, w, b):
         _accum(x, np.matmul(g2, w.data.T).reshape(x.shape))
 
     return _node(out, (x, w, b), bwd)
-
-
-def reshape(a, shape):
-    a = _as_tensor(a)
-    out = a.data.reshape(shape)
-
-    def bwd(g):
-        _accum(a, g.reshape(a.shape))
-
-    return _node(out, (a,), bwd)
 
 
 def _is_basic_key(key):
@@ -607,20 +518,6 @@ def sliding_attention(q, k, v, key_mask, heads, w, g, probs=None):
     return _node(_merge_heads(out), (q, k, v), bwd)
 
 
-def log_softmax(a, axis=-1):
-    a = _as_tensor(a)
-    mx = np.max(a.data, axis=axis, keepdims=True)
-    z = a.data - mx
-    lse = np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    out = z - lse
-    p = np.exp(out)
-
-    def bwd(g):
-        _accum(a, g - p * g.sum(axis=axis, keepdims=True))
-
-    return _node(out, (a,), bwd)
-
-
 def layer_norm(a, gamma, beta, eps=1e-5):
     """Normalize the last axis, then apply learned scale/shift. The leading
     axes are flattened to rows (M, D) once; the gamma and beta gradients are
@@ -665,6 +562,18 @@ def dropout(a, rate, rng, train):
     return _node(a.data * k, (a,), bwd)
 
 
+def _log_probs(z):
+    """log softmax over the last axis of the array z."""
+    z = z - z.max(axis=-1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+
+
+def _logistic(z):
+    """1 / (1 + exp(-z)) elementwise, with no exp of a positive number."""
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
 def cosine_nce(a, c, tau):
     """In-batch InfoNCE over cosine similarities, as one tape node: a, c (N, D)
     -> (loss, sims) with the (N, N) array sims[i, j] = cos(a_i, c_j) and
@@ -678,9 +587,7 @@ def cosine_nce(a, c, tau):
     an, cn = a.data / na, c.data / nc
     sims = np.matmul(an, cn.T)
     n, s = sims.shape[0], 1.0 / tau
-    z = sims * s
-    z -= z.max(axis=-1, keepdims=True)
-    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    logp = _log_probs(sims * s)
     diag = np.arange(n)
 
     def unit_grad(gu, u, norm):  # through u = x / |x|
@@ -697,8 +604,47 @@ def cosine_nce(a, c, tau):
     return loss, sims
 
 
+def softmax_cross_entropy(logits, targets):
+    """Mean categorical cross-entropy of logits z (N, C) against one-hot
+    targets y (N, C), as one tape node: -(1/N) sum_i y_i . log softmax(z_i).
+    The backward is (softmax(z) - y) / N."""
+    z = _as_tensor(logits)
+    y = np.asarray(targets, dtype=z.data.dtype)
+    n = z.shape[0]
+    logp = _log_probs(z.data)
+
+    def bwd(g):
+        # p*s - y*s rounds as the composed log-softmax chain did; (p - y)*s does not
+        s = g * (1.0 / n)
+        dz = np.exp(logp) * s
+        dz -= y * s
+        _accum(z, dz)
+
+    return _node((logp * y).sum() * (-1.0 / n), (z,), bwd)
+
+
+def bce_with_logits(logits, targets):
+    """Mean binary cross-entropy of logits z (N, L) against 0/1 targets y
+    (N, L), as one tape node: the mean over the N*L entries of
+    max(z, 0) - y z + log1p(exp(-|z|)), which is -log p for the target's
+    side of p = 1 / (1 + exp(-z)). The backward is (p - y) / (N L), which
+    stays exact where p rounds to 0 or 1."""
+    z = _as_tensor(logits)
+    x = z.data
+    y = np.asarray(targets, dtype=x.dtype)
+    s = 1.0 / x.size
+
+    def bwd(g):
+        dz = _logistic(x) - y
+        dz *= g * s
+        _accum(z, dz)
+
+    loss = (np.maximum(x, 0) - y * x + np.log1p(np.exp(-np.abs(x)))).sum() * s
+    return _node(loss, (z,), bwd)
+
+
 # ---------------------------------------------------------------------------
-# backward pass and gradient checking
+# backward pass
 
 def backward(loss):
     """Reverse-mode accumulation from a scalar loss to all tracked leaves."""
@@ -733,36 +679,3 @@ def collect_gradients(params):
 def zero_gradients(params):
     for p in params.values():
         p.grad = None
-
-
-def grad_check(fn, params, eps=1e-5, num_samples=8, rng=None):
-    """Max relative error between analytic and central-difference gradients.
-
-    `fn` maps a name->Tensor dict to a scalar Tensor. The check runs in
-    float64 regardless of the incoming dtype.
-    """
-    if rng is None:
-        rng = np.random.default_rng(0)
-    p64 = {k: Tensor(v.data.astype(np.float64), requires_grad=True, name=k)
-           for k, v in params.items()}
-    loss = fn(p64)
-    backward(loss)
-    analytic = collect_gradients(p64)
-
-    worst = 0.0
-    for name, t in p64.items():
-        flat = t.data.reshape(-1)
-        n = flat.size
-        coords = rng.choice(n, size=min(num_samples, n), replace=False)
-        for c in coords:
-            orig = flat[c]
-            flat[c] = orig + eps
-            lp = fn(p64).item()
-            flat[c] = orig - eps
-            lm = fn(p64).item()
-            flat[c] = orig
-            numeric = (lp - lm) / (2 * eps)
-            ana = analytic[name].reshape(-1)[c]
-            err = abs(ana - numeric) / max(1.0, abs(numeric))
-            worst = max(worst, err)
-    return worst

@@ -141,9 +141,11 @@ def _collect_rows(chunked_docs):
     """Every real chunk of a batch as encoder rows, in document order.
 
     Returns (ids (M, L), mask (M, L), chunk_mask (B, n)); the rows fill
-    the true slots of chunk_mask in row-major order."""
-    if not any(cd.chunk_mask.any() for cd in chunked_docs):
-        raise ValueError("embed_chunked_batch: no real chunks in batch")
+    the true slots of chunk_mask in row-major order. A document with no real
+    chunk is a ValueError that names it."""
+    for cd in chunked_docs:
+        if not cd.chunk_mask.any():
+            raise ValueError(f"document {cd.doc_id}: no token to embed")
     chunk_mask = np.stack([cd.chunk_mask for cd in chunked_docs])
     ids = np.concatenate([cd.chunks[cd.chunk_mask] for cd in chunked_docs])
     mask = np.concatenate([cd.token_mask[cd.chunk_mask] for cd in chunked_docs])

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from cpe import tensor as T
-from cpe.classifier import (ClassifierConfig, classification_loss, init_mlp,
-                            mlp_forward, mlp_logits, predict_batch,
-                            train_classifier)
+from cpe.classifier import (ClassifierConfig, classification_loss, init_mlp, mlp_logits,
+                            predict_batch, train_classifier)
+import oracle_ops as O
+from test_encoder import _tape_nodes
 
 
 def _zero_mlp(input_dim, num_labels):
@@ -15,34 +16,36 @@ def _zero_mlp(input_dim, num_labels):
 
 
 class TestMlpForward:
+    """The probabilities `predict_batch` computes from the head's logits."""
+
     def test_zero_params_multilabel_gives_half(self):
         params = _zero_mlp(5, 3)
-        probs = mlp_forward(T.constant(np.ones(5, dtype=np.float32)), params, "multilabel")
-        np.testing.assert_allclose(probs.data, [0.5, 0.5, 0.5])
+        _, probs = predict_batch(np.ones((1, 5), np.float32), params, "multilabel")
+        np.testing.assert_allclose(probs, [[0.5, 0.5, 0.5]])
 
     def test_zero_params_multiclass_uniform(self):
         params = _zero_mlp(5, 4)
-        probs = mlp_forward(T.constant(np.ones(5, dtype=np.float32)), params, "multiclass")
-        np.testing.assert_allclose(probs.data, [0.25] * 4)
+        _, probs = predict_batch(np.ones((1, 5), np.float32), params, "multiclass")
+        np.testing.assert_allclose(probs, [[0.25] * 4])
 
     @pytest.mark.parametrize("seed", range(20))
     def test_multiclass_normalizes(self, seed):
         rng = np.random.default_rng(seed)
         params = init_mlp(6, 5, (8, 8, 8), seed=seed)
-        x = T.constant(rng.standard_normal((7, 6)).astype(np.float32))
-        probs = mlp_forward(x, params, "multiclass").data
+        x = rng.standard_normal((7, 6)).astype(np.float32)
+        _, probs = predict_batch(x, params, "multiclass")
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-6)
         assert np.all(probs > 0)
 
     def test_multilabel_probs_in_open_interval(self):
         params = init_mlp(4, 3, (4, 4, 4), seed=1)
-        probs = mlp_forward(T.constant(np.ones((2, 4), np.float32)), params, "multilabel").data
+        _, probs = predict_batch(np.ones((2, 4), np.float32), params, "multilabel")
         assert np.all((probs > 0) & (probs < 1))
 
     def test_dim_mismatch_errors(self):
         params = init_mlp(4, 3, (4, 4, 4), seed=0)
         with pytest.raises(T.ShapeError):
-            mlp_forward(T.constant(np.ones((2, 9), np.float32)), params, "multiclass")
+            predict_batch(np.ones((2, 9), np.float32), params, "multiclass")
 
 
 class TestPredict:
@@ -55,10 +58,25 @@ class TestPredict:
     def test_predict_multilabel_against_forward(self):
         params = init_mlp(4, 3, (4, 4, 4), seed=3)
         x = np.random.default_rng(0).standard_normal((6, 4)).astype(np.float32)
-        want = mlp_forward(T.constant(x), params, "multilabel").data
+        logits = mlp_logits(T.constant(x), params).data.astype(np.float64)
         preds, probs = predict_batch(x, params, "multilabel", threshold=0.5)
+        np.testing.assert_allclose(probs, 1.0 / (1.0 + np.exp(-logits)), rtol=1e-6)
+        assert preds == [set(np.flatnonzero(row >= 0.5).tolist()) for row in probs]
+
+    def test_multiclass_probs_are_exp_log_softmax_bitwise(self):
+        # the head's probabilities as the composed exp(log_softmax(z)) gave
+        # them, bit for bit, so fixed-seed predictions do not move
+        params = init_mlp(4, 5, (4, 4, 4), seed=3)
+        x = np.random.default_rng(1).standard_normal((6, 4)).astype(np.float32)
+        want = O.exp(O.log_softmax(mlp_logits(T.constant(x), params))).data
+        _, probs = predict_batch(x, params, "multiclass")
+        assert probs.dtype == np.float32
         np.testing.assert_array_equal(probs, want)
-        assert preds == [set(np.flatnonzero(row >= 0.5).tolist()) for row in want]
+
+    def test_unknown_task_rejected(self):
+        params = init_mlp(4, 3, (4, 4, 4), seed=0)
+        with pytest.raises(ValueError, match="unknown task"):
+            predict_batch(np.ones((1, 4), np.float32), params, "ranking")
 
     def test_multiclass_tie_breaks_low_id(self):
         params = _zero_mlp(4, 2)  # all probabilities exactly 0.5
@@ -79,6 +97,49 @@ class TestPredict:
             assert preds[i] == predict_batch(row[None], params, "multilabel",
                                              threshold=0.4)[0][0]
         assert probs.shape == (6, 3)
+
+
+class TestLoss:
+    TARGETS = {"multiclass": np.eye(3, dtype=np.float32)[[0, 2, 1, 2, 0]],
+               "multilabel": np.array([[1, 0, 1], [0, 0, 0], [1, 1, 1], [0, 1, 0], [0, 0, 1]],
+                                      dtype=np.float32)}
+
+    @pytest.mark.parametrize("task", sorted(TARGETS))
+    def test_step_tape_is_the_head_and_one_loss_node(self, task):
+        # four linears, three tanhs and one loss node: the loss folds no chain
+        params = init_mlp(6, 3, (4, 4, 4), seed=0)
+        x = np.random.default_rng(0).standard_normal((5, 6)).astype(np.float32)
+        loss = classification_loss(mlp_logits(T.constant(x), params), self.TARGETS[task], task)
+        assert _tape_nodes(loss) == 4 + 3 + 1
+
+    @pytest.mark.parametrize("task", sorted(TARGETS))
+    def test_grad_check_through_the_head(self, task):
+        params = init_mlp(6, 3, (4, 4, 4), seed=1)
+        x = np.random.default_rng(1).standard_normal((5, 6))
+
+        def fn(p):
+            return classification_loss(mlp_logits(T.constant(x, np.float64), p),
+                                       self.TARGETS[task], task)
+
+        assert O.grad_check(fn, params, num_samples=6) < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_saturated_multilabel_logits_keep_their_gradient(self, dtype):
+        # |z| = 50 on the wrong side of its target: p rounds to 1 or 0, where
+        # a loss built as log(p + eps) on p has a zero gradient
+        z = np.array([[50.0, -50.0], [-50.0, 50.0]], dtype=dtype)
+        y = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=dtype)
+        t = T.parameter(z)
+        loss = classification_loss(t, y, "multilabel")
+        T.backward(loss)
+        want = (1.0 / (1.0 + np.exp(-z.astype(np.float64))) - y) / z.size
+        assert t.grad.dtype == dtype
+        np.testing.assert_allclose(t.grad, want, rtol=1e-6)
+        np.testing.assert_allclose(loss.data, 50.0, rtol=1e-6)
+
+    def test_unknown_task_rejected(self):
+        with pytest.raises(ValueError, match="unknown task"):
+            classification_loss(T.constant(np.zeros((1, 2))), np.zeros((1, 2)), "ranking")
 
 
 def _separable(n=60, dim=8, seed=0):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpe.checkpoint import load_checkpoint, save_checkpoint
 from cpe.cli import main
 from cpe.config import DEFAULTS, ConfigError, ExperimentConfig
 from test_checkpoint import set_zip_flag
@@ -387,6 +388,63 @@ class TestMissingArtifacts:
         assert err.startswith("error:") and err.count("\n") == 1
         assert f"{path}: line {n} " in err
         assert not (out / "checkpoint.bin").exists()
+
+    @pytest.mark.parametrize("edit", ["dim", "ff", "layers", "vocab_size", "drop-param"])
+    def test_checkpoint_echo_disagreeing_with_weights_rejected(self, tmp_path, capsys, edit):
+        # the echo says one model, the weights hold another
+        out = tmp_path / "x"
+        for s in STAGES[:2]:
+            assert _run(out, s) == 0
+        path = out / "checkpoint.bin"
+        params, meta, vocab = load_checkpoint(path)
+        if edit == "drop-param":
+            del params["layer0.ff2_b"]
+        else:
+            meta["encoder"][edit] *= 2
+        save_checkpoint(path, params, config=meta, vocab=vocab)
+        capsys.readouterr()
+        assert _run(out, "embed") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err
+        assert ("vocabulary" if edit == "vocab_size" else "parameter ") in err
+        assert not (out / "embeddings.tsv").exists()
+
+    def test_empty_document_at_embed_named(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        for s in STAGES[:2]:
+            assert _run(out, s) == 0
+        path = out / "corpus.jsonl"
+        path.write_text(path.read_text()
+                        + json.dumps({"id": "no-words", "text": "", "labels": [0]}) + "\n")
+        capsys.readouterr()
+        assert _run(out, "embed") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "document no-words" in err
+        assert not (out / "embeddings.tsv").exists()
+
+    @pytest.mark.parametrize("column,value", [(1, "x"), (2, "abc"), (2, "nan"), (2, None)],
+                             ids=["label", "value", "non-finite", "dropped-column"])
+    def test_bad_embeddings_row_names_path_and_line(self, tmp_path, capsys, column, value):
+        out = tmp_path / "x"
+        for s in STAGES[:3]:
+            assert _run(out, s) == 0
+        path = out / "embeddings.tsv"
+        lines = path.read_text().splitlines()
+        cells = lines[3].split("\t")
+        if value is None:
+            del cells[column]
+        else:
+            cells[column] = value
+        lines[3] = "\t".join(cells)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert _run(out, "train-clf") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert f"{path}: line 4" in err
+        assert not (out / "clf.bin").exists()
 
     def test_embed_transformer_pooling_rejected(self, tmp_path, capsys):
         # no stage trains an aggregator, so an embedding would come from random weights

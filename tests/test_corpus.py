@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 
 from cpe.corpus import (CLS_ID, PAD_ID, UNK_ID, CorpusError, Document, _doc_rng,
                         SyntheticSpec, build_vocab, chunk, encode_documents,
-                        gen_synthetic, load_jsonl, save_jsonl, tokenize,
-                        unchunk, Vocab)
+                        gen_synthetic, load_jsonl, save_jsonl, tokenize, Vocab)
 
 
 class TestVocab:
@@ -40,7 +39,7 @@ class TestVocab:
         v = build_vocab(["alpha beta gamma"], min_freq=1)
         path = tmp_path / "vocab.txt"
         v.save(path)
-        v2 = Vocab.load(path)
+        v2 = Vocab.from_tokens(path.read_text().splitlines())
         assert v._token_to_id == v2._token_to_id
 
 
@@ -66,6 +65,13 @@ def _doc(n_tokens):
     return Document(id="d", tokens=tuple(range(3, 3 + n_tokens)))
 
 
+def _unchunk(cd):
+    """The real tokens of a ChunkedDocument in order: `chunk`'s inverse up
+    to truncation."""
+    real = cd.chunk_mask
+    return cd.chunks[real][:, 1:][cd.token_mask[real][:, 1:]].tolist()
+
+
 class TestChunk:
     def test_partial_last_chunk(self):
         cd = chunk(_doc(300), chunk_len=128, n_chunks=32, max_tokens=4096)
@@ -77,7 +83,7 @@ class TestChunk:
         cd = chunk(_doc(5000), chunk_len=128, n_chunks=32, max_tokens=4096)
         assert cd.chunk_mask.sum() == 32
         assert cd.token_mask.sum() == 32 * 129  # all slots full
-        assert unchunk(cd) == list(range(3, 3 + 4096))
+        assert _unchunk(cd) == list(range(3, 3 + 4096))
 
     def test_short_doc_padding(self):
         cd = chunk(_doc(10), chunk_len=128, n_chunks=16, max_tokens=4096)
@@ -100,7 +106,7 @@ class TestChunk:
         doc = _doc(n_tokens)
         cd = chunk(doc, chunk_len, n_chunks, cap)
         truncated = list(doc.tokens)[:cap]
-        assert unchunk(cd) == truncated
+        assert _unchunk(cd) == truncated
         expected = min(n_chunks, -(-min(n_tokens, cap) // chunk_len))
         assert cd.chunk_mask.sum() == expected
 

