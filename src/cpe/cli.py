@@ -135,6 +135,27 @@ def _checkpoint_configs(path, params, meta, vocab):
     return ecfg, pcfg
 
 
+def _check_head(path, params, meta, dim):
+    """clf.bin's weights against its echo and the embeddings: the layers
+    h0..h3 that `classifier.mlp_logits` runs, each a weight and a bias as
+    wide as the weight's columns, from the embedding width to `num_labels`."""
+    names = {f"h{i}_{kind}" for i in range(4) for kind in "wb"}
+    for name in sorted(names ^ params.keys()):
+        state = "absent from" if name in names else "unexpected in"
+        raise CliError(f"{path}: parameter {name} is {state} the weights of a 4-layer head; "
+                       f"re-run 'train-clf'")
+    rows = dim
+    for i in range(4):
+        w = params[f"h{i}_w"].shape
+        cols = meta.get("num_labels") if i == 3 else (w[-1] if w else None)
+        for name, want in ((f"h{i}_w", (rows, cols)), (f"h{i}_b", (cols,))):
+            if params[name].shape != want:
+                raise CliError(f"{path}: parameter {name} is {params[name].shape} in the weights "
+                               f"but {want} for {dim}-wide embeddings and "
+                               f"{meta.get('num_labels')} labels; re-run 'train-clf'")
+        rows = cols
+
+
 def cmd_embed(cfg, args):
     out = _outdir(cfg)
     records = _load_records(cfg)
@@ -199,6 +220,7 @@ def cmd_eval(cfg, args):
     for m in wanted:
         if m == "f1":
             params, meta, _ = clf or load_checkpoint(_require(clf_path, "train-clf"))
+            _check_head(clf_path, params, meta, embs.shape[1])
             preds, _ = predict_batch(embs[test_idx], params, meta["task"],
                                      threshold=meta["threshold"])
             gold = [labels[i] for i in test_idx]

@@ -10,19 +10,23 @@ block; the dense and sparse paths differ only in the attention call.
 
 By default it returns every row's hidden state, which the sliding path's
 dense oracle and attention `capture` read. Every training and embedding
-path reads only the [CLS] row, through `encode_chunk`, which passes
-`cls_only`: the last block then still projects keys and values from every
-row, but runs its query, attention, feed-forward, dropouts and the final
-norm on row 0 alone.
+path reads only the [CLS] rows, through `encode_chunk` or `encode_packed`,
+which pass `cls_only`: the last block then still projects keys and values
+from every row, but runs its query, attention, feed-forward, dropouts and
+the final norm on the [CLS] rows alone.
 
 Every sliding config, whatever its window, takes the sparse path. It is
 banded and one fused `tensor.sliding_attention` node:
 per-token scores are computed only against the 2w+1 window and the global
 token set, never materializing an L x L score matrix. The window is read as
 2w+1 shifted slices of K and V zero-padded by w on the sequence axis, so
-keys are never gathered per row. The global tokens are the prefix of the
-sequence; their own rows attend densely. A dense pass on the same weights
-serves as its correctness oracle.
+keys are never gathered per row. The global tokens are the first positions
+of each segment; their own rows attend densely within it. A dense pass on
+the same weights serves as its correctness oracle.
+
+On the sliding path one row may hold several sequences end to end, one
+segment each (`seg_start`): `encode_packed` runs a batch of unpadded
+sequences as one such row, so the encoder computes no padding position.
 """
 
 from __future__ import annotations
@@ -115,19 +119,20 @@ def _linear(x, params, name):
     return T.linear(x, params[name + "_w"], params[name + "_b"])
 
 
-def _attend_sliding(q, k, v, key_mask, heads, window, g, capture=None):
+def _attend_sliding(q, k, v, key_mask, heads, window, g, capture=None, seg_start=None):
     """Banded attention (`T.sliding_attention`) over (B, L, D) q, k and v:
-    each row sees its 2w+1 window plus the global prefix {0..g-1}
-    (`EncoderConfig.validate`); global rows see everything.
+    each row sees its 2w+1 window plus the first g positions of its segment
+    (`EncoderConfig.validate`); global rows see their whole segment.
 
-    With `capture`, the layer's probabilities are appended in the band
-    layout: slot j of row i is key `band_idx[i, j]` (i+j-w clipped to the
-    sequence), `band_valid` marks the slots in range, on a readable key and
-    off the global keys, which have their own `global_probs` columns. The
-    global rows' dense probabilities are `global_row_probs`; their band and
-    global rows read 0."""
+    With `capture` (one segment per row), the layer's probabilities are
+    appended in the band layout: slot j of row i is key `band_idx[i, j]`
+    (i+j-w clipped to the sequence), `band_valid` marks the slots in range,
+    on a readable key and off the global keys, which have their own
+    `global_probs` columns. The global rows' dense probabilities are
+    `global_row_probs`; their band and global rows read 0."""
     probs = [] if capture is not None else None
-    ctx = T.sliding_attention(q, k, v, key_mask, heads, window, g, probs=probs)
+    ctx = T.sliding_attention(q, k, v, key_mask, heads, window, g, probs=probs,
+                              seg_start=seg_start)
     if capture is not None:
         p, row_probs = probs
         l, span = q.shape[1], 2 * window + 1
@@ -145,7 +150,7 @@ def _attend_sliding(q, k, v, key_mask, heads, window, g, capture=None):
 
 
 def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=None,
-                    cls_only=False):
+                    cls_only=False, seg_start=None):
     """Run the encoder over a batch; returns the (B, L, D) hidden states.
 
     `ids` is (B, L) int, `mask` is (B, L) bool (true for real tokens incl.
@@ -153,40 +158,65 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
     attention, then a ReLU feed-forward, each added back as a residual
     after dropout.
 
-    With `cls_only`, the last block computes the [CLS] row alone and the
-    result is (B, 1, D): its keys and values still come from every row, but
-    the query, the residual, the feed-forward, both dropouts and the final
-    norm are row 0's. [CLS] is a global row, so it reads every unmasked key
-    in one dense `tensor.attention` call on either path. The row equals row
-    0 of the full pass (up to float rounding); only the dropout draws
-    differ. `capture` needs every row, so the two do not combine.
+    On the sliding path a row may hold several sequences laid end to end,
+    each one segment: `seg_start` (L,) gives each position the first
+    position of its segment, and the default (None) is one segment per row.
+    Segments never read each other's keys (`tensor.sliding_attention`), and
+    positions restart at 0 in each segment: the position table is indexed,
+    and `max_positions` checked, by the position within the segment. The
+    first position of each segment is its [CLS].
+
+    With `cls_only`, the last block computes the [CLS] rows alone and the
+    result is (B, S, D) for S segments per row: its keys and values still
+    come from every row, but the query, the residual, the feed-forward, both
+    dropouts and the final norm are the [CLS] rows'. [CLS] is a global row,
+    so each reads every unmasked key of its own segment in one dense
+    `tensor.attention` call on either path. The rows equal the [CLS] rows
+    of the full pass (up to float rounding); only the dropout draws differ.
+    `capture` needs every row of one segment per row, so it combines with
+    neither.
     """
     ids = np.atleast_2d(np.asarray(ids))
     mask = np.atleast_2d(np.asarray(mask, dtype=bool))
     l = ids.shape[1]
-    if l > config.max_positions:
-        raise ValueError(f"sequence length {l} exceeds max positions {config.max_positions}")
+    pos = np.arange(l)
+    start = np.zeros(l, dtype=np.intp) if seg_start is None else np.asarray(seg_start)
+    if start.shape != (l,) or not np.all((start == pos) | (start == np.append(0, start[:-1]))):
+        raise ValueError(f"seg_start must give each of the {l} positions the first position "
+                         f"of its segment")
+    if seg_start is not None and config.attention != "sliding":
+        raise ValueError("segments need the sliding attention path")
+    local = pos - start
+    if l > 0 and local.max() >= config.max_positions:
+        raise ValueError(f"sequence length {local.max() + 1} exceeds max positions "
+                         f"{config.max_positions}")
     if train and rng is None:
         raise ValueError("train mode requires an rng for dropout")
-    if cls_only and capture is not None:
-        raise ValueError("capture records every row's attention; it cannot run with cls_only")
+    if capture is not None and (cls_only or seg_start is not None):
+        raise ValueError("capture records every row of one segment per row; it cannot run "
+                         "with cls_only or seg_start")
 
-    h = T.add(T.embedding(params["tok_emb"], ids), params["pos_emb"][:l])
+    h = T.add(T.embedding(params["tok_emb"], ids), T.embedding(params["pos_emb"], local))
     h = T.dropout(h, config.dropout, rng, train)
+    cls_rows = np.flatnonzero(local == 0)
+    # each [CLS] row of the cls_only block reads its own segment's keys
+    cls_mask = mask[:, None, :] & (start[cls_rows][:, None] == start)
 
     for i in range(config.layers):
         pre = f"layer{i}."
         last_cls = cls_only and i == config.layers - 1
         x = T.layer_norm(h, params[pre + "ln1_g"], params[pre + "ln1_b"])
-        q = _linear(x[:, :1] if last_cls else x, params, pre + "q")
+        q = _linear(x[:, cls_rows] if last_cls else x, params, pre + "q")
         k, v = (_linear(x, params, pre + name) for name in "kv")
-        if config.attention == "sliding" and not last_cls:
+        if last_cls:
+            ctx = T.attention(q, k, v, cls_mask, config.heads)
+            h = h[:, cls_rows]
+        elif config.attention == "sliding":
             ctx = _attend_sliding(q, k, v, mask, config.heads, config.window,
-                                  len(config.global_tokens), capture=capture)
+                                  len(config.global_tokens), capture=capture,
+                                  seg_start=seg_start)
         else:
             ctx = T.attention(q, k, v, mask, config.heads)
-        if last_cls:
-            h = h[:, :1]
         h = T.add(h, T.dropout(_linear(ctx, params, pre + "o"), config.dropout, rng, train))
         x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])
         f = _linear(T.relu(_linear(x, params, pre + "ff1")), params, pre + "ff2")
@@ -195,13 +225,26 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
 
 
 def encode_chunk(ids, mask, params, config, train=False, rng=None):
-    """[CLS] vectors, shape (B, D), for a batch of token sequences: chunks,
-    or whole documents on the sliding path.
+    """[CLS] vectors, shape (B, D), for a batch of padded token sequences,
+    one per row: chunks, or the positives of `cpe-long`.
 
     The last block runs on the [CLS] row only (`encoder_forward`'s
     `cls_only`), since no other row of it is read."""
     h = encoder_forward(ids, mask, params, config, train=train, rng=rng, cls_only=True)
     return h[:, 0, :]
+
+
+def encode_packed(seqs, params, config, train=False, rng=None):
+    """[CLS] vectors, shape (N, D), of N unpadded token sequences, each
+    starting with its [CLS], in one sliding-path encoder call: the sequences
+    are laid end to end in one row, one segment each, so no position is
+    padding (`encoder_forward`'s `seg_start`)."""
+    lengths = [len(s) for s in seqs]
+    ids = np.concatenate(seqs)[None]
+    seg_start = np.repeat(np.cumsum([0, *lengths[:-1]]), lengths)
+    h = encoder_forward(ids, np.ones(ids.shape, dtype=bool), params, config, train=train,
+                        rng=rng, cls_only=True, seg_start=seg_start)
+    return h[0]
 
 
 def pad_to_length(tokens, length, cls_prefix=True):

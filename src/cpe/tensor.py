@@ -7,8 +7,8 @@ topological order.
 
 Fused ops record one node with a closed-form backward pass: `linear`
 (x @ w + b over the last axis), `attention` (masked scaled dot-product
-attention), `sliding_attention` (a band of keys plus a global prefix, on
-the private band kernels) and the three losses: `cosine_nce` (the in-batch
+attention), `sliding_attention` (a band of keys plus the global tokens, on
+the private band kernels, over one or more segments per row) and the three losses: `cosine_nce` (the in-batch
 contrastive loss), `softmax_cross_entropy` (the multiclass head) and
 `bce_with_logits` (the multilabel head). The losses take the log softmax
 and the logistic from two private helpers, which the classifier's
@@ -207,7 +207,8 @@ def linear(x, w, b):
 
     x (..., D) (1-D allowed), w (D, F), b (F,) -> (..., F). The leading
     axes are flattened into one GEMM, so the weight gradient is a single
-    x2^T.g2 product rather than a batched one summed afterwards.
+    x2^T.g2 product rather than a batched one summed afterwards, and the
+    bias gradient one GEMV, not a strided column sum.
     """
     x, w, b = _as_tensor(x), _as_tensor(w, like=x), _as_tensor(b, like=x)
     if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
@@ -220,7 +221,7 @@ def linear(x, w, b):
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
         _accum(w, np.matmul(x2.T, g2))
-        _accum(b, g2.sum(axis=0))
+        _accum(b, np.matmul(np.ones(len(g2), dtype=g2.dtype), g2))
         _accum(x, np.matmul(g2, w.data.T).reshape(x.shape))
 
     return _node(out, (x, w, b), bwd)
@@ -394,8 +395,9 @@ def _masked_softmax_(s, invalid):
     where `invalid` (broadcast to s) is true get probability exactly 0, and a
     row with no valid entry is all zeros (no NaN). Returns s."""
     # an additive -inf mask: a broadcast add is several times faster than
-    # `np.copyto(..., where=)` with a broadcast mask
-    s += np.where(invalid, -np.inf, 0.0).astype(s.dtype)
+    # `np.copyto(..., where=)` with a broadcast mask, and looking the mask's
+    # bytes up in a two-entry table several times faster than `np.where`
+    s += np.array([0.0, -np.inf], dtype=s.dtype).take(invalid.view(np.uint8))
     mx = s.max(axis=-1, keepdims=True)
     mx[~np.isfinite(mx)] = 0.0
     s -= mx
@@ -425,7 +427,8 @@ def _merge_heads(x):  # (B, H, L, d) -> (B, L, H*d), a copy
 def attention(q, k, v, key_mask, heads, probs=None):
     """Masked multi-head scaled dot-product attention as one tape node.
 
-    q (B,Lq,D), k and v (B,Lk,D), key_mask (B,Lk) bool -> context (B,Lq,D),
+    q (B,Lq,D), k and v (B,Lk,D), key_mask (B,Lk) bool, the keys every query
+    may read, or (B,Lq,Lk), the keys each query may read -> context (B,Lq,D),
     over `heads` heads of d = D/heads. softmax(q.k^T / sqrt(d)) follows
     `_masked_softmax_`'s contract: masked keys get probability exactly 0,
     and a row with no readable key gets zero probabilities and a zero
@@ -436,7 +439,8 @@ def attention(q, k, v, key_mask, heads, probs=None):
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
     c = 1.0 / math.sqrt(qh.shape[-1])
     p = np.matmul(qh * c, np.swapaxes(kh, -1, -2))
-    _masked_softmax_(p, ~np.asarray(key_mask, dtype=bool)[:, None, None, :])
+    key_mask = np.asarray(key_mask, dtype=bool)
+    _masked_softmax_(p, ~(key_mask[:, None] if key_mask.ndim == 3 else key_mask[:, None, None, :]))
     if probs is not None:
         probs.append(p)
     out = _merge_heads(np.matmul(p, vh))
@@ -455,17 +459,31 @@ def attention(q, k, v, key_mask, heads, probs=None):
     return _node(out, (q, k, v), bwd)
 
 
-def sliding_attention(q, k, v, key_mask, heads, w, g, probs=None):
-    """Sliding-window attention with a global prefix {0..g-1}, as one tape node.
+def sliding_attention(q, k, v, key_mask, heads, w, g, probs=None, seg_start=None):
+    """Sliding-window attention with global tokens, as one tape node.
 
     q, k, v (B,L,D), key_mask (B,L) bool -> context (B,L,D), over `heads`
-    heads. Row i >= g reads keys i-w..i+w and the global keys; a global row
-    reads every key. Both softmaxes follow `attention`'s contract. Only the
+    heads. The sequence axis holds one or more segments, runs of positions
+    that never read each other's keys: `seg_start` (L,) gives each position
+    the first position of its segment, and the default (None) makes each
+    row one segment. The first g positions of a segment are its global
+    tokens; G is their number over the row (g per segment, fewer in a
+    segment shorter than g). Row i reads the keys i-w..i+w of its own
+    segment and its segment's global keys; a global row reads every key of
+    its segment. Both softmaxes follow `attention`'s contract. Only the
     probabilities are kept (and appended to `probs` when it is a list): a
     (B,H,L,2w+1+g) array whose slot j < 2w+1 is key i+j-w and whose last g
-    columns are the global keys, 0 past either end, on a masked key, on a
-    band slot of a global key and on the global rows; and the global rows'
-    dense (B,H,g,L) array.
+    columns are the segment's global keys, 0 outside the segment, on a
+    masked key, on a band slot of a global key and on the global rows; and
+    the global rows' dense (B,H,G,L) array.
+
+    Every row scores all G global keys in one matrix product and keeps its
+    segment's g; the global columns go back to (B,H,L,G) by key for the
+    products after the softmax. The global rows read their segment's keys
+    laid out per segment, (S, W) for S segments of at most W positions, so
+    their dense products are batched over segments and no global row
+    scores another segment's keys. With one segment per row both are the
+    plain products of a global prefix.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
@@ -473,49 +491,85 @@ def sliding_attention(q, k, v, key_mask, heads, w, g, probs=None):
     span = 2 * w + 1
     c = 1.0 / math.sqrt(d)
     key_mask = np.asarray(key_mask, dtype=bool)
-    kg, vg = kh[:, :, :g], vh[:, :, :g]
+    pos = np.arange(l)
+    start = np.zeros(l, dtype=np.intp) if seg_start is None else np.asarray(seg_start)
+    is_first = start == pos
+    first = np.flatnonzero(is_first)  # (S,)
+    size = np.diff(np.append(first, l))
+    real = np.arange(size.max()) < size[:, None]  # (S, W)
+    seg = np.where(real, first[:, None] + np.arange(real.shape[1]), first[:, None])
+    is_glob = real[:, :g]  # (S, min(g, W)): the global rows that exist
+    glob = seg[:, :g][is_glob]  # (G,) in position order
+    end = (first + size)[np.cumsum(is_first) - 1]  # (L,) one past each row's segment
+    # row i's t-th global key is glob[gcol[i, t]] while start[i] + t < end[i]
+    gok = start[:, None] + np.arange(g) < end[:, None]
+    gcol = np.where(gok, np.searchsorted(glob, start)[:, None] + np.arange(g), 0)
+    rows = pos[:, None]
+    ok_rows, ok_t = np.nonzero(gok)
+    kg, vg = kh[:, :, glob], vh[:, :, glob]
 
-    raw = np.arange(l)[:, None] + np.arange(-w, w + 1)  # (L, 2w+1): key of each slot
-    keys = np.concatenate([np.clip(raw, 0, l - 1), np.broadcast_to(np.arange(g), (l, g))], 1)
-    invalid = ~key_mask[:, None, keys]  # (B, 1, L, 2w+1+g)
-    invalid[..., :span] |= (raw < g) | (raw >= l)
-    invalid[:, :, :g] = True  # the global rows attend densely, in `pg`
+    def by_key(x):  # (B,H,L,g) global columns -> (B,H,L,G), zero off each row's segment
+        out = np.zeros(x.shape[:-1] + (len(glob),), dtype=x.dtype)
+        out[..., ok_rows, gcol[ok_rows, ok_t]] = x[..., ok_rows, ok_t]
+        return out
+
+    raw = pos[:, None] + np.arange(-w, w + 1)  # (L, 2w+1): key of each slot
+    keys = np.concatenate([np.clip(raw, 0, l - 1), glob[gcol]], 1)
+    invalid = ~np.take(key_mask, keys, axis=1)[:, None]  # (B, 1, L, 2w+1+g)
+    invalid[..., :span] |= (raw - start[:, None] < g) | (raw >= end[:, None])
+    invalid[..., span:] |= ~gok
+    invalid[:, :, glob] = True  # the global rows attend densely, in `pg`
     qs = qh * c  # forward only: the backward scales gq and gk instead
     p = np.empty(qh.shape[:-1] + (span + g,), dtype=qh.dtype)
     p[..., :span] = _band_dot(qs, kh, w)
-    p[..., span:] = np.matmul(qs, np.swapaxes(kg, -1, -2))
+    p[..., span:] = np.matmul(qs, np.swapaxes(kg, -1, -2))[..., rows, gcol]
     _masked_softmax_(p, invalid)
-    pg = np.matmul(qs[:, :, :g], np.swapaxes(kh, -1, -2))
-    _masked_softmax_(pg, ~key_mask[:, None, None, :])
+    p_glob = by_key(p[..., span:])
+    ks, vs = kh[:, :, seg], vh[:, :, seg]  # (B,H,S,W,d)
+    pg = np.matmul(qs[:, :, seg[:, :g]], np.swapaxes(ks, -1, -2))  # (B,H,S,g,W)
+    _masked_softmax_(pg, ~(key_mask[:, seg] & real)[:, None, :, None, :])
     if probs is not None:
-        probs += [p, pg]
+        glob_seg = np.nonzero(is_glob)[0]
+        probs += [p, _dense_rows(pg[:, :, is_glob], seg[glob_seg], real[glob_seg], l)]
     out = _band_mix(p[..., :span], vh, w)
-    out += np.matmul(p[..., span:], vg)
-    out[:, :, :g] = np.matmul(pg, vh)
+    out += np.matmul(p_glob, vg)
+    out[:, :, glob] = np.matmul(pg, vs)[:, :, is_glob]
 
     def bwd(grad):
         gr = _split_heads(grad, heads)
+        gr_glob = np.zeros(pg.shape[:-1] + (d,), dtype=grad.dtype)  # (B,H,S,g,d)
+        gr_glob[:, :, is_glob] = gr[:, :, glob]
         gv = _band_mix(_band_transpose(p[..., :span], w), gr, w)
-        gv[:, :, :g] += np.matmul(np.swapaxes(p[..., span:], -1, -2), gr)
-        gv += np.matmul(np.swapaxes(pg, -1, -2), gr[:, :, :g])
+        gv[:, :, glob] += np.matmul(np.swapaxes(p_glob, -1, -2), gr)
+        gv += np.matmul(np.swapaxes(pg, -1, -2), gr_glob)[:, :, real]
         ds = np.empty_like(p)
         ds[..., :span] = _band_dot(gr, vh, w)
-        ds[..., span:] = np.matmul(gr, np.swapaxes(vg, -1, -2))
+        ds[..., span:] = np.matmul(gr, np.swapaxes(vg, -1, -2))[..., rows, gcol]
         _softmax_grad(p, ds)
-        dsg = _softmax_grad(pg, np.matmul(gr[:, :, :g], np.swapaxes(vh, -1, -2)))
+        ds_glob = by_key(ds[..., span:])
+        dsg = _softmax_grad(pg, np.matmul(gr_glob, np.swapaxes(vs, -1, -2)))
         gq = _band_mix(ds[..., :span], kh, w)
-        gq += np.matmul(ds[..., span:], kg)
-        gq[:, :, :g] += np.matmul(dsg, kh)
+        gq += np.matmul(ds_glob, kg)
+        gq[:, :, glob] += np.matmul(dsg, ks)[:, :, is_glob]
         gq *= c
         gk = _band_mix(_band_transpose(ds[..., :span], w), qh, w)
-        gk[:, :, :g] += np.matmul(np.swapaxes(ds[..., span:], -1, -2), qh)
-        gk += np.matmul(np.swapaxes(dsg, -1, -2), qh[:, :, :g])
+        gk[:, :, glob] += np.matmul(np.swapaxes(ds_glob, -1, -2), qh)
+        gk += np.matmul(np.swapaxes(dsg, -1, -2), qh[:, :, seg[:, :g]])[:, :, real]
         gk *= c
         _accum(q, _merge_heads(gq))
         _accum(k, _merge_heads(gk))
         _accum(v, _merge_heads(gv))
 
     return _node(_merge_heads(out), (q, k, v), bwd)
+
+
+def _dense_rows(rows, seg, real, l):
+    """Per-segment probabilities rows (B,H,G,W) over the positions seg (G,W),
+    of which `real` are in the segment, as dense rows (B,H,G,L)."""
+    dense = np.zeros(rows.shape[:-1] + (l,), dtype=rows.dtype)
+    r, j = np.nonzero(real)
+    dense[:, :, r, seg[r, j]] = rows[:, :, r, j]
+    return dense
 
 
 def layer_norm(a, gamma, beta, eps=1e-5):

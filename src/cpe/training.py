@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .corpus import Document, chunk
-from .encoder import EncoderConfig, encode_chunk, init_params, pad_to_length
+from .corpus import CLS_ID, Document, chunk
+from .encoder import EncoderConfig, encode_chunk, encode_packed, init_params, pad_to_length
 from .optim import AdamWConfig, AdamWState, adamw_step
 from .pooling import POOLERS
 
@@ -177,9 +177,12 @@ def forward_cpe_hier(pairs, params, config, pooling="max", train=False, rng=None
 
 
 def forward_cpe_long(pairs, params, config, train=False, rng=None):
-    ref_ids = np.stack([p.anchor[0] for p in pairs])
-    ref_mask = np.stack([p.anchor[1] for p in pairs])
-    anchors = encode_chunk(ref_ids, ref_mask, params, config, train=train, rng=rng)
+    """Two encoder passes. The anchors' reference texts, stripped of their
+    padding, are packed end to end into one row (`encode_packed`), so the
+    sliding pass computes no padding position; the positives, all
+    chunk_len + 1 wide, are one row each."""
+    anchors = encode_packed([ids[mask] for ids, mask in (p.anchor for p in pairs)],
+                            params, config, train=train, rng=rng)
     return anchors, encode_chunk(np.stack([p.positive_ids for p in pairs]),
                                  np.stack([p.positive_mask for p in pairs]),
                                  params, config, train=train, rng=rng)
@@ -317,15 +320,20 @@ def pretrain(docs, encoder_config, cfg, log=None):
 
 def embed_documents(docs, params, encoder_config, pooling="max", *, chunk_len, n_chunks,
                     max_tokens, batch_size=32):
-    """Eval-mode document embeddings, (B, D) numpy array."""
+    """Eval-mode document embeddings, (B, D) numpy array.
+
+    On the sliding path each document is [CLS] plus its tokens, cut at
+    `max_positions`, unpadded; each group of `batch_size` documents is one
+    packed encoder call (`encode_packed`). `batch_size` only groups the
+    documents into calls: a document's embedding does not depend on it, nor
+    on the other documents, up to float rounding. The hierarchical path
+    encodes each group's real chunks as one batch."""
     out = []
     if encoder_config.attention == "sliding":
         for lo in range(0, len(docs), batch_size):
-            group = docs[lo:lo + batch_size]
-            ids, masks = zip(*(pad_to_length(d.tokens, encoder_config.max_positions)
-                               for d in group))
-            out.append(encode_chunk(np.stack(ids), np.stack(masks), params,
-                                    encoder_config).data)
+            seqs = [np.array([CLS_ID, *d.tokens][:encoder_config.max_positions])
+                    for d in docs[lo:lo + batch_size]]
+            out.append(encode_packed(seqs, params, encoder_config).data)
         return np.concatenate(out, axis=0)
     for lo in range(0, len(docs), batch_size):
         group = docs[lo:lo + batch_size]

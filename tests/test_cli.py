@@ -410,6 +410,29 @@ class TestMissingArtifacts:
         assert ("vocabulary" if edit == "vocab_size" else "parameter ") in err
         assert not (out / "embeddings.tsv").exists()
 
+    @pytest.mark.parametrize("edit", ["num-labels", "drop-h3_b"])
+    def test_classifier_weights_disagreeing_with_echo_rejected(self, tmp_path, capsys, edit):
+        # an echo of 2 labels over a 4-wide output layer, and a head without
+        # its last bias: both used to end in an IndexError traceback
+        out, four = tmp_path / "x", ["synthetic.num_topics=4"]
+        for s in STAGES[:4]:
+            assert _run(out, s, extra=four) == 0
+        path = out / "clf.bin"
+        params, meta, _ = load_checkpoint(path)
+        if edit == "num-labels":
+            assert params["h3_w"].shape[1] == 4
+            meta["num_labels"] = 2
+        else:
+            del params["h3_b"]
+        save_checkpoint(path, params, config=meta)
+        capsys.readouterr()
+        assert _run(out, "eval", "--metrics", "f1", extra=four) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err
+        assert ("parameter h3_w" if edit == "num-labels" else "parameter h3_b") in err
+        assert not (out / "metrics.txt").exists()
+
     def test_empty_document_at_embed_named(self, tmp_path, capsys):
         out = tmp_path / "x"
         for s in STAGES[:2]:

@@ -4,7 +4,8 @@ import pytest
 from cpe import encoder
 from cpe import tensor as T
 from cpe.corpus import CLS_ID, PAD_ID
-from cpe.encoder import EncoderConfig, encode_chunk, encoder_forward, init_params, pad_to_length
+from cpe.encoder import (EncoderConfig, encode_chunk, encode_packed, encoder_forward, init_params,
+                         pad_to_length)
 import oracle_ops as O
 from test_tensor import _band_global_mask
 
@@ -179,12 +180,13 @@ class TestSparseEncoder:
                             rng=np.random.default_rng(0)) < 1e-4
 
 
-def _dense_attend_sliding(q, k, v, key_mask, heads, window, g, capture=None):
+def _dense_attend_sliding(q, k, v, key_mask, heads, window, g, capture=None, seg_start=None):
     """Sliding attention as dense attention: each row is its own batch entry
-    of `T.attention`, reading all L keys under its band+global key mask."""
+    of `T.attention`, reading all L keys under its band+global key mask,
+    which is block-diagonal over the segments of `seg_start`."""
     b, l, d = q.shape
     rows = np.repeat(np.arange(b), l)
-    allowed = _band_global_mask(key_mask, window, g).reshape(b * l, l)
+    allowed = _band_global_mask(key_mask, window, g, seg_start).reshape(b * l, l)
     ctx = T.attention(O.reshape(q, (b * l, 1, d)), T.index_select(k, 0, rows),
                       T.index_select(v, 0, rows), allowed, heads)
     return O.reshape(ctx, (b, l, d))
@@ -213,6 +215,99 @@ def test_sliding_encoder_matches_dense_reference(monkeypatch, global_tokens, dty
     np.testing.assert_allclose(new_h, old_h, rtol=tol, atol=tol)
     for name in new_g:
         np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol, err_msg=name)
+
+
+# sequence lengths, [CLS] included: one shorter than g = 3 and one shorter than
+# the window of 4, then longer ones
+PACKED_LENGTHS = [2, 3, 11, 20, 7]
+
+
+def _segment_start(lengths):
+    return np.repeat(np.cumsum([0, *lengths[:-1]]), lengths)
+
+
+@pytest.mark.parametrize("global_tokens", [(0,), (0, 1, 2)])
+@pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
+def test_packed_cls_rows_match_each_sequence_alone(global_tokens, dtype, tol):
+    # one packed pass against each sequence alone, padded to max_positions:
+    # the [CLS] rows and every parameter's gradient
+    cfg = EncoderConfig(**vars(SLIDING))
+    cfg.window, cfg.global_tokens = 4, global_tokens
+    rng = np.random.default_rng(len(global_tokens))
+    seqs = [np.array([CLS_ID, *rng.integers(3, cfg.vocab_size, n - 1)]) for n in PACKED_LENGTHS]
+    r = rng.standard_normal((len(seqs), cfg.dim)).astype(dtype)
+
+    def run(packed):
+        params = {n: T.parameter(p.data.astype(dtype)) for n, p in init_params(cfg, 4).items()}
+        if packed:
+            cls = encode_packed(seqs, params, cfg)
+            loss = T.sum_(O.mul(cls, r))
+        else:
+            rows = [encode_chunk(*pad_to_length(s[1:], cfg.max_positions), params, cfg)
+                    for s in seqs]
+            cls = np.concatenate([row.data for row in rows])
+            loss = T.sum_(O.mul(rows[0], r[:1]))
+            for i, row in enumerate(rows[1:], 1):
+                loss = T.add(loss, T.sum_(O.mul(row, r[i:i + 1])))
+        T.backward(loss)
+        return getattr(cls, "data", cls), {n: p.grad for n, p in params.items()}
+
+    packed, packed_g = run(True)
+    alone, alone_g = run(False)
+    assert packed.dtype == dtype
+    np.testing.assert_allclose(packed, alone, rtol=tol, atol=tol)
+    for name in alone_g:
+        np.testing.assert_allclose(packed_g[name], alone_g[name], rtol=tol, atol=tol,
+                                   err_msg=name)
+
+
+@pytest.mark.parametrize("g", [1, 3])
+def test_sliding_attention_segments_match_block_diagonal_dense(g):
+    # float64: the fused op with segments against dense attention under the
+    # block-diagonal band+global mask, outputs and gradients; and the fused
+    # op's gradient against central differences
+    l, heads, w = sum(PACKED_LENGTHS), 2, 4
+    seg_start = _segment_start(PACKED_LENGTHS)
+    rng = np.random.default_rng(g)
+    data = {n: rng.standard_normal((2, l, 6)) for n in ("q", "k", "v")}
+    mask = np.ones((2, l), dtype=bool)
+    mask[1, [4, 9, 20]] = False  # masked keys in the band, and a global key of a segment
+    r = rng.standard_normal((2, l, 6))
+
+    def run(attend):
+        t = {n: T.parameter(x.copy()) for n, x in data.items()}
+        ctx = attend(t["q"], t["k"], t["v"], mask, heads, w, g, seg_start=seg_start)
+        T.backward(T.sum_(O.mul(ctx, r)))
+        return ctx.data, {n: x.grad for n, x in t.items()}
+
+    fused, fused_g = run(T.sliding_attention)
+    dense, dense_g = run(_dense_attend_sliding)
+    np.testing.assert_allclose(fused, dense, rtol=1e-12, atol=1e-12)
+    for name in dense_g:
+        np.testing.assert_allclose(fused_g[name], dense_g[name], rtol=1e-12, atol=1e-12,
+                                   err_msg=name)
+
+    def fn(p):
+        ctx = T.sliding_attention(p["q"], p["k"], p["v"], mask, heads, w, g, seg_start=seg_start)
+        return T.sum_(O.mul(ctx, r))
+
+    params = {n: T.parameter(x) for n, x in data.items()}
+    assert O.grad_check(fn, params, num_samples=40) < 1e-7
+
+
+def test_segment_positions_restart_and_bound():
+    cfg = EncoderConfig(**vars(SLIDING))
+    params = init_params(cfg, 0)
+    seqs = [np.full(n, CLS_ID) for n in (cfg.max_positions, 5)]  # each fits alone
+    assert encode_packed(seqs, params, cfg).shape == (2, cfg.dim)
+    with pytest.raises(ValueError, match="max positions"):
+        encode_packed([np.full(cfg.max_positions + 1, CLS_ID)], params, cfg)
+    ids = np.full((1, 6), CLS_ID)
+    with pytest.raises(ValueError, match="seg_start"):
+        encoder_forward(ids, np.ones((1, 6), bool), params, cfg, seg_start=[0, 0, 2, 0, 4, 4])
+    with pytest.raises(ValueError, match="sliding"):
+        encoder_forward(ids, np.ones((1, 6), bool), init_params(DENSE, 0), DENSE,
+                        seg_start=[0, 0, 0, 3, 3, 3])
 
 
 def _tape_nodes(out):

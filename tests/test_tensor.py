@@ -346,11 +346,15 @@ def _dense_reference(q, k, v, allowed, heads):
     return O.reshape(ctx, (b, lq, d)), np.moveaxis(probs.data, 3, 1)
 
 
-def _band_global_mask(key_mask, w, g):
+def _band_global_mask(key_mask, w, g, seg_start=None):
     """(B, L, L) keys that `sliding_attention` lets each row read: its band,
-    the global prefix [:g], and every key for the global rows."""
-    i, j = np.arange(key_mask.shape[1])[:, None], np.arange(key_mask.shape[1])[None, :]
-    return ((np.abs(i - j) <= w) | (i < g) | (j < g))[None] & key_mask[:, None, :]
+    its segment's first g keys, and every key for the global rows, all
+    within the row's segment (by default, one segment per row)."""
+    l = key_mask.shape[1]
+    start = np.zeros(l, dtype=int) if seg_start is None else np.asarray(seg_start)
+    i, j = np.arange(l)[:, None], np.arange(l)[None, :]
+    near = (np.abs(i - j) <= w) | (i - start[:, None] < g) | (j - start[None, :] < g)
+    return (near & (start[:, None] == start[None, :]))[None] & key_mask[:, None, :]
 
 
 def _band_to_dense(p, pg, w):

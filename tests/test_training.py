@@ -273,7 +273,8 @@ class TestForwards:
 class TestClsOnlyForwards:
     """Every forward the CLI reaches runs the last block on [CLS] alone: with
     two layers, each encoder pass is one attention call over every row and
-    then one whose query is the single [CLS] row."""
+    then one whose queries are the [CLS] rows, one per sequence: a single
+    row per padded sequence, and in a packed pass as many as it packs."""
 
     LONG = EncoderConfig(vocab_size=30, dim=8, layers=2, heads=2, ff=16,
                          max_positions=40, dropout=0.1, attention="sliding", window=3)
@@ -291,9 +292,9 @@ class TestClsOnlyForwards:
             monkeypatch.setattr(T, name, record(getattr(T, name)))
         return rows
 
-    def _assert_cls_only(self, rows, passes):
+    def _assert_cls_only(self, rows, passes, last_rows=None):
         assert len(rows) == 2 * passes and all(n > 1 for n in rows[::2]), rows
-        assert rows[1::2] == [1] * passes, rows
+        assert rows[1::2] == (last_rows or [1] * passes), rows
 
     def _docs(self, n=4):
         return [_doc(32, seed=i, doc_id=str(i)) for i in range(n)]
@@ -311,7 +312,7 @@ class TestClsOnlyForwards:
                  for i in range(3)]
         rows = self._query_rows(monkeypatch)
         forward_cpe_long(pairs, init_params(self.LONG, 0), self.LONG, train=True, rng=rng)
-        self._assert_cls_only(rows, 2)
+        self._assert_cls_only(rows, 2, [3, 1])  # the 3 packed anchors, then 1 per positive
 
     def test_embed_chunked_batch(self, monkeypatch):
         cfg = EncoderConfig(**{**vars(CFG), "layers": 2})
@@ -327,7 +328,58 @@ class TestClsOnlyForwards:
         embs = embed_documents(self._docs(5), init_params(cfg, 0), cfg, chunk_len=8,
                                n_chunks=4, max_tokens=32, batch_size=2)
         assert embs.shape == (5, cfg.dim)
-        self._assert_cls_only(rows, 3)
+        self._assert_cls_only(rows, 3, [2, 2, 1] if sliding else None)  # packed in twos
+
+
+class TestPackedSlidingPasses:
+    """`cpe-long` packs each sliding encoder call end to end: the sliding pass
+    sees one row of the real tokens and [CLS] of every sequence, never B
+    rows of `max_positions`."""
+
+    LONG = TestClsOnlyForwards.LONG  # max_positions 40
+    LENGTHS = (5, 50, 12, 39, 80)  # two cut at max_positions
+
+    def _sliding_rows(self, monkeypatch):
+        rows, original = [], T.sliding_attention
+
+        def wrapped(q, *args, **kwargs):
+            rows.append(q.shape[:2])
+            return original(q, *args, **kwargs)
+
+        monkeypatch.setattr(T, "sliding_attention", wrapped)
+        return rows
+
+    def _docs(self):
+        return [_doc(n, seed=i, doc_id=str(i)) for i, n in enumerate(self.LENGTHS)]
+
+    def _embed(self, docs, params, batch_size):
+        return embed_documents(docs, params, self.LONG, chunk_len=8, n_chunks=4, max_tokens=32,
+                               batch_size=batch_size)
+
+    def test_forward_cpe_long_computes_no_padding(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        pairs = [sample_pair_long(d, 4, self.LONG.max_positions, rng) for d in self._docs()]
+        rows = self._sliding_rows(monkeypatch)
+        forward_cpe_long(pairs, init_params(self.LONG, 0), self.LONG, train=True, rng=rng)
+        real = sum(int(p.anchor[1].sum()) for p in pairs)  # tokens and [CLS], cut at 40
+        assert real < len(pairs) * self.LONG.max_positions
+        assert rows == [(1, real), (len(pairs), 5)]  # the packed anchors, then the positives
+
+    def test_embed_documents_computes_no_padding(self, monkeypatch):
+        rows = self._sliding_rows(monkeypatch)
+        self._embed(self._docs(), init_params(self.LONG, 0), batch_size=2)
+        cut = [min(n + 1, self.LONG.max_positions) for n in self.LENGTHS]
+        assert rows == [(1, cut[0] + cut[1]), (1, cut[2] + cut[3]), (1, cut[4])]
+
+    def test_embed_documents_independent_of_batch_size_and_order(self):
+        docs, params = self._docs(), init_params(self.LONG, 0)
+        base = self._embed(docs, params, batch_size=len(docs))
+        for batch_size in (1, 2, 3):
+            np.testing.assert_allclose(self._embed(docs, params, batch_size), base,
+                                       rtol=0, atol=1e-6)
+        order = np.random.default_rng(0).permutation(len(docs))
+        np.testing.assert_allclose(self._embed([docs[i] for i in order], params, 2), base[order],
+                                   rtol=0, atol=1e-6)
 
 
 def _tiny_corpus(n=24, length=40):
