@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoder import _trunc_normal
+from .encoder import _build
 from .optim import AdamWConfig, AdamWState, adamw_step
 
 
@@ -32,16 +32,22 @@ class ClassifierConfig:
             raise ValueError(f"classifier.hidden must be three widths >= 1, got {self.hidden}")
 
 
-def init_mlp(input_dim, num_labels, hidden=(64, 64, 64), seed=0):
-    rng = np.random.default_rng(seed)
-    params = {}
+def param_specs(input_dim, num_labels, hidden):
+    """Name -> (shape, fill) of every head parameter, in creation order: what
+    a `clf.bin` of a head over `input_dim`-wide embeddings holds. Layer i is
+    h{i}_w (truncated normal) and h{i}_b (zeros), from `input_dim` through
+    the `hidden` widths to `num_labels`."""
     dims = [input_dim, *hidden, num_labels]
+    specs = {}
     for i in range(len(dims) - 1):
-        params[f"h{i}_w"] = T.parameter(_trunc_normal(rng, (dims[i], dims[i + 1])),
-                                        name=f"h{i}_w")
-        params[f"h{i}_b"] = T.parameter(np.zeros(dims[i + 1], dtype=np.float32),
-                                        name=f"h{i}_b")
-    return params
+        specs[f"h{i}_w"] = ((dims[i], dims[i + 1]), "normal")
+        specs[f"h{i}_b"] = ((dims[i + 1],), "zeros")
+    return specs
+
+
+def init_mlp(input_dim, num_labels, hidden, seed):
+    """The parameters of `param_specs(input_dim, num_labels, hidden)`."""
+    return _build(param_specs(input_dim, num_labels, hidden), seed)
 
 
 def mlp_logits(x, params):

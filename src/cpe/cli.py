@@ -13,6 +13,7 @@ import sys
 
 import numpy as np
 
+from . import classifier
 from . import corpus as C
 from . import metrics as M
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -112,6 +113,17 @@ def cmd_pretrain(cfg, args):
     return 0
 
 
+def _check_weights(path, params, specs, echo, stage):
+    """Every parameter's name and shape in the weights against `specs`, in
+    their creation order, then any parameter the specs lack."""
+    for name in [*specs, *sorted(params.keys() - specs.keys())]:
+        got = params[name].shape if name in params else "absent"
+        want = specs[name][0] if name in specs else "absent"
+        if got != want:
+            raise CliError(f"{path}: parameter {name} is {got} in the weights but {want} "
+                           f"in {echo}; re-run '{stage}'")
+
+
 def _checkpoint_configs(path, params, meta, vocab):
     """The encoder and pretrain configs a checkpoint was trained with, checked
     against its vocabulary and every parameter's name and shape."""
@@ -125,35 +137,19 @@ def _checkpoint_configs(path, params, meta, vocab):
     if vocab is None or vocab.size != ecfg.vocab_size:
         raise CliError(f"{path}: the vocabulary has {0 if vocab is None else vocab.size} tokens, "
                        f"the encoder echo {ecfg.vocab_size}; re-run 'pretrain'")
-    want = param_specs(ecfg)
-    for name in sorted(want.keys() | params.keys()):
-        got = params[name].shape if name in params else "absent"
-        echo = want[name][0] if name in want else "absent"
-        if got != echo:
-            raise CliError(f"{path}: parameter {name} is {got} in the weights but {echo} "
-                           f"in the encoder echo; re-run 'pretrain'")
+    _check_weights(path, params, param_specs(ecfg), "the encoder echo", "pretrain")
     return ecfg, pcfg
 
 
 def _check_head(path, params, meta, dim):
-    """clf.bin's weights against its echo and the embeddings: the layers
-    h0..h3 that `classifier.mlp_logits` runs, each a weight and a bias as
-    wide as the weight's columns, from the embedding width to `num_labels`."""
-    names = {f"h{i}_{kind}" for i in range(4) for kind in "wb"}
-    for name in sorted(names ^ params.keys()):
-        state = "absent from" if name in names else "unexpected in"
-        raise CliError(f"{path}: parameter {name} is {state} the weights of a 4-layer head; "
+    """clf.bin's weights against the head its echo describes over
+    `dim`-wide embeddings (`classifier.param_specs`)."""
+    try:
+        specs = classifier.param_specs(dim, meta["num_labels"], tuple(meta["hidden"]))
+    except (KeyError, TypeError) as e:
+        raise CliError(f"{path}: classifier does not describe its head ({e}); "
                        f"re-run 'train-clf'")
-    rows = dim
-    for i in range(4):
-        w = params[f"h{i}_w"].shape
-        cols = meta.get("num_labels") if i == 3 else (w[-1] if w else None)
-        for name, want in ((f"h{i}_w", (rows, cols)), (f"h{i}_b", (cols,))):
-            if params[name].shape != want:
-                raise CliError(f"{path}: parameter {name} is {params[name].shape} in the weights "
-                               f"but {want} for {dim}-wide embeddings and "
-                               f"{meta.get('num_labels')} labels; re-run 'train-clf'")
-        rows = cols
+    _check_weights(path, params, specs, f"the echo for {dim}-wide embeddings", "train-clf")
 
 
 def cmd_embed(cfg, args):
@@ -196,7 +192,7 @@ def cmd_train_clf(cfg, args):
                               num_labels, task, ccfg)
     save_checkpoint(os.path.join(out, "clf.bin"), params,
                     config={"task": task, "num_labels": num_labels,
-                            "threshold": ccfg.threshold,
+                            "hidden": list(ccfg.hidden), "threshold": ccfg.threshold,
                             "seed": seed, "train_frac": frac, "num_docs": len(embs)})
     print(f"trained {task} classifier on {len(train_idx)} docs; clf.bin written")
     return 0

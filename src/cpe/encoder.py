@@ -17,12 +17,12 @@ the final norm on the [CLS] rows alone.
 
 Every sliding config, whatever its window, takes the sparse path. It is
 banded and one fused `tensor.sliding_attention` node:
-per-token scores are computed only against the 2w+1 window and the global
-token set, never materializing an L x L score matrix. The window is read as
-2w+1 shifted slices of K and V zero-padded by w on the sequence axis, so
-keys are never gathered per row. The global tokens are the first positions
-of each segment; their own rows attend densely within it. A dense pass on
-the same weights serves as its correctness oracle.
+per-token scores are computed only against the 2w+1 window and the [CLS]
+key, the one global token, never materializing an L x L score matrix. The
+window is read as 2w+1 shifted slices of K and V zero-padded by w on the
+sequence axis, so keys are never gathered per row. The [CLS] of each
+segment is its first position; its own row attends densely within the
+segment. A dense pass on the same weights serves as its correctness oracle.
 
 On the sliding path one row may hold several sequences end to end, one
 segment each (`seg_start`): `encode_packed` runs a batch of unpadded
@@ -36,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .corpus import CLS_ID, PAD_ID
 
 
 @dataclass
@@ -50,7 +49,7 @@ class EncoderConfig:
     dropout: float = 0.1
     attention: str = "dense"  # dense | sliding
     window: int = 16
-    global_tokens: tuple = (0,)
+    global_tokens: tuple = (0,)  # the [CLS] position, the one global token
 
     def validate(self):
         for name in ("dim", "heads", "layers", "ff"):
@@ -63,12 +62,11 @@ class EncoderConfig:
             raise ValueError(f"encoder.heads {self.heads} does not divide encoder.dim {self.dim}")
         if self.attention not in ("dense", "sliding"):
             raise ValueError(f"unknown encoder.attention '{self.attention}'")
-        if self.attention == "sliding":
-            if self.window < 1:
-                raise ValueError(f"encoder.window must be >= 1, got {self.window}")
-            g = tuple(sorted(self.global_tokens))
-            if g != tuple(range(len(g))) or 0 not in g:
-                raise ValueError("global tokens must be a prefix {0..G-1} including CLS")
+        if self.attention == "sliding" and self.window < 1:
+            raise ValueError(f"encoder.window must be >= 1, got {self.window}")
+        if tuple(self.global_tokens) != (0,):
+            raise ValueError(f"encoder.global_tokens must be (0,), the [CLS] position alone, "
+                             f"got {self.global_tokens}")
 
 
 def _trunc_normal(rng, shape, std=0.02):
@@ -103,35 +101,43 @@ def param_specs(config):
     return specs
 
 
-def init_params(config, seed):
-    """The parameters of `param_specs(config)`: truncated-normal weights
-    (std 0.02), layer-norm scale 1 / shift 0."""
-    config.validate()
+def _build(specs, seed):
+    """The parameters of a name -> (shape, fill) map, filled in its order
+    from one seeded generator: truncated-normal weights (std 0.02), zeros
+    or ones."""
     rng = np.random.default_rng(seed)
     fills = {"normal": lambda shape: _trunc_normal(rng, shape),
              "zeros": lambda shape: np.zeros(shape, dtype=np.float32),
              "ones": lambda shape: np.ones(shape, dtype=np.float32)}
     return {name: T.parameter(fills[fill](shape), name=name)
-            for name, (shape, fill) in param_specs(config).items()}
+            for name, (shape, fill) in specs.items()}
+
+
+def init_params(config, seed):
+    """The parameters of `param_specs(config)`: truncated-normal weights
+    (std 0.02), layer-norm scale 1 / shift 0."""
+    config.validate()
+    return _build(param_specs(config), seed)
 
 
 def _linear(x, params, name):
     return T.linear(x, params[name + "_w"], params[name + "_b"])
 
 
-def _attend_sliding(q, k, v, key_mask, heads, window, g, capture=None, seg_start=None):
+def _attend_sliding(q, k, v, key_mask, heads, window, capture=None, seg_start=None):
     """Banded attention (`T.sliding_attention`) over (B, L, D) q, k and v:
-    each row sees its 2w+1 window plus the first g positions of its segment
-    (`EncoderConfig.validate`); global rows see their whole segment.
+    each row sees its 2w+1 window plus its segment's [CLS], the segment's
+    first position; a [CLS] row sees its whole segment.
 
     With `capture` (one segment per row), the layer's probabilities are
     appended in the band layout: slot j of row i is key `band_idx[i, j]`
     (i+j-w clipped to the sequence), `band_valid` marks the slots in range,
-    on a readable key and off the global keys, which have their own
-    `global_probs` columns. The global rows' dense probabilities are
-    `global_row_probs`; their band and global rows read 0."""
+    on a readable key and off the [CLS] key, which has its own
+    `global_probs` column (`global_idx` is [0]). The [CLS] row's dense
+    probabilities are `global_row_probs`; its band and global entries read
+    0."""
     probs = [] if capture is not None else None
-    ctx = T.sliding_attention(q, k, v, key_mask, heads, window, g, probs=probs,
+    ctx = T.sliding_attention(q, k, v, key_mask, heads, window, probs=probs,
                               seg_start=seg_start)
     if capture is not None:
         p, row_probs = probs
@@ -141,9 +147,9 @@ def _attend_sliding(q, k, v, key_mask, heads, window, g, capture=None, seg_start
         capture.append({
             "band_probs": p[..., :span],
             "band_idx": band_idx,
-            "band_valid": ((raw >= g) & (raw < l))[None] & key_mask[:, band_idx],
+            "band_valid": ((raw > 0) & (raw < l))[None] & key_mask[:, band_idx],
             "global_probs": p[..., span:],
-            "global_idx": np.arange(g),
+            "global_idx": np.array([0]),
             "global_row_probs": row_probs,
         })
     return ctx
@@ -213,8 +219,7 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
             h = h[:, cls_rows]
         elif config.attention == "sliding":
             ctx = _attend_sliding(q, k, v, mask, config.heads, config.window,
-                                  len(config.global_tokens), capture=capture,
-                                  seg_start=seg_start)
+                                  capture=capture, seg_start=seg_start)
         else:
             ctx = T.attention(q, k, v, mask, config.heads)
         h = T.add(h, T.dropout(_linear(ctx, params, pre + "o"), config.dropout, rng, train))
@@ -225,8 +230,8 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
 
 
 def encode_chunk(ids, mask, params, config, train=False, rng=None):
-    """[CLS] vectors, shape (B, D), for a batch of padded token sequences,
-    one per row: chunks, or the positives of `cpe-long`.
+    """[CLS] vectors, shape (B, D), for a batch of token sequences, one per
+    row: padded chunks, or the equal-length positives of `cpe-long`.
 
     The last block runs on the [CLS] row only (`encoder_forward`'s
     `cls_only`), since no other row of it is read."""
@@ -246,13 +251,3 @@ def encode_packed(seqs, params, config, train=False, rng=None):
                         rng=rng, cls_only=True, seg_start=seg_start)
     return h[0]
 
-
-def pad_to_length(tokens, length, cls_prefix=True):
-    """CLS + tokens, truncated/padded to `length`; returns (ids, mask)."""
-    toks = ([CLS_ID] if cls_prefix else []) + list(tokens)
-    toks = toks[:length]
-    ids = np.full(length, PAD_ID, dtype=np.int64)
-    ids[:len(toks)] = toks
-    mask = np.zeros(length, dtype=bool)
-    mask[:len(toks)] = True
-    return ids, mask

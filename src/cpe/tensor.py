@@ -7,12 +7,12 @@ topological order.
 
 Fused ops record one node with a closed-form backward pass: `linear`
 (x @ w + b over the last axis), `attention` (masked scaled dot-product
-attention), `sliding_attention` (a band of keys plus the global tokens, on
-the private band kernels, over one or more segments per row) and the three losses: `cosine_nce` (the in-batch
-contrastive loss), `softmax_cross_entropy` (the multiclass head) and
-`bce_with_logits` (the multilabel head). The losses take the log softmax
-and the logistic from two private helpers, which the classifier's
-predictions share.
+attention), `sliding_attention` (a band of keys plus the [CLS] key, the one
+global token, on the private band kernels, over one or more segments per
+row) and the three losses: `cosine_nce` (the in-batch contrastive loss),
+`softmax_cross_entropy` (the multiclass head) and `bce_with_logits` (the
+multilabel head). The losses take the log softmax and the logistic from
+two private helpers, which the classifier's predictions share.
 Both attention ops take and return (B, L, D), split the heads themselves in
 both passes, and share one in-place masked softmax and its gradient.
 `masked_mean` and `masked_max` pool rows (R, D) per document: the rows fill
@@ -327,17 +327,12 @@ def _band_transpose(p, w):
 # ---------------------------------------------------------------------------
 # reductions
 
-def sum_(a, axis=None, keepdims=False):
+def sum_(a, axis=None):
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
+    out = a.data.sum(axis=axis)
 
     def bwd(g):
-        if axis is None:
-            _accum(a, np.broadcast_to(g, a.shape).copy())
-            return
-        gg = g
-        if not keepdims:
-            gg = np.expand_dims(gg, axis)
+        gg = g if axis is None else np.expand_dims(g, axis)
         _accum(a, np.broadcast_to(gg, a.shape).copy())
 
     return _node(out, (a,), bwd)
@@ -459,31 +454,29 @@ def attention(q, k, v, key_mask, heads, probs=None):
     return _node(out, (q, k, v), bwd)
 
 
-def sliding_attention(q, k, v, key_mask, heads, w, g, probs=None, seg_start=None):
-    """Sliding-window attention with global tokens, as one tape node.
+def sliding_attention(q, k, v, key_mask, heads, w, probs=None, seg_start=None):
+    """Sliding-window attention with a global [CLS], as one tape node.
 
     q, k, v (B,L,D), key_mask (B,L) bool -> context (B,L,D), over `heads`
-    heads. The sequence axis holds one or more segments, runs of positions
-    that never read each other's keys: `seg_start` (L,) gives each position
-    the first position of its segment, and the default (None) makes each
-    row one segment. The first g positions of a segment are its global
-    tokens; G is their number over the row (g per segment, fewer in a
-    segment shorter than g). Row i reads the keys i-w..i+w of its own
-    segment and its segment's global keys; a global row reads every key of
-    its segment. Both softmaxes follow `attention`'s contract. Only the
-    probabilities are kept (and appended to `probs` when it is a list): a
-    (B,H,L,2w+1+g) array whose slot j < 2w+1 is key i+j-w and whose last g
-    columns are the segment's global keys, 0 outside the segment, on a
-    masked key, on a band slot of a global key and on the global rows; and
-    the global rows' dense (B,H,G,L) array.
+    heads. The sequence axis holds S >= 1 segments, runs of positions that
+    never read each other's keys: `seg_start` (L,) gives each position the
+    first position of its segment, and the default (None) makes each row
+    one segment. A segment's first position, its [CLS], is its one global
+    token. Row i reads the keys i-w..i+w of its own segment and its
+    segment's [CLS] key; a [CLS] row reads every key of its segment. Both
+    softmaxes follow `attention`'s contract. Only the probabilities are kept
+    (and appended to `probs` when it is a list): a (B,H,L,2w+2) array whose
+    slot j < 2w+1 is key i+j-w and whose last column is the segment's [CLS]
+    key, 0 outside the segment, on a masked key, on the band slot of the
+    [CLS] key and on the [CLS] rows; and the [CLS] rows' dense (B,H,S,L)
+    array.
 
-    Every row scores all G global keys in one matrix product and keeps its
-    segment's g; the global columns go back to (B,H,L,G) by key for the
-    products after the softmax. The global rows read their segment's keys
-    laid out per segment, (S, W) for S segments of at most W positions, so
-    their dense products are batched over segments and no global row
-    scores another segment's keys. With one segment per row both are the
-    plain products of a global prefix.
+    Every row scores all S [CLS] keys in one matrix product and keeps its
+    own segment's; that column goes back to (B,H,L,S) by segment for the
+    products after the softmax. The [CLS] rows read their segment's keys
+    laid out (S, W), for segments of at most W positions, so their dense
+    products are batched over segments and no [CLS] row scores another
+    segment's keys.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
@@ -494,67 +487,58 @@ def sliding_attention(q, k, v, key_mask, heads, w, g, probs=None, seg_start=None
     pos = np.arange(l)
     start = np.zeros(l, dtype=np.intp) if seg_start is None else np.asarray(seg_start)
     is_first = start == pos
-    first = np.flatnonzero(is_first)  # (S,)
+    first = np.flatnonzero(is_first)  # (S,) the [CLS] positions
     size = np.diff(np.append(first, l))
     real = np.arange(size.max()) < size[:, None]  # (S, W)
     seg = np.where(real, first[:, None] + np.arange(real.shape[1]), first[:, None])
-    is_glob = real[:, :g]  # (S, min(g, W)): the global rows that exist
-    glob = seg[:, :g][is_glob]  # (G,) in position order
-    end = (first + size)[np.cumsum(is_first) - 1]  # (L,) one past each row's segment
-    # row i's t-th global key is glob[gcol[i, t]] while start[i] + t < end[i]
-    gok = start[:, None] + np.arange(g) < end[:, None]
-    gcol = np.where(gok, np.searchsorted(glob, start)[:, None] + np.arange(g), 0)
-    rows = pos[:, None]
-    ok_rows, ok_t = np.nonzero(gok)
-    kg, vg = kh[:, :, glob], vh[:, :, glob]
+    rows, col = pos[:, None], np.cumsum(is_first)[:, None] - 1  # (L, 1): each row's segment
+    end = (first + size)[col]  # (L, 1): one past each row's segment
+    kg, vg = kh[:, :, first], vh[:, :, first]
 
-    def by_key(x):  # (B,H,L,g) global columns -> (B,H,L,G), zero off each row's segment
-        out = np.zeros(x.shape[:-1] + (len(glob),), dtype=x.dtype)
-        out[..., ok_rows, gcol[ok_rows, ok_t]] = x[..., ok_rows, ok_t]
+    def by_seg(x):  # (B,H,L,1) [CLS] column -> (B,H,L,S), zero off each row's segment
+        out = np.zeros(x.shape[:-1] + (len(first),), dtype=x.dtype)
+        out[..., rows, col] = x
         return out
 
     raw = pos[:, None] + np.arange(-w, w + 1)  # (L, 2w+1): key of each slot
-    keys = np.concatenate([np.clip(raw, 0, l - 1), glob[gcol]], 1)
-    invalid = ~np.take(key_mask, keys, axis=1)[:, None]  # (B, 1, L, 2w+1+g)
-    invalid[..., :span] |= (raw - start[:, None] < g) | (raw >= end[:, None])
-    invalid[..., span:] |= ~gok
-    invalid[:, :, glob] = True  # the global rows attend densely, in `pg`
+    keys = np.concatenate([np.clip(raw, 0, l - 1), start[:, None]], 1)
+    invalid = ~np.take(key_mask, keys, axis=1)[:, None]  # (B, 1, L, 2w+2)
+    invalid[..., :span] |= (raw <= start[:, None]) | (raw >= end)
+    invalid[:, :, first] = True  # the [CLS] rows attend densely, in `pg`
     qs = qh * c  # forward only: the backward scales gq and gk instead
-    p = np.empty(qh.shape[:-1] + (span + g,), dtype=qh.dtype)
+    p = np.empty(qh.shape[:-1] + (span + 1,), dtype=qh.dtype)
     p[..., :span] = _band_dot(qs, kh, w)
-    p[..., span:] = np.matmul(qs, np.swapaxes(kg, -1, -2))[..., rows, gcol]
+    p[..., span:] = np.matmul(qs, np.swapaxes(kg, -1, -2))[..., rows, col]
     _masked_softmax_(p, invalid)
-    p_glob = by_key(p[..., span:])
+    p_glob = by_seg(p[..., span:])
     ks, vs = kh[:, :, seg], vh[:, :, seg]  # (B,H,S,W,d)
-    pg = np.matmul(qs[:, :, seg[:, :g]], np.swapaxes(ks, -1, -2))  # (B,H,S,g,W)
+    pg = np.matmul(qs[:, :, first[:, None]], np.swapaxes(ks, -1, -2))  # (B,H,S,1,W)
     _masked_softmax_(pg, ~(key_mask[:, seg] & real)[:, None, :, None, :])
     if probs is not None:
-        glob_seg = np.nonzero(is_glob)[0]
-        probs += [p, _dense_rows(pg[:, :, is_glob], seg[glob_seg], real[glob_seg], l)]
+        probs += [p, _dense_rows(pg[..., 0, :], seg, real, l)]
     out = _band_mix(p[..., :span], vh, w)
     out += np.matmul(p_glob, vg)
-    out[:, :, glob] = np.matmul(pg, vs)[:, :, is_glob]
+    out[:, :, first] = np.matmul(pg, vs)[..., 0, :]
 
     def bwd(grad):
         gr = _split_heads(grad, heads)
-        gr_glob = np.zeros(pg.shape[:-1] + (d,), dtype=grad.dtype)  # (B,H,S,g,d)
-        gr_glob[:, :, is_glob] = gr[:, :, glob]
+        gr_glob = gr[:, :, first[:, None]]  # (B,H,S,1,d)
         gv = _band_mix(_band_transpose(p[..., :span], w), gr, w)
-        gv[:, :, glob] += np.matmul(np.swapaxes(p_glob, -1, -2), gr)
+        gv[:, :, first] += np.matmul(np.swapaxes(p_glob, -1, -2), gr)
         gv += np.matmul(np.swapaxes(pg, -1, -2), gr_glob)[:, :, real]
         ds = np.empty_like(p)
         ds[..., :span] = _band_dot(gr, vh, w)
-        ds[..., span:] = np.matmul(gr, np.swapaxes(vg, -1, -2))[..., rows, gcol]
+        ds[..., span:] = np.matmul(gr, np.swapaxes(vg, -1, -2))[..., rows, col]
         _softmax_grad(p, ds)
-        ds_glob = by_key(ds[..., span:])
+        ds_glob = by_seg(ds[..., span:])
         dsg = _softmax_grad(pg, np.matmul(gr_glob, np.swapaxes(vs, -1, -2)))
         gq = _band_mix(ds[..., :span], kh, w)
         gq += np.matmul(ds_glob, kg)
-        gq[:, :, glob] += np.matmul(dsg, ks)[:, :, is_glob]
+        gq[:, :, first] += np.matmul(dsg, ks)[..., 0, :]
         gq *= c
         gk = _band_mix(_band_transpose(ds[..., :span], w), qh, w)
-        gk[:, :, glob] += np.matmul(np.swapaxes(ds_glob, -1, -2), qh)
-        gk += np.matmul(np.swapaxes(dsg, -1, -2), qh[:, :, seg[:, :g]])[:, :, real]
+        gk[:, :, first] += np.matmul(np.swapaxes(ds_glob, -1, -2), qh)
+        gk += np.matmul(np.swapaxes(dsg, -1, -2), qh[:, :, first[:, None]])[:, :, real]
         gk *= c
         _accum(q, _merge_heads(gq))
         _accum(k, _merge_heads(gk))
@@ -564,15 +548,18 @@ def sliding_attention(q, k, v, key_mask, heads, w, g, probs=None, seg_start=None
 
 
 def _dense_rows(rows, seg, real, l):
-    """Per-segment probabilities rows (B,H,G,W) over the positions seg (G,W),
-    of which `real` are in the segment, as dense rows (B,H,G,L)."""
+    """Per-segment probabilities rows (B,H,S,W) over the positions seg (S,W),
+    of which `real` are in the segment, as dense rows (B,H,S,L)."""
     dense = np.zeros(rows.shape[:-1] + (l,), dtype=rows.dtype)
     r, j = np.nonzero(real)
     dense[:, :, r, seg[r, j]] = rows[:, :, r, j]
     return dense
 
 
-def layer_norm(a, gamma, beta, eps=1e-5):
+_LN_EPS = 1e-5
+
+
+def layer_norm(a, gamma, beta):
     """Normalize the last axis, then apply learned scale/shift. The leading
     axes are flattened to rows (M, D) once; the gamma and beta gradients are
     one reduction each over the rows."""
@@ -581,7 +568,7 @@ def layer_norm(a, gamma, beta, eps=1e-5):
     x = a.data.reshape(-1, d)
     avg = np.full(d, 1.0 / d, dtype=x.dtype)
     xhat = x - np.matmul(x, avg)[:, None]
-    inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + eps))[:, None]
+    inv = (1.0 / np.sqrt(np.einsum("ij,ij->i", xhat, xhat) / d + _LN_EPS))[:, None]
     xhat *= inv
     out = xhat * gamma.data
     out += beta.data

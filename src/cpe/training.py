@@ -16,7 +16,7 @@ import numpy as np
 
 from . import tensor as T
 from .corpus import CLS_ID, Document, chunk
-from .encoder import EncoderConfig, encode_chunk, encode_packed, init_params, pad_to_length
+from .encoder import EncoderConfig, encode_chunk, encode_packed, init_params
 from .optim import AdamWConfig, AdamWState, adamw_step
 from .pooling import POOLERS
 
@@ -65,7 +65,7 @@ class PretrainConfig:
 
 @dataclass
 class CPEPair:
-    anchor: object          # ChunkedDocument (hier) or (ids, mask) reference text (long)
+    anchor: object          # ChunkedDocument (hier) or unpadded reference ids (long)
     positive_ids: np.ndarray
     positive_mask: np.ndarray
     doc_id: str = ""
@@ -94,18 +94,18 @@ def sample_pair_hier(chunked, rng):
 
 
 def sample_pair_long(doc, chunk_len, budget, rng):
-    """Cut a random chunk_len span as the positive; the concatenated
-    remainder (CLS-prefixed, padded/truncated to `budget`) is the anchor."""
+    """Cut a random chunk_len span as the positive, [CLS] + span with an
+    all-true mask; the anchor is [CLS] + the concatenated remainder, cut at
+    `budget` and unpadded."""
     toks = list(doc.tokens)
     if len(toks) < chunk_len + 1:  # reference text must be non-empty
         return None
     off = int(rng.integers(0, len(toks) - chunk_len + 1))
-    pos = toks[off:off + chunk_len]
     rest = toks[:off] + toks[off + chunk_len:]
-    ref_ids, ref_mask = pad_to_length(rest, budget)
-    pos_ids, pos_mask = pad_to_length(pos, chunk_len + 1)
-    return CPEPair(anchor=(ref_ids, ref_mask), positive_ids=pos_ids,
-                   positive_mask=pos_mask, doc_id=doc.id, held_out_index=off)
+    return CPEPair(anchor=np.array([CLS_ID, *rest][:budget], dtype=np.int64),
+                   positive_ids=np.array([CLS_ID, *toks[off:off + chunk_len]], dtype=np.int64),
+                   positive_mask=np.ones(chunk_len + 1, dtype=bool),
+                   doc_id=doc.id, held_out_index=off)
 
 
 def esimcse_augment(tokens, rate, rng):
@@ -177,12 +177,11 @@ def forward_cpe_hier(pairs, params, config, pooling="max", train=False, rng=None
 
 
 def forward_cpe_long(pairs, params, config, train=False, rng=None):
-    """Two encoder passes. The anchors' reference texts, stripped of their
-    padding, are packed end to end into one row (`encode_packed`), so the
-    sliding pass computes no padding position; the positives, all
-    chunk_len + 1 wide, are one row each."""
-    anchors = encode_packed([ids[mask] for ids, mask in (p.anchor for p in pairs)],
-                            params, config, train=train, rng=rng)
+    """Two encoder passes. The anchors' unpadded reference texts are packed
+    end to end into one row (`encode_packed`), so the sliding pass computes
+    no padding position; the positives, all chunk_len + 1 wide, are one row
+    each."""
+    anchors = encode_packed([p.anchor for p in pairs], params, config, train=train, rng=rng)
     return anchors, encode_chunk(np.stack([p.positive_ids for p in pairs]),
                                  np.stack([p.positive_mask for p in pairs]),
                                  params, config, train=train, rng=rng)

@@ -410,6 +410,43 @@ class TestMissingArtifacts:
         assert ("vocabulary" if edit == "vocab_size" else "parameter ") in err
         assert not (out / "embeddings.tsv").exists()
 
+    def test_cpe_long_checkpoint_with_more_global_tokens_rejected(self, tmp_path, capsys):
+        # the sliding encoder's one global token is [CLS]; an echo of three
+        # used to embed silently with a model that never trained with them
+        out = tmp_path / "x"
+        assert _run(out, "gen-synthetic") == 0
+        assert _run(out, "pretrain", "--objective", "cpe-long") == 0
+        path = out / "checkpoint.bin"
+        params, meta, vocab = load_checkpoint(path)
+        meta["encoder"]["global_tokens"] = [0, 1, 2]
+        save_checkpoint(path, params, config=meta, vocab=vocab)
+        capsys.readouterr()
+        assert _run(out, "embed") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err and "encoder.global_tokens" in err
+        assert not (out / "embeddings.tsv").exists()
+
+    @pytest.mark.parametrize("edit", ["drop-hidden", "wrong-hidden"])
+    def test_classifier_echo_without_its_hidden_widths_rejected(self, tmp_path, capsys, edit):
+        out = tmp_path / "x"
+        for s in STAGES[:4]:
+            assert _run(out, s) == 0
+        path = out / "clf.bin"
+        params, meta, _ = load_checkpoint(path)
+        if edit == "drop-hidden":
+            del meta["hidden"]
+        else:
+            meta["hidden"] = [32, 64, 64]
+        save_checkpoint(path, params, config=meta)
+        capsys.readouterr()
+        assert _run(out, "eval", "--metrics", "f1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(path) in err and "re-run 'train-clf'" in err
+        assert ("hidden" if edit == "drop-hidden" else "parameter h0_w") in err
+        assert not (out / "metrics.txt").exists()
+
     @pytest.mark.parametrize("edit", ["num-labels", "drop-h3_b"])
     def test_classifier_weights_disagreeing_with_echo_rejected(self, tmp_path, capsys, edit):
         # an echo of 2 labels over a 4-wide output layer, and a head without

@@ -4,13 +4,20 @@ import pytest
 from cpe import encoder
 from cpe import tensor as T
 from cpe.corpus import CLS_ID, PAD_ID
-from cpe.encoder import (EncoderConfig, encode_chunk, encode_packed, encoder_forward, init_params,
-                         pad_to_length)
+from cpe.encoder import EncoderConfig, encode_chunk, encode_packed, encoder_forward, init_params
 import oracle_ops as O
 from test_tensor import _band_global_mask
 
 DENSE = EncoderConfig(vocab_size=20, dim=16, layers=2, heads=4, ff=32,
                       max_positions=12, dropout=0.1)
+
+
+def pad_to_length(tokens, length):
+    """[CLS] + tokens, truncated/padded to `length`; returns (ids, mask)."""
+    toks = [CLS_ID, *tokens][:length]
+    ids = np.full(length, PAD_ID, dtype=np.int64)
+    ids[:len(toks)] = toks
+    return ids, np.arange(length) < len(toks)
 
 
 def _batch(rng, b, l, cfg):
@@ -120,7 +127,7 @@ class TestSparseEncoder:
         assert len(capture) == cfg.layers and all("band_probs" in c for c in capture)
 
     def test_narrow_window_attention_support(self):
-        # token 5 with w=1 sees only {4,5,6} plus the global set
+        # token 5 with w=1 sees only {4,5,6} plus the [CLS] key
         cfg = EncoderConfig(**vars(SLIDING))
         cfg.window = 1
         params = init_params(cfg, 0)
@@ -180,24 +187,22 @@ class TestSparseEncoder:
                             rng=np.random.default_rng(0)) < 1e-4
 
 
-def _dense_attend_sliding(q, k, v, key_mask, heads, window, g, capture=None, seg_start=None):
+def _dense_attend_sliding(q, k, v, key_mask, heads, window, capture=None, seg_start=None):
     """Sliding attention as dense attention: each row is its own batch entry
-    of `T.attention`, reading all L keys under its band+global key mask,
+    of `T.attention`, reading all L keys under its band+[CLS] key mask,
     which is block-diagonal over the segments of `seg_start`."""
     b, l, d = q.shape
     rows = np.repeat(np.arange(b), l)
-    allowed = _band_global_mask(key_mask, window, g, seg_start).reshape(b * l, l)
+    allowed = _band_global_mask(key_mask, window, seg_start).reshape(b * l, l)
     ctx = T.attention(O.reshape(q, (b * l, 1, d)), T.index_select(k, 0, rows),
                       T.index_select(v, 0, rows), allowed, heads)
     return O.reshape(ctx, (b, l, d))
 
 
-@pytest.mark.parametrize("global_tokens", [(0,), (0, 1, 2)])
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-def test_sliding_encoder_matches_dense_reference(monkeypatch, global_tokens, dtype, tol):
+def test_sliding_encoder_matches_dense_reference(monkeypatch, dtype, tol):
     cfg = EncoderConfig(**vars(SLIDING))
-    cfg.global_tokens = global_tokens
-    rng = np.random.default_rng(len(global_tokens))
+    rng = np.random.default_rng(1)
     ids, mask = _batch(rng, 2, 24, cfg)
     mask[1, 15:] = False
     ids[1, 15:] = PAD_ID
@@ -217,8 +222,8 @@ def test_sliding_encoder_matches_dense_reference(monkeypatch, global_tokens, dty
         np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol, err_msg=name)
 
 
-# sequence lengths, [CLS] included: one shorter than g = 3 and one shorter than
-# the window of 4, then longer ones
+# sequence lengths, [CLS] included: two shorter than the window of 4, then
+# longer ones
 PACKED_LENGTHS = [2, 3, 11, 20, 7]
 
 
@@ -226,14 +231,13 @@ def _segment_start(lengths):
     return np.repeat(np.cumsum([0, *lengths[:-1]]), lengths)
 
 
-@pytest.mark.parametrize("global_tokens", [(0,), (0, 1, 2)])
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-def test_packed_cls_rows_match_each_sequence_alone(global_tokens, dtype, tol):
+def test_packed_cls_rows_match_each_sequence_alone(dtype, tol):
     # one packed pass against each sequence alone, padded to max_positions:
     # the [CLS] rows and every parameter's gradient
     cfg = EncoderConfig(**vars(SLIDING))
-    cfg.window, cfg.global_tokens = 4, global_tokens
-    rng = np.random.default_rng(len(global_tokens))
+    cfg.window = 4
+    rng = np.random.default_rng(1)
     seqs = [np.array([CLS_ID, *rng.integers(3, cfg.vocab_size, n - 1)]) for n in PACKED_LENGTHS]
     r = rng.standard_normal((len(seqs), cfg.dim)).astype(dtype)
 
@@ -261,22 +265,21 @@ def test_packed_cls_rows_match_each_sequence_alone(global_tokens, dtype, tol):
                                    err_msg=name)
 
 
-@pytest.mark.parametrize("g", [1, 3])
-def test_sliding_attention_segments_match_block_diagonal_dense(g):
+def test_sliding_attention_segments_match_block_diagonal_dense():
     # float64: the fused op with segments against dense attention under the
-    # block-diagonal band+global mask, outputs and gradients; and the fused
+    # block-diagonal band+[CLS] mask, outputs and gradients; and the fused
     # op's gradient against central differences
     l, heads, w = sum(PACKED_LENGTHS), 2, 4
     seg_start = _segment_start(PACKED_LENGTHS)
-    rng = np.random.default_rng(g)
+    rng = np.random.default_rng(1)
     data = {n: rng.standard_normal((2, l, 6)) for n in ("q", "k", "v")}
     mask = np.ones((2, l), dtype=bool)
-    mask[1, [4, 9, 20]] = False  # masked keys in the band, and a global key of a segment
+    mask[1, [4, 9, 20]] = False  # masked keys in the band
     r = rng.standard_normal((2, l, 6))
 
     def run(attend):
         t = {n: T.parameter(x.copy()) for n, x in data.items()}
-        ctx = attend(t["q"], t["k"], t["v"], mask, heads, w, g, seg_start=seg_start)
+        ctx = attend(t["q"], t["k"], t["v"], mask, heads, w, seg_start=seg_start)
         T.backward(T.sum_(O.mul(ctx, r)))
         return ctx.data, {n: x.grad for n, x in t.items()}
 
@@ -288,7 +291,7 @@ def test_sliding_attention_segments_match_block_diagonal_dense(g):
                                    err_msg=name)
 
     def fn(p):
-        ctx = T.sliding_attention(p["q"], p["k"], p["v"], mask, heads, w, g, seg_start=seg_start)
+        ctx = T.sliding_attention(p["q"], p["k"], p["v"], mask, heads, w, seg_start=seg_start)
         return T.sum_(O.mul(ctx, r))
 
     params = {n: T.parameter(x) for n, x in data.items()}
@@ -341,17 +344,15 @@ def test_tape_nodes_per_encoder_pass(attention, layers, train):
 
 
 @pytest.mark.parametrize("attention", ["dense", "sliding"])
-@pytest.mark.parametrize("global_tokens", [(0,), (0, 1, 2)])
 @pytest.mark.parametrize("layers", [1, 3])
-def test_cls_only_matches_full_pass_row0(attention, global_tokens, layers):
+def test_cls_only_matches_full_pass_row0(attention, layers):
     # float64 oracle: the [CLS]-only last block gives row 0 of the full pass
     # and the same gradient for every parameter. layer{-1}.k_b's true
     # gradient is 0 (softmax ignores a shift shared by all keys), so the
     # gradients are compared against the largest one, not entry by entry.
     cfg = EncoderConfig(vocab_size=20, dim=16, layers=layers, heads=4, ff=32,
-                        max_positions=24, dropout=0.0, attention=attention, window=2,
-                        global_tokens=global_tokens)
-    rng = np.random.default_rng(layers + len(global_tokens))
+                        max_positions=24, dropout=0.0, attention=attention, window=2)
+    rng = np.random.default_rng(layers + 1)
     ids, mask = _batch(rng, 3, 24, cfg)
     mask[1, 15:] = False
     ids[1, 15:] = PAD_ID
@@ -371,6 +372,15 @@ def test_cls_only_matches_full_pass_row0(attention, global_tokens, layers):
     for name, g in full_g.items():
         np.testing.assert_allclose(cls_g[name] / scale, g / scale, rtol=0, atol=1e-12,
                                    err_msg=name)
+
+
+@pytest.mark.parametrize("attention", ["dense", "sliding"])
+@pytest.mark.parametrize("global_tokens", [(0, 1, 2), (1,)])
+def test_global_tokens_other_than_cls_rejected(attention, global_tokens):
+    # [CLS] at position 0 is the one global token either path has
+    cfg = EncoderConfig(vocab_size=20, attention=attention, global_tokens=global_tokens)
+    with pytest.raises(ValueError, match=r"encoder\.global_tokens"):
+        cfg.validate()
 
 
 def test_cls_only_with_capture_rejected():

@@ -1,5 +1,6 @@
-"""Every name a `cpe` module imports is used in that module, and every
-public function and method of a `cpe` module is used by some `cpe` module.
+"""Every name a `cpe` module imports is used in that module, every public
+function and method of a `cpe` module is used by some `cpe` module, and
+every parameter of theirs with a default is passed by some call.
 
 `__init__.py` is exempt from the first check: its imports are the
 package's re-exports."""
@@ -7,6 +8,7 @@ package's re-exports."""
 import ast
 import importlib
 import inspect
+import math
 import pathlib
 
 import pytest
@@ -87,3 +89,79 @@ def test_every_public_function_is_referenced():
     unreferenced = {dotted for dotted, name in public_callables() if name not in called}
     assert sorted(unreferenced - NOT_CALLED_BY_NAME) == []
     assert NOT_CALLED_BY_NAME <= {dotted for dotted, _ in public_callables()}
+
+
+BENCH = SRC.parents[1] / "bench"
+
+# parameters with a default ("knobs") that no call in `src/cpe` or `bench/`
+# passes, each with the test or criterion that does
+KNOBS_PASSED_ONLY_BY_TESTS = {
+    "classifier.train_classifier(params)",  # test_classifier resumes training epoch by epoch
+    "corpus.encode_documents(num_labels)",  # test_corpus rejects a label id past the count
+    "encoder.encoder_forward(capture)",  # criterion 2 reads the band probabilities
+    "metrics.homogeneity_completeness(noise_as_singletons)",  # criterion 9 scores noise both ways
+    "tensor.attention(probs)",  # test_tensor checks the probabilities against oracles
+    "tensor.constant(dtype)",  # criterion 3 checks the loss in float64
+    "tensor.sum_(axis)",  # the test oracles reduce along one axis
+}
+
+
+def passed_arguments():
+    """Bare callee name -> (most positional arguments, keyword names) over
+    every call in the `cpe` modules and `bench/`, calls of numpy functions
+    (`np.load`) not counted. A call that unpacks `*args` passes every
+    position, and one that unpacks `**kwargs` every name."""
+    calls = {}
+    for path in [*MODULES, *sorted(BENCH.glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            if isinstance(f, ast.Name):
+                name = f.id
+            elif isinstance(f, ast.Attribute) and not (
+                    isinstance(f.value, ast.Name) and f.value.id == "np"):
+                name = f.attr
+            else:
+                continue
+            npos = (math.inf if any(isinstance(a, ast.Starred) for a in node.args)
+                    else len(node.args))
+            names = {k.arg for k in node.keywords}
+            most, seen = calls.get(name, (0, set()))
+            calls[name] = (max(most, npos), seen | names)
+    return calls
+
+
+def knobs():
+    """(dotted name, bare name, parameter, position) of every parameter with
+    a default of a public `cpe` callable; a method's position does not count
+    its `self`, nor a class method's `cls` (looked up on the class, it is
+    bound). Keyword-only parameters have no position."""
+    out = []
+    for dotted, name in public_callables():
+        obj = importlib.import_module(f"cpe.{dotted.split('.')[0]}")
+        for part in dotted.split(".")[1:]:
+            obj = getattr(obj, part)
+        params = list(inspect.signature(obj).parameters.values())
+        if params and params[0].name == "self":
+            params = params[1:]
+        for i, p in enumerate(params):
+            if p.default is not p.empty:
+                position = i if p.kind is p.POSITIONAL_OR_KEYWORD else None
+                out.append((dotted, name, p.name, position))
+    return out
+
+
+def unpassed_knobs():
+    calls = passed_arguments()
+    unpassed = set()
+    for dotted, name, param, position in knobs():
+        most, names = calls.get(name, (0, set()))
+        if param not in names and None not in names and (position is None or most <= position):
+            unpassed.add(f"{dotted}({param})")
+    return unpassed
+
+
+def test_every_knob_is_passed():
+    assert sorted(unpassed_knobs() - KNOBS_PASSED_ONLY_BY_TESTS) == []
+    assert KNOBS_PASSED_ONLY_BY_TESTS <= {f"{d}({p})" for d, _, p, _ in knobs()}

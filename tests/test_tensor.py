@@ -25,23 +25,23 @@ class TestPrimitives:
 
     def test_masked_softmax_zero_prob_and_row_sum(self):
         # the contract on `sliding_attention`'s probabilities: masked keys,
-        # band slots past either end or on a global key, and the global
-        # rows' band entries are exactly 0; every row sums to 1
+        # band slots past either end or on the [CLS] key, and the [CLS]
+        # row's band entries are exactly 0; every row sums to 1
         rng = np.random.default_rng(0)
-        b, l, w, g = 5, 9, 2, 2
+        b, l, w = 5, 9, 2
         q, k, v = (T.constant(rng.standard_normal((b, l, 2 * 3))) for _ in range(3))
         mask = rng.random((b, l)) > 0.4
         mask[:, 0] = True
         probs = []
-        T.sliding_attention(q, k, v, mask, 2, w, g, probs=probs)
+        T.sliding_attention(q, k, v, mask, 2, w, probs=probs)
         p, pg = probs
         raw = np.arange(l)[:, None] + np.arange(-w, w + 1)
-        slot_ok = ((raw >= g) & (raw < l))[None] & mask[:, np.clip(raw, 0, l - 1)]
-        ok = np.concatenate([slot_ok, np.broadcast_to(mask[:, None, :g], (b, l, g))], axis=-1)
-        ok[:, :g] = False
+        slot_ok = ((raw > 0) & (raw < l))[None] & mask[:, np.clip(raw, 0, l - 1)]
+        ok = np.concatenate([slot_ok, np.broadcast_to(mask[:, None, :1], (b, l, 1))], axis=-1)
+        ok[:, 0] = False
         assert np.all(p[~np.broadcast_to(ok[:, None], p.shape)] == 0.0)
         assert np.all(pg[~np.broadcast_to(mask[:, None, None, :], pg.shape)] == 0.0)
-        np.testing.assert_allclose(p[:, :, g:].sum(axis=-1), 1.0, atol=1e-6)
+        np.testing.assert_allclose(p[:, :, 1:].sum(axis=-1), 1.0, atol=1e-6)
         np.testing.assert_allclose(pg.sum(axis=-1), 1.0, atol=1e-6)
 
     def test_softmax_fully_masked_row_no_nan(self):
@@ -51,7 +51,7 @@ class TestPrimitives:
         mask = np.ones((2, 6), dtype=bool)
         mask[1] = False
         probs = []
-        ctx = T.sliding_attention(q, k, v, mask, 2, 1, 1, probs=probs).data
+        ctx = T.sliding_attention(q, k, v, mask, 2, 1, probs=probs).data
         assert np.all(np.isfinite(ctx)) and np.all(ctx[1] == 0.0)
         assert all(np.all(p[1] == 0.0) for p in probs)
 
@@ -346,26 +346,27 @@ def _dense_reference(q, k, v, allowed, heads):
     return O.reshape(ctx, (b, lq, d)), np.moveaxis(probs.data, 3, 1)
 
 
-def _band_global_mask(key_mask, w, g, seg_start=None):
+def _band_global_mask(key_mask, w, seg_start=None):
     """(B, L, L) keys that `sliding_attention` lets each row read: its band,
-    its segment's first g keys, and every key for the global rows, all
-    within the row's segment (by default, one segment per row)."""
+    its segment's [CLS] key, and every key for the [CLS] rows, all within
+    the row's segment (by default, one segment per row)."""
     l = key_mask.shape[1]
     start = np.zeros(l, dtype=int) if seg_start is None else np.asarray(seg_start)
     i, j = np.arange(l)[:, None], np.arange(l)[None, :]
-    near = (np.abs(i - j) <= w) | (i - start[:, None] < g) | (j - start[None, :] < g)
+    near = (np.abs(i - j) <= w) | (i == start[:, None]) | (j == start[None, :])
     return (near & (start[:, None] == start[None, :]))[None] & key_mask[:, None, :]
 
 
 def _band_to_dense(p, pg, w):
-    """The (B,H,L,L) probabilities that `sliding_attention`'s arrays stand for."""
-    l, g = p.shape[2], pg.shape[2]
+    """The (B,H,L,L) probabilities that `sliding_attention`'s arrays stand
+    for, with one segment per row."""
+    l = p.shape[2]
     dense = np.zeros(p.shape[:-1] + (l,), dtype=p.dtype)
     raw = np.arange(l)[:, None] + np.arange(-w, w + 1)
     rows, slots = np.nonzero(_in_range(l, w))
     dense[..., rows, raw[rows, slots]] = p[..., rows, slots]
-    dense[..., :g] += p[..., 2 * w + 1:]
-    dense[..., :g, :] = pg
+    dense[..., :1] += p[..., 2 * w + 1:]
+    dense[..., :1, :] = pg
     return dense
 
 
@@ -400,12 +401,12 @@ class TestBandOps:
         mask = _attention_mask(shape[0], shape[2])
         r = rng.standard_normal(full)
         every = max(t.data.size for t in params.values())
-        for g in (1, 3):
-            def fn(p):
-                ctx = T.sliding_attention(p["q"], p["k"], p["v"], mask, shape[1], w, g)
-                return T.sum_(O.mul(ctx, r))
 
-            assert O.grad_check(fn, params, num_samples=every) < 1e-7, f"g={g}"
+        def fn(p):
+            ctx = T.sliding_attention(p["q"], p["k"], p["v"], mask, shape[1], w)
+            return T.sum_(O.mul(ctx, r))
+
+        assert O.grad_check(fn, params, num_samples=every) < 1e-7
 
     @pytest.mark.parametrize("shape,w", CASES)
     def test_out_of_range_slots_read_zero(self, shape, w):
@@ -443,9 +444,8 @@ class TestBandOps:
         np.testing.assert_allclose(new_g["p"][..., ok], t["p"].grad[..., ok], rtol=tol, atol=tol)
 
     @pytest.mark.parametrize("shape,w", CASES + [((4, 4, 65, 16), 16)])
-    @pytest.mark.parametrize("g", [1, 3])
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
-    def test_sliding_attention_matches_dense_reference(self, shape, w, g, dtype, tol):
+    def test_sliding_attention_matches_dense_reference(self, shape, w, dtype, tol):
         rng = np.random.default_rng(4)
         heads, full = shape[1], _tokens_major(shape)
         data = {n: rng.standard_normal(full) for n in ("q", "k", "v")}
@@ -456,12 +456,11 @@ class TestBandOps:
             t = {n: T.parameter(x.astype(dtype)) for n, x in data.items()}
             if fused:
                 probs = []
-                ctx = T.sliding_attention(t["q"], t["k"], t["v"], mask, heads, w, g,
-                                          probs=probs)
+                ctx = T.sliding_attention(t["q"], t["k"], t["v"], mask, heads, w, probs=probs)
                 p = _band_to_dense(*probs, w)
             else:
                 ctx, p = _dense_reference(t["q"], t["k"], t["v"],
-                                          _band_global_mask(mask, w, g), heads)
+                                          _band_global_mask(mask, w), heads)
             T.backward(T.sum_(O.mul(ctx, r)))
             return ctx.data, p, {n: x.grad for n, x in t.items()}
 
@@ -570,7 +569,7 @@ class TestMaskedSoftmaxContract:
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_probabilities_match_oracle(self, op, d, dtype, tol):
         rng = np.random.default_rng(d)
-        b, h, l, w, g = 3, 2, 11, 2, 2
+        b, h, l, w = 3, 2, 11, 2
         q, k, v = (rng.standard_normal((b, l, h * d)).astype(dtype) for _ in range(3))
         mask = _attention_mask(b, l)  # batch row 0 partly masked, the last fully
         qh, kh = (x.reshape(b, l, h, d).transpose(0, 2, 1, 3) for x in (q, k))
@@ -579,9 +578,8 @@ class TestMaskedSoftmaxContract:
             T.attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), mask, h, probs=probs)
             p, allowed = probs[0], np.broadcast_to(mask[:, None, :], (b, l, l))
         else:
-            T.sliding_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), mask, h, w, g,
-                                probs=probs)
-            p, allowed = _band_to_dense(*probs, w), _band_global_mask(mask, w, g)
+            T.sliding_attention(T.Tensor(q), T.Tensor(k), T.Tensor(v), mask, h, w, probs=probs)
+            p, allowed = _band_to_dense(*probs, w), _band_global_mask(mask, w)
         allowed = np.broadcast_to(allowed[:, None], p.shape)
         assert p.dtype == dtype
         assert np.all(p[~allowed] == 0.0)  # exactly zero, not merely small

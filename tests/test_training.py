@@ -116,7 +116,7 @@ class TestPairSamplingLong:
         pair = sample_pair_long(doc, chunk_len=128, budget=200, rng=FixedRng())
         assert pair.positive_ids[0] == CLS_ID
         np.testing.assert_array_equal(pair.positive_ids[1:129], doc.tokens[:128])
-        np.testing.assert_array_equal(pair.anchor[0][1:129], doc.tokens[128:256])
+        np.testing.assert_array_equal(pair.anchor[1:129], doc.tokens[128:256])
 
     def test_short_doc_skipped(self):
         assert sample_pair_long(_doc(100), 128, 200, np.random.default_rng(0)) is None
@@ -135,7 +135,7 @@ class TestPairSamplingLong:
         pair = sample_pair_long(doc, chunk_len=16, budget=n + 1, rng=rng)
         off = pair.held_out_index
         pos = pair.positive_ids[1:17].tolist()
-        ref = pair.anchor[0][pair.anchor[1]][1:].tolist()  # unmasked, minus CLS
+        ref = pair.anchor[1:].tolist()  # minus CLS
         rebuilt = ref[:off] + pos + ref[off:]
         assert rebuilt == list(doc.tokens)
 
@@ -361,7 +361,7 @@ class TestPackedSlidingPasses:
         pairs = [sample_pair_long(d, 4, self.LONG.max_positions, rng) for d in self._docs()]
         rows = self._sliding_rows(monkeypatch)
         forward_cpe_long(pairs, init_params(self.LONG, 0), self.LONG, train=True, rng=rng)
-        real = sum(int(p.anchor[1].sum()) for p in pairs)  # tokens and [CLS], cut at 40
+        real = sum(len(p.anchor) for p in pairs)  # tokens and [CLS], cut at 40
         assert real < len(pairs) * self.LONG.max_positions
         assert rows == [(1, real), (len(pairs), 5)]  # the packed anchors, then the positives
 
