@@ -13,15 +13,14 @@ import sys
 
 import numpy as np
 
-from . import classifier
 from . import corpus as C
 from . import metrics as M
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import Head, load_encoder, load_head, save_encoder, save_head
 from .classifier import predict_batch, train_classifier
 from .config import ExperimentConfig
-from .encoder import EncoderConfig, init_params, param_specs
+from .encoder import init_params
 from .pooling import POOLERS
-from .training import OBJECTIVES, PretrainConfig, embed_documents, pretrain
+from .training import OBJECTIVES, embed_documents, pretrain
 
 
 class CliError(RuntimeError):
@@ -103,53 +102,11 @@ def cmd_pretrain(cfg, args):
     with open(log_path, "w") as log_file:
         result = pretrain(docs, ecfg, pcfg,
                           log=lambda line: print(line, file=log_file))
-    save_checkpoint(os.path.join(out, "checkpoint.bin"), result.params,
-                    config={"encoder": vars(ecfg) | {"global_tokens": list(ecfg.global_tokens)},
-                            "pretrain": vars(pcfg)},
-                    vocab=vocab)
+    save_encoder(os.path.join(out, "checkpoint.bin"), result.params, ecfg, pcfg, vocab)
     vocab.save(os.path.join(out, "vocab.txt"))
     print(f"pretrained {pcfg.objective} for {result.steps} steps "
           f"(skipped {result.skipped_docs} docs); checkpoint.bin written")
     return 0
-
-
-def _check_weights(path, params, specs, echo, stage):
-    """Every parameter's name and shape in the weights against `specs`, in
-    their creation order, then any parameter the specs lack."""
-    for name in [*specs, *sorted(params.keys() - specs.keys())]:
-        got = params[name].shape if name in params else "absent"
-        want = specs[name][0] if name in specs else "absent"
-        if got != want:
-            raise CliError(f"{path}: parameter {name} is {got} in the weights but {want} "
-                           f"in {echo}; re-run '{stage}'")
-
-
-def _checkpoint_configs(path, params, meta, vocab):
-    """The encoder and pretrain configs a checkpoint was trained with, checked
-    against its vocabulary and every parameter's name and shape."""
-    try:
-        enc = dict(meta["encoder"], global_tokens=tuple(meta["encoder"]["global_tokens"]))
-        ecfg, pcfg = EncoderConfig(**enc), PretrainConfig(**meta["pretrain"])
-        ecfg.validate()
-    except (KeyError, TypeError, ValueError) as e:
-        raise CliError(f"{path}: checkpoint does not describe its model ({e}); "
-                       f"re-run 'pretrain'")
-    if vocab is None or vocab.size != ecfg.vocab_size:
-        raise CliError(f"{path}: the vocabulary has {0 if vocab is None else vocab.size} tokens, "
-                       f"the encoder echo {ecfg.vocab_size}; re-run 'pretrain'")
-    _check_weights(path, params, param_specs(ecfg), "the encoder echo", "pretrain")
-    return ecfg, pcfg
-
-
-def _check_head(path, params, meta, dim):
-    """clf.bin's weights against the head its echo describes over
-    `dim`-wide embeddings (`classifier.param_specs`)."""
-    try:
-        specs = classifier.param_specs(dim, meta["num_labels"], tuple(meta["hidden"]))
-    except (KeyError, TypeError) as e:
-        raise CliError(f"{path}: classifier does not describe its head ({e}); "
-                       f"re-run 'train-clf'")
-    _check_weights(path, params, specs, f"the echo for {dim}-wide embeddings", "train-clf")
 
 
 def cmd_embed(cfg, args):
@@ -163,9 +120,8 @@ def cmd_embed(cfg, args):
         ecfg = cfg.encoder_config(vocab.size, pcfg.objective)
         params = init_params(ecfg, cfg.seed)
     else:
-        _require(ckpt_path, "pretrain", hint="(or pass --random-init)")
-        params, meta, vocab = load_checkpoint(ckpt_path)
-        ecfg, pcfg = _checkpoint_configs(ckpt_path, params, meta, vocab)
+        ecfg, pcfg, params, vocab = load_encoder(
+            _require(ckpt_path, "pretrain", hint="(or pass --random-init)"))
 
     docs = C.encode_documents(records, vocab, task=_task(cfg))
     embs = embed_documents(docs, params, ecfg, pooling=args.pooling or pcfg.pooling,
@@ -190,10 +146,9 @@ def cmd_train_clf(cfg, args):
     ccfg = cfg.classifier_config()
     params = train_classifier(embs[train_idx], [labels[i] for i in train_idx],
                               num_labels, task, ccfg)
-    save_checkpoint(os.path.join(out, "clf.bin"), params,
-                    config={"task": task, "num_labels": num_labels,
-                            "hidden": list(ccfg.hidden), "threshold": ccfg.threshold,
-                            "seed": seed, "train_frac": frac, "num_docs": len(embs)})
+    save_head(os.path.join(out, "clf.bin"), params,
+              Head(task=task, num_labels=num_labels, hidden=ccfg.hidden,
+                   threshold=ccfg.threshold, seed=seed, train_frac=frac, num_docs=len(embs)))
     print(f"trained {task} classifier on {len(train_idx)} docs; clf.bin written")
     return 0
 
@@ -203,24 +158,27 @@ def cmd_eval(cfg, args):
     path = _require(os.path.join(out, "embeddings.tsv"), "embed")
     embs, ids, labels = M.load_embeddings(path)
     clf_path = os.path.join(out, "clf.bin")
-    clf = load_checkpoint(clf_path) if os.path.exists(clf_path) else None
+    head, params = (load_head(clf_path, embs.shape[1]) if os.path.exists(clf_path)
+                    else (None, None))
     seed, frac = cfg.seed, cfg.get("corpus", "train_frac")
-    if clf is not None:  # score the split the head was trained on
-        if clf[1].get("num_docs") != len(embs):
+    if head is not None:  # score the split the head was trained on
+        if head.num_docs != len(embs):
             raise CliError(f"embeddings.tsv has {len(embs)} rows, clf.bin was trained on a "
-                           f"split of {clf[1].get('num_docs')}; re-run 'train-clf'")
-        seed, frac = clf[1]["seed"], clf[1]["train_frac"]
+                           f"split of {head.num_docs}; re-run 'train-clf'")
+        seed, frac = head.seed, head.train_frac
     _, test_idx = _split(len(embs), seed, frac)
     wanted = [m.strip() for m in args.metrics.split(",") if m.strip()]
     report = {}
     for m in wanted:
         if m == "f1":
-            params, meta, _ = clf or load_checkpoint(_require(clf_path, "train-clf"))
-            _check_head(clf_path, params, meta, embs.shape[1])
-            preds, _ = predict_batch(embs[test_idx], params, meta["task"],
-                                     threshold=meta["threshold"])
+            _require(clf_path, "train-clf")  # head is None only when clf.bin is missing
+            preds, _ = predict_batch(embs[test_idx], params, head.task,
+                                     threshold=head.threshold)
             gold = [labels[i] for i in test_idx]
-            f1 = M.f1_scores(preds, gold, meta["num_labels"], meta["task"])
+            try:
+                f1 = M.f1_scores(preds, gold, head.num_labels, head.task)
+            except ValueError as e:  # a gold label the head cannot predict
+                raise CliError(f"{path}: {e}, the labels of {clf_path}") from None
             report["macro_f1"] = f1.macro_f1
             report["micro_f1"] = f1.micro_f1
         elif m == "cluster":
@@ -326,7 +284,7 @@ def main(argv=None):
         args = build_parser().parse_args(argv)
         cfg = ExperimentConfig.load(args.config, overrides=args.set)
         return COMMANDS[args.command](cfg, args)
-    # ConfigError and CorpusError are ValueErrors, as are load_checkpoint's errors
+    # ConfigError and CorpusError are ValueErrors, as are the artifact readers' errors
     except (CliError, ValueError, FloatingPointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

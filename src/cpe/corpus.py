@@ -142,33 +142,44 @@ def chunk(doc, chunk_len, n_chunks, max_tokens):
 # ---------------------------------------------------------------------------
 # JSONL ingestion
 
+def read_lines(path):
+    """(line number, text) of each line of a UTF-8 file, from 1; a line that
+    does not decode raises a CorpusError naming the path and the line."""
+    with open(path, "rb") as f:
+        for lineno, raw in enumerate(f, start=1):
+            try:
+                yield lineno, raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise CorpusError(f"{path}: line {lineno} is not UTF-8 ({e.reason} "
+                                  f"at byte {e.start})") from None
+
+
 def load_jsonl(path):
     """One {"id", "text", "labels"} object per line, with a string text and a
     list of non-negative integer labels; order preserved. Any other line
     raises a CorpusError that names the path and the line."""
     records = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusError(f"{path}: malformed JSON on line {lineno}: {e}") from e
-            if not isinstance(obj, dict):
-                raise CorpusError(f"{path}: line {lineno} is not a JSON object")
-            for key in ("id", "text", "labels"):
-                if key not in obj:
-                    raise CorpusError(f"{path}: line {lineno} missing field '{key}'")
-            if not isinstance(obj["text"], str):
-                raise CorpusError(f"{path}: line {lineno} field 'text' is not a string")
-            labels = obj["labels"]
-            if not (isinstance(labels, list) and all(
-                    type(x) is int and x >= 0 for x in labels)):  # bool is not a label
-                raise CorpusError(f"{path}: line {lineno} field 'labels' is not a list "
-                                  f"of non-negative integers")
-            records.append(obj)
+    for lineno, line in read_lines(path):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CorpusError(f"{path}: malformed JSON on line {lineno}: {e}") from e
+        if not isinstance(obj, dict):
+            raise CorpusError(f"{path}: line {lineno} is not a JSON object")
+        for key in ("id", "text", "labels"):
+            if key not in obj:
+                raise CorpusError(f"{path}: line {lineno} missing field '{key}'")
+        if not isinstance(obj["text"], str):
+            raise CorpusError(f"{path}: line {lineno} field 'text' is not a string")
+        labels = obj["labels"]
+        if not (isinstance(labels, list) and all(
+                type(x) is int and x >= 0 for x in labels)):  # bool is not a label
+            raise CorpusError(f"{path}: line {lineno} field 'labels' is not a list "
+                              f"of non-negative integers")
+        records.append(obj)
     return records
 
 

@@ -8,6 +8,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .corpus import read_lines
+
 
 @dataclass
 class F1Report:
@@ -28,7 +30,8 @@ def f1_scores(predictions, gold, num_labels, task="multilabel"):
     """Per-label F1 (2TP / (2TP+FP+FN)), macro mean, micro from pooled counts.
 
     Multiclass inputs are treated as singleton label sets. Labels with no
-    support and no predictions contribute F1 = 0 to the macro average.
+    support and no predictions contribute F1 = 0 to the macro average. A
+    label outside [0, num_labels) raises a ValueError.
     """
     if len(predictions) != len(gold):
         raise ValueError(f"predictions ({len(predictions)}) and gold ({len(gold)}) misaligned")
@@ -37,6 +40,9 @@ def f1_scores(predictions, gold, num_labels, task="multilabel"):
     fn = np.zeros(num_labels, dtype=np.int64)
     for p, g in zip(predictions, gold):
         ps, gs = _as_label_set(p), _as_label_set(g)
+        for l in ps | gs:
+            if not 0 <= l < num_labels:
+                raise ValueError(f"label id {l} out of range [0, {num_labels})")
         for l in ps & gs:
             tp[l] += 1
         for l in ps - gs:
@@ -186,25 +192,31 @@ def export_embeddings(path, embeddings, ids, labels):
 
 
 def load_embeddings(path):
-    """Inverse of export_embeddings; returns (embeddings, ids, labels). A row
-    with other than the header's column count, a label cell that is not
-    comma-joined integers or a value that is not a finite float raises a
-    ValueError naming the path and the line."""
+    """Inverse of export_embeddings; returns (embeddings, ids, labels). A
+    file that does not start with the id and label header, a line that is
+    not UTF-8, a row with other than the header's column count, a label cell
+    that is not comma-joined non-negative integers or a value that is not a
+    finite float raises a ValueError naming the path and the line."""
     ids, labels, rows = [], [], []
-    with open(path) as f:
-        header = f.readline().rstrip("\n").split("\t")
-        d = len(header) - 2
-        for lineno, line in enumerate(f, start=2):
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != len(header):
-                raise ValueError(f"{path}: line {lineno} has {len(parts)} columns, "
-                                 f"the header {len(header)}")
-            try:
-                labels.append(frozenset(map(int, parts[1].split(","))) if parts[1] else frozenset())
-                rows.append([float(v) for v in parts[2:]])
-            except ValueError as e:
-                raise ValueError(f"{path}: line {lineno}: {e}") from None
-            ids.append(parts[0])
+    lines = read_lines(path)
+    header = next(lines, (1, ""))[1].rstrip("\n").split("\t")
+    if header[:2] != ["id", "label"]:
+        raise ValueError(f"{path}: line 1 is not the id, label, dim_0, ... header")
+    d = len(header) - 2
+    for lineno, line in lines:
+        parts = line.rstrip("\n").split("\t")
+        if len(parts) != len(header):
+            raise ValueError(f"{path}: line {lineno} has {len(parts)} columns, "
+                             f"the header {len(header)}")
+        try:
+            ls = frozenset(map(int, parts[1].split(","))) if parts[1] else frozenset()
+            if min(ls, default=0) < 0:
+                raise ValueError(f"label id {min(ls)} is negative")
+            rows.append([float(v) for v in parts[2:]])
+        except ValueError as e:
+            raise ValueError(f"{path}: line {lineno}: {e}") from None
+        labels.append(ls)
+        ids.append(parts[0])
     embs = np.asarray(rows, dtype=np.float64) if rows else np.empty((0, d))
     bad = np.flatnonzero(~np.isfinite(embs).all(axis=1))
     if bad.size:

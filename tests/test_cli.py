@@ -1,16 +1,22 @@
 import contextlib
+import dataclasses
 import io
 import json
 import os
+import pathlib
+import shutil
 import tempfile
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpe.checkpoint import load_checkpoint, save_checkpoint
+from cpe.checkpoint import Head, load_checkpoint, save_checkpoint
 from cpe.cli import main
 from cpe.config import DEFAULTS, ConfigError, ExperimentConfig
+from cpe.encoder import EncoderConfig
+from cpe.training import PretrainConfig
 from test_checkpoint import set_zip_flag
 
 FAST = [
@@ -32,6 +38,49 @@ def _run(outdir, *argv, extra=()):
     for kv in [f"run.output_dir={outdir}", *FAST, *extra]:
         sets += ["--set", kv]
     return main([*sets, *argv])
+
+
+TINY = ["synthetic.num_docs=24"]
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory):
+    """The output directory of gen-synthetic, pretrain, embed and train-clf
+    on 24 documents; tests mutate a copy."""
+    out = tmp_path_factory.mktemp("tiny") / "run"
+    for stage in STAGES[:4]:
+        assert _run(out, stage, extra=TINY) == 0
+    return out
+
+
+@pytest.fixture
+def tiny_copy(tiny_run, tmp_path):
+    """A copy of `tiny_run` for one test to damage."""
+    out = tmp_path / "x"
+    shutil.copytree(tiny_run, out)
+    return out
+
+
+def _one_error(capsys, *named):
+    """The stage's stderr, one `error:` line that names each of `named`."""
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    for text in named:
+        assert str(text) in err, (text, err)
+    return err
+
+
+def _rewrite_echo(path, key, value=None, delete=False):
+    """Set (or delete) one echo key of a checkpoint, `section.key` for a
+    nested one; weights and vocabulary are kept."""
+    params, meta, vocab = load_checkpoint(path)
+    *section, key = key.split(".")
+    holder = meta[section[0]] if section else meta
+    if delete:
+        del holder[key]
+    else:
+        holder[key] = value
+    save_checkpoint(path, params, config=meta, vocab=vocab)
 
 
 class TestConfig:
@@ -506,6 +555,109 @@ class TestMissingArtifacts:
         assert f"{path}: line 4" in err
         assert not (out / "clf.bin").exists()
 
+    # each of these used to end in a traceback, or (int64 weights) to embed
+    # silently; each is now one error line naming the file and the key
+    @pytest.mark.parametrize("key,value", [
+        *[(key, None) for key in ("seed", "train_frac", "task", "threshold")],
+        ("seed", "x"), ("seed", 1.5), ("seed", -1), ("train_frac", "x" * 200),
+        ("train_frac", 2.0), ("task", "regression"), ("threshold", float("nan")),
+        ("hidden", ["64", 64, 64]), ("dropout", 0.1),
+    ], ids=lambda v: "drop" if v is None else "long" if len(str(v)) > 20 else None)
+    def test_classifier_echo_key_missing_or_mistyped_rejected(self, tiny_copy, capsys,
+                                                               key, value):
+        out = tiny_copy
+        _rewrite_echo(out / "clf.bin", key, value, delete=value is None)
+        capsys.readouterr()
+        assert _run(out, "eval", "--metrics", "f1", extra=TINY) == 1
+        err = _one_error(capsys, out / "clf.bin", key, "re-run 'train-clf'")
+        assert "x" * 40 not in err
+        assert not (out / "metrics.txt").exists()
+
+    def test_cluster_metrics_also_refuse_a_bad_classifier_echo(self, tiny_copy, capsys):
+        # the head's split is read before any metric, and blamed on clf.bin
+        out = tiny_copy
+        _rewrite_echo(out / "clf.bin", "train_frac", 2.0)
+        capsys.readouterr()
+        assert _run(out, "eval", "--metrics", "cluster", extra=TINY) == 1
+        err = capsys.readouterr().err
+        assert str(out / "clf.bin") in err and "corpus.train_frac" not in err
+
+    @pytest.mark.parametrize("artifact,stage", [("checkpoint.bin", "embed"),
+                                                ("clf.bin", "eval")])
+    def test_config_echo_not_an_object_rejected(self, tiny_copy, capsys, artifact, stage):
+        out = tiny_copy
+        params, _, vocab = load_checkpoint(out / artifact)
+        save_checkpoint(out / artifact, params, config=["task", "multiclass"], vocab=vocab)
+        capsys.readouterr()
+        assert _run(out, stage, extra=TINY) == 1
+        _one_error(capsys, out / artifact, "JSON object")
+
+    @pytest.mark.parametrize("key,value", [
+        ("pretrain.pooling", "x"), ("pretrain.chunk_len", "x"), ("pretrain.max_tokens", "x"),
+        ("pretrain.max_tokens", 4),  # PretrainConfig.validate
+        ("encoder.dim", None), ("encoder.window", True), ("encoder.global_tokens", [0.0]),
+        ("encoder.windw", 16), ("encoder", []), ("optimizer", {}),
+    ], ids=lambda v: "drop" if v is None else None)
+    def test_checkpoint_echo_key_missing_or_mistyped_rejected(self, tiny_copy, capsys,
+                                                              key, value):
+        out = tiny_copy
+        _rewrite_echo(out / "checkpoint.bin", key, value, delete=value is None)
+        (out / "embeddings.tsv").unlink()
+        capsys.readouterr()
+        assert _run(out, "embed", extra=TINY) == 1
+        _one_error(capsys, out / "checkpoint.bin", key, "re-run 'pretrain'")
+        assert not (out / "embeddings.tsv").exists()
+
+    @pytest.mark.parametrize("artifact,stage,dtype", [
+        ("checkpoint.bin", "embed", np.int64), ("checkpoint.bin", "embed", np.float64),
+        ("clf.bin", "eval", np.str_)])
+    def test_weight_of_another_dtype_rejected(self, tiny_copy, capsys, artifact, stage, dtype):
+        out = tiny_copy
+        path = out / artifact
+        params, meta, vocab = load_checkpoint(path)
+        name = sorted(params)[-1]
+        params[name] = params[name].data.astype(dtype)
+        save_checkpoint(path, params, config=meta, vocab=vocab)
+        capsys.readouterr()
+        assert _run(out, stage, extra=TINY) == 1
+        _one_error(capsys, path, f"parameter {name}", "float32")
+
+    @pytest.mark.parametrize("artifact,stage", [("embeddings.tsv", "train-clf"),
+                                                ("embeddings.tsv", "eval"),
+                                                ("corpus.jsonl", "pretrain")])
+    def test_undecodable_bytes_named(self, tiny_copy, capsys, artifact, stage):
+        out = tiny_copy
+        path = out / artifact
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[2] = b"\xff" + lines[2]
+        path.write_bytes(b"".join(lines))
+        capsys.readouterr()
+        assert _run(out, stage, extra=TINY) == 1
+        _one_error(capsys, f"{path}: line 3 ", "UTF-8")
+
+    @pytest.mark.parametrize("stage", ["train-clf", "eval"])
+    def test_empty_embeddings_file_named(self, tiny_copy, capsys, stage):
+        out = tiny_copy
+        (out / "embeddings.tsv").write_text("")
+        capsys.readouterr()
+        assert _run(out, stage, extra=TINY) == 1
+        _one_error(capsys, f"{out / 'embeddings.tsv'}: line 1 ", "header")
+
+    @pytest.mark.parametrize("label,named", [("9", "label id 9 out of range [0, 3)"),
+                                             ("-3", "line 2: label id -3 is negative")])
+    def test_gold_label_outside_the_head_rejected(self, tiny_copy, capsys, label, named):
+        # 9 used to end in an IndexError in f1_scores; -3 was counted as label 0
+        out = tiny_copy
+        path = out / "embeddings.tsv"
+        rows = [line.split("\t") for line in path.read_text().splitlines()]
+        for cells in rows[1:]:
+            cells[1] = label
+        path.write_text("".join("\t".join(cells) + "\n" for cells in rows))
+        capsys.readouterr()
+        assert _run(out, "eval", "--metrics", "f1", extra=TINY) == 1
+        _one_error(capsys, path, named)
+        assert not (out / "metrics.txt").exists()
+
     def test_embed_transformer_pooling_rejected(self, tmp_path, capsys):
         # no stage trains an aggregator, so an embedding would come from random weights
         out = tmp_path / "x"
@@ -588,6 +740,75 @@ class TestRandomOverrides:
                 err = io.StringIO()
                 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                     rc = _run(out, stage, extra=["synthetic.num_docs=24", *overrides])
+                lines = err.getvalue().splitlines()
+                assert rc == 0 or (rc == 1 and len(lines) == 1
+                                   and lines[0].startswith("error:")), (stage, rc, lines)
+
+
+# One mutation of one artifact of a finished tiny run, then every stage from
+# the first one that reads it: truncation, a flipped byte, an echo or corpus
+# field deleted or set to a value of any JSON type, a TSV column dropped.
+READER = {"corpus.jsonl": "pretrain", "checkpoint.bin": "embed",
+          "embeddings.tsv": "train-clf", "clf.bin": "eval"}
+ECHO_KEYS = {"checkpoint.bin": [f"{section}.{f.name}" for section, cls in
+                                (("encoder", EncoderConfig), ("pretrain", PretrainConfig))
+                                for f in dataclasses.fields(cls)],
+             "clf.bin": [f.name for f in dataclasses.fields(Head)],
+             "corpus.jsonl": ["id", "text", "labels"]}
+VALUES = st.sampled_from([None, True, "", "x", "mean", "sliding", "cpe-long", "multilabel",
+                          -1, 0, 1, 2, 3, 100, -0.5, 0.5, 2.0, float("nan"), float("inf"),
+                          [], [0], [1, 2], [64, 64], ["a"], {}])
+MUTATION = st.one_of(
+    st.tuples(st.sampled_from(sorted(READER)), st.just("truncate"),
+              st.floats(0, 1), st.none()),
+    st.tuples(st.sampled_from(sorted(READER)), st.just("flip"),
+              st.floats(0, 1), st.integers(1, 255)),
+    st.sampled_from(sorted(ECHO_KEYS)).flatmap(lambda artifact: st.tuples(
+        st.just(artifact), st.sampled_from(["delete", "set"]),
+        st.sampled_from(ECHO_KEYS[artifact]), VALUES)),
+    st.tuples(st.just("embeddings.tsv"), st.just("drop-column"),
+              st.integers(0, 3), st.none() | st.integers(0, 5)))
+
+
+def _mutate(out, mutation):
+    artifact, kind, where, value = mutation
+    path = out / artifact
+    data = path.read_bytes()
+    if kind == "truncate":
+        path.write_bytes(data[:int(where * len(data))])
+    elif kind == "flip":
+        at = min(int(where * len(data)), len(data) - 1)
+        path.write_bytes(data[:at] + bytes([data[at] ^ value]) + data[at + 1:])
+    elif kind == "drop-column":  # from every line, or from one
+        rows = [line.split("\t") for line in data.decode().splitlines()]
+        for cells in rows if value is None else rows[value:value + 1]:
+            del cells[where]
+        path.write_text("".join("\t".join(cells) + "\n" for cells in rows))
+    elif artifact == "corpus.jsonl":  # the first record
+        lines = data.decode().splitlines(keepends=True)
+        record = json.loads(lines[0])
+        if kind == "delete":
+            del record[where]
+        else:
+            record[where] = value
+        path.write_text(json.dumps(record) + "\n" + "".join(lines[1:]))
+    else:
+        _rewrite_echo(path, where, value, delete=kind == "delete")
+
+
+class TestArtifactMutations:
+    @settings(derandomize=True, max_examples=80, deadline=None)
+    @given(mutation=MUTATION)
+    @example(mutation=("clf.bin", "delete", "seed", None))  # a KeyError traceback once
+    def test_each_stage_succeeds_or_prints_one_error(self, tiny_run, mutation):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp) / "run"
+            shutil.copytree(tiny_run, out)
+            _mutate(out, mutation)
+            for stage in STAGES[STAGES.index(READER[mutation[0]]):]:
+                err = io.StringIO()
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    rc = _run(out, stage, extra=TINY)
                 lines = err.getvalue().splitlines()
                 assert rc == 0 or (rc == 1 and len(lines) == 1
                                    and lines[0].startswith("error:")), (stage, rc, lines)

@@ -148,6 +148,13 @@ class TestJsonl:
         with pytest.raises(CorpusError, match=f"{re.escape(str(p))}: line 2 .*{named}"):
             load_jsonl(p)
 
+    def test_undecodable_line_names_path_and_line(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_bytes(b'{"id":"1","text":"a","labels":[0]}\n'
+                      b'{"id":"2","text":"\xff","labels":[]}\n')
+        with pytest.raises(CorpusError, match=f"{re.escape(str(p))}: line 2 is not UTF-8"):
+            load_jsonl(p)
+
     def test_empty_file(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text("")

@@ -91,6 +91,38 @@ def test_every_public_function_is_referenced():
     assert NOT_CALLED_BY_NAME <= {dotted for dotted, _ in public_callables()}
 
 
+CONTAINER = {"load_checkpoint", "save_checkpoint"}
+
+
+def container_references(source):
+    """Lines that name `load_checkpoint` or `save_checkpoint`: a call, an
+    import or any other reference."""
+    tree = ast.parse(source)
+    lines = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if CONTAINER & {alias.name for alias in node.names}:
+                lines.add(node.lineno)
+        elif (isinstance(node, ast.Name) and node.id in CONTAINER
+              or isinstance(node, ast.Attribute) and node.attr in CONTAINER):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_container_detector():
+    source = ("from .checkpoint import load_head, save_checkpoint\n"
+              "import cpe.checkpoint as c\nc.load_checkpoint(p)\nload_head(p, 3)\n")
+    assert container_references(source) == [1, 3]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name != "checkpoint.py"],
+                         ids=lambda p: p.name)
+def test_only_checkpoint_reads_and_writes_the_container(path):
+    # what an artifact holds is decided in checkpoint.py alone; the other
+    # modules go through its typed writers and readers
+    assert container_references(path.read_text()) == []
+
+
 BENCH = SRC.parents[1] / "bench"
 
 # parameters with a default ("knobs") that no call in `src/cpe` or `bench/`

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -141,6 +142,13 @@ class TestF1:
         ref = f1_scores([{0}, {1}, {1}], [{0}, {1}, {0}], 2)
         assert rep.macro_f1 == ref.macro_f1 and rep.micro_f1 == ref.micro_f1
 
+    @pytest.mark.parametrize("preds,gold", [([{0}], [{9}]), ([{0}], [{-3}]), ([{3}], [{0}]),
+                                            ([0], [-1])])
+    def test_label_outside_the_range_rejected(self, preds, gold):
+        # 9 used to be an IndexError, -3 to be counted as label 0
+        with pytest.raises(ValueError, match=r"out of range \[0, 3\)"):
+            f1_scores(preds, gold, 3, task="multiclass")
+
     def test_misaligned_lengths_error(self):
         with pytest.raises(ValueError, match="misaligned"):
             f1_scores([{0}], [{0}, {1}], 2)
@@ -269,6 +277,24 @@ class TestEmbeddingIO:
         export_embeddings(path, np.zeros((1, 3)), ["x"], [frozenset({0})])
         header = path.read_text().splitlines()[0]
         assert header == "id\tlabel\tdim_0\tdim_1\tdim_2"
+
+    @pytest.mark.parametrize("text,named", [
+        ("", "line 1 is not the id, label"),
+        ("x\ty\n", "line 1 is not the id, label"),
+        ("id\tlabel\tdim_0\nd0\t-3\t0.5\n", "line 2: label id -3 is negative"),
+        ("id\tlabel\tdim_0\nd0\t1,-2\t0.5\n", "line 2: label id -2 is negative"),
+    ], ids=["empty", "no-header", "negative-label", "negative-of-two"])
+    def test_bad_file_names_path_and_line(self, tmp_path, text, named):
+        path = tmp_path / "e.tsv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {named}")):
+            load_embeddings(path)
+
+    def test_undecodable_line_named(self, tmp_path):
+        path = tmp_path / "e.tsv"
+        path.write_bytes(b"id\tlabel\tdim_0\nd0\t0\t0.5\nd1\t0\t0.\xff5\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: line 3 is not UTF-8")):
+            load_embeddings(path)
 
     def test_multilabel_cell_sorted_comma_joined(self, tmp_path):
         path = tmp_path / "e.tsv"
