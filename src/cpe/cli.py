@@ -57,7 +57,10 @@ def _load_records(cfg):
         _require(path, "gen-synthetic")
     else:
         path = _require(source, "gen-synthetic", hint="(corpus source file not found)")
-    return C.load_jsonl(path)
+    records = C.load_jsonl(path)
+    if not records:
+        raise CliError(f"{path}: the corpus has no records")
+    return records
 
 
 def _task(cfg, override=None):

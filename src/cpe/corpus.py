@@ -155,9 +155,10 @@ def read_lines(path):
 
 
 def load_jsonl(path):
-    """One {"id", "text", "labels"} object per line, with a string text and a
-    list of non-negative integer labels; order preserved. Any other line
-    raises a CorpusError that names the path and the line."""
+    """One {"id", "text", "labels"} object per line, with an id whose str()
+    holds no tab, CR or LF, a string text and a list of non-negative integer
+    labels; order preserved. Any other line raises a CorpusError that names
+    the path and the line."""
     records = []
     for lineno, line in read_lines(path):
         line = line.strip()
@@ -172,6 +173,8 @@ def load_jsonl(path):
         for key in ("id", "text", "labels"):
             if key not in obj:
                 raise CorpusError(f"{path}: line {lineno} missing field '{key}'")
+        if any(c in str(obj["id"]) for c in "\t\r\n"):  # a field of embeddings.tsv
+            raise CorpusError(f"{path}: line {lineno} field 'id' holds a tab or line break")
         if not isinstance(obj["text"], str):
             raise CorpusError(f"{path}: line {lineno} field 'text' is not a string")
         labels = obj["labels"]

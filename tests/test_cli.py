@@ -635,6 +635,16 @@ class TestMissingArtifacts:
         assert _run(out, stage, extra=TINY) == 1
         _one_error(capsys, f"{path}: line 3 ", "UTF-8")
 
+    @pytest.mark.parametrize("stage", [["embed"], ["embed", "--random-init"], ["pretrain"]],
+                             ids=["embed", "embed-random-init", "pretrain"])
+    def test_corpus_without_records_named(self, tiny_copy, capsys, stage):
+        # embed used to print numpy's "need at least one array to concatenate"
+        path = tiny_copy / "corpus.jsonl"
+        path.write_text("\n")
+        capsys.readouterr()
+        assert _run(tiny_copy, *stage, extra=TINY) == 1
+        _one_error(capsys, path, "no records")
+
     @pytest.mark.parametrize("stage", ["train-clf", "eval"])
     def test_empty_embeddings_file_named(self, tiny_copy, capsys, stage):
         out = tiny_copy

@@ -120,6 +120,11 @@ class TestJsonl:
         docs = encode_documents(records, v, task="multiclass")
         assert docs[0].id == "1" and len(docs[0].tokens) == 2 and docs[0].labels == {0}
 
+    def test_integer_id_accepted(self, tmp_path):
+        p = tmp_path / "c.jsonl"
+        p.write_text('{"id":7,"text":"a","labels":[]}\n')
+        assert load_jsonl(p)[0]["id"] == 7
+
     def test_malformed_line_names_line_number(self, tmp_path):
         p = tmp_path / "c.jsonl"
         p.write_text('{"id":"1","text":"a","labels":[]}\n'
@@ -141,6 +146,9 @@ class TestJsonl:
         ('{"id":"2","text":"b","labels":[1.0]}', "'labels'"),
         ('{"id":"2","text":"b","labels":[true]}', "'labels'"),
         ('{"id":"2","text":"b","labels":[[0]]}', "'labels'"),
+        ('{"id":"a\\tb","text":"b","labels":[]}', "'id'"),
+        ('{"id":"c\\nd","text":"b","labels":[]}', "'id'"),
+        ('{"id":"e\\rf","text":"b","labels":[]}', "'id'"),
     ])
     def test_record_of_the_wrong_type_names_path_and_line(self, tmp_path, line, named):
         p = tmp_path / "c.jsonl"

@@ -1,3 +1,8 @@
+import ctypes
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -715,3 +720,37 @@ class TestClassifierLosses:
         T.backward(loss)
         np.testing.assert_allclose(loss.data, want, rtol=1e-12)
         np.testing.assert_allclose(t.grad, (p - y) / z.size, rtol=1e-12)
+
+
+# One pretrain + embed round of 8 documents of 400 tokens (chunks of 128, dim
+# 64), run twice in a fresh process; prints each round's minor page faults.
+_ROUND_TWICE = """
+import resource
+from cpe import corpus as C
+from cpe.encoder import EncoderConfig
+from cpe.training import PretrainConfig, embed_documents, pretrain
+
+records = C.gen_synthetic(C.SyntheticSpec(num_docs=8, doc_len_min=400, doc_len_max=400), 1)
+vocab = C.build_vocab(r["text"] for r in records)
+docs = C.encode_documents(records, vocab)
+ecfg = EncoderConfig(vocab_size=vocab.size, dim=64)
+pcfg = PretrainConfig(epochs=1, chunk_len=128, n_chunks=4, max_tokens=512)
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    params = pretrain(docs, ecfg, pcfg).params
+    embed_documents(docs, params, ecfg, chunk_len=128, n_chunks=4, max_tokens=512)
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="libc has no mallopt")
+def test_second_round_reuses_the_freed_arrays():
+    # with glibc's defaults the second round faults about 3,800 pages back
+    # in; with the policy `tensor` sets at import, about 100
+    assert T._keep_freed_arrays()  # glibc accepts both settings
+    src = os.path.dirname(os.path.dirname(T.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", _ROUND_TWICE], env=env, check=True,
+                         capture_output=True, text=True, timeout=300).stdout
+    first, second = map(int, out.split())
+    assert second < 500, (first, second)
