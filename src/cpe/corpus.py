@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 
@@ -96,16 +97,11 @@ def build_vocab(texts, min_freq=1):
     texts = list(texts)
     if not texts:
         raise CorpusError("build_vocab: empty corpus")
-    counts = Counter()
-    order = {}
-    for text in texts:
-        for w in split_words(text):
-            counts[w] += 1
-            if w not in order:
-                order[w] = len(order)
+    # a Counter keeps first-appearance order, so ids follow first appearance
+    counts = Counter(w for text in texts for w in split_words(text))
     vocab = Vocab()
-    for w in sorted(counts, key=order.get):
-        if counts[w] >= min_freq:
+    for w, n in counts.items():
+        if n >= min_freq:
             vocab.add(w)
     return vocab
 
@@ -262,9 +258,12 @@ def gen_synthetic(spec, seed):
     region; `noise_rate` of positions come from the shared region.
     """
     spec.validate()
+    noise_rate, shared_vocab = spec.noise_rate, spec.shared_vocab
+    shared = [f"sh{j}" for j in range(shared_vocab)]
     records = []
     for i in range(spec.num_docs):
         rng = _doc_rng(seed, i)
+        random, integers = rng.random, rng.integers
         if spec.task == "multilabel":
             k = int(rng.integers(1, 3))
             topics = sorted(rng.choice(spec.num_topics, size=k, replace=False).tolist())
@@ -274,19 +273,22 @@ def gen_synthetic(spec, seed):
         # rng.choice(n, p=w) draws one rng.random() and returns its place in
         # the normalised CDF of w; building each CDF once per document gives
         # the same words without re-validating w on every draw
-        cdfs = {}
+        regions = []
         for t in topics:
             cdf = rng.dirichlet(np.full(spec.vocab_per_topic, spec.doc_alpha)).cumsum()
-            cdfs[t] = cdf / cdf[-1]
+            regions.append(((cdf / cdf[-1]).tolist(),
+                            [f"t{t}w{j}" for j in range(spec.vocab_per_topic)]))
+        # both shortcuts keep the stream draw for draw: integers(1) returns 0
+        # without drawing, so a one-topic document skips the call, and
+        # bisect_right on the same float64 values is searchsorted(side="right")
+        n_regions = len(regions)
         words = []
         for _ in range(length):
-            if spec.shared_vocab > 0 and rng.random() < spec.noise_rate:
-                j = int(rng.integers(spec.shared_vocab))
-                words.append(f"sh{j}")
+            if shared and random() < noise_rate:
+                words.append(shared[integers(shared_vocab)])
             else:
-                t = topics[int(rng.integers(len(topics)))]
-                j = int(cdfs[t].searchsorted(rng.random(), side="right"))
-                words.append(f"t{t}w{j}")
+                cdf, names = regions[integers(n_regions) if n_regions > 1 else 0]
+                words.append(names[bisect_right(cdf, random())])
         records.append({"id": f"doc{i:05d}", "text": " ".join(words), "labels": topics})
     return records
 

@@ -337,6 +337,5 @@ def embed_documents(docs, params, encoder_config, pooling="max", *, chunk_len, n
     for lo in range(0, len(docs), batch_size):
         group = docs[lo:lo + batch_size]
         chunked = [chunk(d, chunk_len, n_chunks, max_tokens) for d in group]
-        embs = embed_chunked_batch(chunked, params, encoder_config, pooling=pooling)
-        out.append(embs.data)
+        out.append(embed_chunked_batch(chunked, params, encoder_config, pooling=pooling).data)
     return np.concatenate(out, axis=0)

@@ -16,6 +16,13 @@ class TestVocab:
         v = build_vocab(["a b", "a c"], min_freq=2)
         assert "a" in v and "b" not in v and "c" not in v
 
+    def test_ids_follow_first_appearance_without_gaps(self):
+        # every checkpoint's tok_emb rows are in this order
+        v = build_vocab(["b a rare b", "c a c once"], min_freq=2)
+        assert v.tokens() == ["b", "a", "c"]
+        assert [v.id_of(w) for w in ("b", "a", "c")] == [3, 4, 5]
+        assert "rare" not in v and "once" not in v
+
     def test_size_counts_reserved(self):
         v = build_vocab(["x"], min_freq=1)
         assert v.size == 4  # PAD, UNK, CLS, x
@@ -225,6 +232,14 @@ class TestSynthetic:
                       vocab_per_topic=25, shared_vocab=10, noise_rate=0.3,
                       task="multilabel"),
         SyntheticSpec(num_docs=3, doc_len_min=1397, doc_len_max=1397),
+        # the edges of the shortcuts: integers(1) and an empty shared region
+        # draw nothing, and a one-word topic region has a one-entry CDF
+        SyntheticSpec(num_docs=40, doc_len_min=5, doc_len_max=40, shared_vocab=1),
+        SyntheticSpec(num_docs=40, doc_len_min=5, doc_len_max=40, shared_vocab=0),
+        SyntheticSpec(num_docs=40, doc_len_min=5, doc_len_max=40, noise_rate=1.0),
+        SyntheticSpec(num_docs=40, doc_len_min=5, doc_len_max=40, vocab_per_topic=1),
+        SyntheticSpec(num_docs=40, num_topics=2, doc_len_min=5, doc_len_max=40,
+                      task="multilabel"),
     ])
     def test_matches_per_word_choice_generator(self, spec):
         # the generator before topic words were drawn from a per-document CDF

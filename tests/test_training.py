@@ -1,9 +1,11 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
 from cpe import tensor as T
+from cpe import training
 from cpe.corpus import CLS_ID, Document, chunk
 from cpe.encoder import EncoderConfig, encode_chunk, init_params
 from cpe.optim import AdamWConfig, AdamWState, adamw_step
@@ -329,6 +331,27 @@ class TestClsOnlyForwards:
                                n_chunks=4, max_tokens=32, batch_size=2)
         assert embs.shape == (5, cfg.dim)
         self._assert_cls_only(rows, 3, [2, 2, 1] if sliding else None)  # packed in twos
+
+    def test_embed_documents_frees_each_batch_before_the_next(self, monkeypatch):
+        # a batch's graph holds its (B * n_chunks, heads, L, L) attention
+        # probabilities; it must be garbage before the next batch is built
+        class Tracked(T.Tensor):  # no __slots__ of its own, so weak-referenceable
+            pass
+
+        returned, original = [], training.embed_chunked_batch
+
+        def spy(*args, **kwargs):
+            assert all(ref() is None for ref in returned), "an earlier batch is still alive"
+            out = original(*args, **kwargs)
+            tracked = Tracked(out.data, out.requires_grad, out._parents, out._backward)
+            returned.append(weakref.ref(tracked))
+            return tracked
+
+        monkeypatch.setattr(training, "embed_chunked_batch", spy)
+        cfg = EncoderConfig(**{**vars(CFG), "layers": 2})
+        embs = embed_documents(self._docs(5), init_params(cfg, 0), cfg, chunk_len=8,
+                               n_chunks=4, max_tokens=32, batch_size=2)
+        assert embs.shape == (5, cfg.dim) and len(returned) == 3
 
 
 class TestPackedSlidingPasses:
