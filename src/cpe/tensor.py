@@ -3,7 +3,10 @@
 Values are numpy arrays (float32 by default, float64 for gradient
 checking). Every operation that touches a gradient-tracked tensor records
 a node on a dynamic tape; `backward` replays the tape in reverse
-topological order.
+topological order and consumes it as it goes: each node drops its
+gradient, its closure and its parents once its closure has run, so a
+step's activations and interior gradients are freed during the sweep and
+only leaves keep `.grad`. A second backward through a spent graph raises.
 
 Fused ops record one node with a closed-form backward pass: `linear`
 (x @ w + b over the last axis), `attention` (masked scaled dot-product
@@ -720,8 +723,19 @@ def bce_with_logits(logits, targets):
 # ---------------------------------------------------------------------------
 # backward pass
 
+def _consumed(grad):
+    raise RuntimeError("backward: this graph was consumed by an earlier backward; build it again")
+
+
 def backward(loss):
-    """Reverse-mode accumulation from a scalar loss to all tracked leaves."""
+    """Reverse-mode accumulation from a scalar loss to all tracked leaves.
+
+    The sweep consumes the tape: once a node's closure has run, the node
+    drops its gradient, its closure and its parents, so its saved arrays
+    and interior gradients are freed as soon as nothing upstream needs them.
+    Only leaves (tensors with no closure, such as every `parameter`) keep
+    `.grad`. A second backward through the same graph raises RuntimeError.
+    """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
     topo, seen = [], set()
@@ -739,9 +753,11 @@ def backward(loss):
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad, node._backward, node._parents = None, _consumed, ()
 
 
 def collect_gradients(params):

@@ -2,6 +2,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +112,26 @@ class TestBackward:
         grads = T.collect_gradients({"used": used, "unused": unused})
         np.testing.assert_allclose(grads["unused"], 0.0)
         np.testing.assert_allclose(grads["used"], 2.0)
+
+    def test_second_backward_through_a_spent_graph_raises(self):
+        w = T.parameter(np.ones(3))
+        loss = T.sum_(T.tanh(w))
+        T.backward(loss)
+        with pytest.raises(RuntimeError, match="consumed by an earlier backward"):
+            T.backward(loss)
+
+    def test_backward_frees_interior_arrays_and_keeps_leaf_gradients(self):
+        rng = np.random.default_rng(0)
+        x = T.constant(rng.standard_normal((4, 3)))
+        w, b = T.parameter(rng.standard_normal((3, 5))), T.parameter(np.zeros(5))
+        h = T.linear(x, w, b)
+        loss = T.sum_(T.layer_norm(h, T.parameter(np.ones(5)), T.parameter(np.zeros(5))))
+        ref = weakref.ref(h.data)
+        del h
+        assert ref() is not None  # the graph holds it until backward has passed
+        T.backward(loss)
+        assert ref() is None
+        assert w.grad is not None and w.grad.shape == (3, 5)
 
     def test_three_layer_network_matches_finite_differences(self):
         rng = np.random.default_rng(7)

@@ -467,6 +467,32 @@ class TestPretrain:
         with pytest.raises(ValueError, match="sliding"):
             pretrain(_tiny_corpus(), CFG, self._cfg(objective="cpe-long"))
 
+    @pytest.mark.parametrize("objective, attention, forward", [
+        ("cpe-hier", "attention", "forward_cpe_hier"),
+        ("cpe-long", "sliding_attention", "forward_cpe_long")])
+    def test_each_step_graph_is_freed_before_the_next_forward(self, monkeypatch, objective,
+                                                              attention, forward):
+        # backward consumes the tape, so the loss, anchors and candidates
+        # pretrain still holds keep no attention probabilities alive
+        refs, live = [], []
+        original_attention, original_forward = getattr(T, attention), getattr(training, forward)
+
+        def attention_spy(*args, **kwargs):
+            probs = []
+            out = original_attention(*args, **{**kwargs, "probs": probs})
+            refs.append(weakref.ref(probs[0]))
+            return out
+
+        def forward_spy(*args, **kwargs):
+            live.append(sum(ref() is not None for ref in refs))
+            return original_forward(*args, **kwargs)
+
+        monkeypatch.setattr(T, attention, attention_spy)
+        monkeypatch.setattr(training, forward, forward_spy)
+        config = TestClsOnlyForwards.LONG if objective == "cpe-long" else CFG
+        res = pretrain(_tiny_corpus(16), config, self._cfg(objective=objective))
+        assert res.steps == 4 and len(refs) >= 4 and live == [0, 0, 0, 0]
+
     @pytest.mark.parametrize("objective", ["simcse", "esimcse"])
     def test_baseline_objectives_run(self, objective):
         res = pretrain(_tiny_corpus(16), CFG, self._cfg(objective=objective))
