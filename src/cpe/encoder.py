@@ -231,7 +231,7 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
 
 def encode_chunk(ids, mask, params, config, train=False, rng=None):
     """[CLS] vectors, shape (B, D), for a batch of token sequences, one per
-    row: padded chunks, or the equal-length positives of `cpe-long`.
+    row: padded chunks, including the held-out chunks of `cpe-hier`.
 
     The last block runs on the [CLS] row only (`encoder_forward`'s
     `cls_only`), since no other row of it is read."""

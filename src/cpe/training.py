@@ -3,7 +3,8 @@
 Objectives: chunk prediction over the hierarchical path (cpe-hier) and the
 sliding-window path (cpe-long), plus the SimCSE and ESimCSE baselines. All
 share the in-batch multiple-negatives ranking loss over cosine
-similarities.
+similarities, and each step of each is one encoder call over the N anchors
+and then their N positives, split at N.
 """
 
 from __future__ import annotations
@@ -177,37 +178,34 @@ def forward_cpe_hier(pairs, params, config, pooling="max", train=False, rng=None
 
 
 def forward_cpe_long(pairs, params, config, train=False, rng=None):
-    """Two encoder passes. The anchors' unpadded reference texts are packed
-    end to end into one row (`encode_packed`), so the sliding pass computes
-    no padding position; the positives, all chunk_len + 1 wide, are one row
-    each."""
-    anchors = encode_packed([p.anchor for p in pairs], params, config, train=train, rng=rng)
-    return anchors, encode_chunk(np.stack([p.positive_ids for p in pairs]),
-                                 np.stack([p.positive_mask for p in pairs]),
-                                 params, config, train=train, rng=rng)
+    """One encoder pass: the anchors' unpadded reference texts and then the
+    [CLS] + span positives are packed end to end into one row, one segment
+    each (`encode_packed`), so the sliding pass computes no padding position."""
+    cls = encode_packed([*(p.anchor for p in pairs), *(p.positive_ids for p in pairs)],
+                        params, config, train=train, rng=rng)
+    return cls[:len(pairs)], cls[len(pairs):]
+
+
+def _embed_pairs(anchors, positives, params, config, pooling, rng):
+    """One train-mode pass: the anchor documents and then their positives are
+    pooled in one `embed_chunked_batch` call, split at N."""
+    embs = embed_chunked_batch([*anchors, *positives], params, config, pooling=pooling,
+                               train=True, rng=rng)
+    return embs[:len(anchors)], embs[len(anchors):]
 
 
 def forward_simcse(chunked_docs, params, config, pooling="max", rng=None):
-    """Two train-mode passes with independent dropout form the positive pair."""
-    a = embed_chunked_batch(chunked_docs, params, config, pooling=pooling,
-                            train=True, rng=rng)
-    b = embed_chunked_batch(chunked_docs, params, config, pooling=pooling,
-                            train=True, rng=rng)
-    return a, b
+    """The batch is its own positive: it is encoded twice within one pass, and
+    the independent dropout of the two copies forms the positive pair."""
+    return _embed_pairs(chunked_docs, chunked_docs, params, config, pooling, rng)
 
 
 def forward_esimcse(docs, chunked_docs, params, config, cfg, rng):
-    """Anchor = original document; positive = word-repetition augmentation."""
-    aug = []
-    for doc in docs:
-        toks = esimcse_augment(doc.tokens, cfg.esimcse_rate, rng)
-        aug.append(chunk(Document(id=doc.id, tokens=tuple(toks)),
-                         cfg.chunk_len, cfg.n_chunks, cfg.max_tokens))
-    a = embed_chunked_batch(chunked_docs, params, config, pooling=cfg.pooling,
-                            train=True, rng=rng)
-    b = embed_chunked_batch(aug, params, config, pooling=cfg.pooling,
-                            train=True, rng=rng)
-    return a, b
+    """Anchor = original document; positive = word-repetition augmentation,
+    encoded in the anchors' pass."""
+    aug = [chunk(Document(id=d.id, tokens=tuple(esimcse_augment(d.tokens, cfg.esimcse_rate, rng))),
+                 cfg.chunk_len, cfg.n_chunks, cfg.max_tokens) for d in docs]
+    return _embed_pairs(chunked_docs, aug, params, config, cfg.pooling, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -251,8 +249,9 @@ def pretrain(docs, encoder_config, cfg, log=None):
 
     eligible = [d for d in docs if _eligible(d, cfg)]
     skipped = len(docs) - len(eligible)
-    if len(eligible) < 2:
-        raise ValueError(f"all documents skipped (skipped={skipped}); nothing to train on")
+    if len(eligible) < cfg.batch_size:
+        raise ValueError(f"pretrain.batch_size={cfg.batch_size} needs as many eligible "
+                         f"documents, got {len(eligible)} (skipped {skipped})")
 
     chunked = None
     if cfg.objective != "cpe-long":

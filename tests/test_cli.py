@@ -387,6 +387,15 @@ class TestMissingArtifacts:
         assert not (out / "checkpoint.bin").exists()
         assert _run(out, "pretrain", "--objective", "simcse", extra=[override]) == 0
 
+    def test_fewer_documents_than_a_batch_rejected(self, tmp_path, capsys):
+        # 3 documents fill no batch of 4: no step runs, so no model is written
+        out = tmp_path / "x"
+        assert _run(out, "gen-synthetic", extra=["synthetic.num_docs=3"]) == 0
+        capsys.readouterr()
+        assert _run(out, "pretrain", extra=["synthetic.num_docs=3"]) == 1
+        _one_error(capsys, "pretrain.batch_size=4", "got 3", "skipped 0")
+        assert not (out / "checkpoint.bin").exists()
+
     def test_cpe_hier_with_partial_second_slot_trains(self, tmp_path):
         # max_tokens 9..15 with chunk_len 8: the second slot is partial
         out = tmp_path / "x"
@@ -739,11 +748,12 @@ OVERRIDE = st.sampled_from(sorted(CANDIDATES)).flatmap(
 
 class TestRandomOverrides:
     # the pipeline in order reaches every stage; other orders reach the
-    # missing-artifact paths
+    # missing-artifact paths. A pretrain that succeeds has logged a step.
     @settings(derandomize=True, max_examples=25, deadline=None)
     @given(overrides=st.lists(OVERRIDE, max_size=2),
            stages=st.one_of(st.just(STAGES), st.permutations(STAGES),
                             st.lists(st.sampled_from(STAGES), min_size=1, max_size=6)))
+    @example(overrides=["synthetic.num_docs=3"], stages=STAGES)  # once 0 steps and exit 0
     def test_each_stage_succeeds_or_prints_one_error(self, overrides, stages):
         with tempfile.TemporaryDirectory() as out:
             for stage in stages:
@@ -753,6 +763,9 @@ class TestRandomOverrides:
                 lines = err.getvalue().splitlines()
                 assert rc == 0 or (rc == 1 and len(lines) == 1
                                    and lines[0].startswith("error:")), (stage, rc, lines)
+                if stage == "pretrain" and rc == 0:
+                    log = pathlib.Path(out, "pretrain_log.tsv")
+                    assert log.read_text().strip(), (stage, overrides)
 
 
 # One mutation of one artifact of a finished tiny run, then every stage from

@@ -4,14 +4,15 @@ import weakref
 import numpy as np
 import pytest
 
+from cpe import encoder
 from cpe import tensor as T
 from cpe import training
 from cpe.corpus import CLS_ID, Document, chunk
-from cpe.encoder import EncoderConfig, encode_chunk, init_params
+from cpe.encoder import EncoderConfig, encode_chunk, encode_packed, init_params
 from cpe.optim import AdamWConfig, AdamWState, adamw_step
-from cpe.training import (PretrainConfig, embed_chunked_batch, embed_documents,
-                          esimcse_augment, forward_cpe_hier, forward_cpe_long, forward_simcse,
-                          mnr_loss, pretrain, sample_pair_hier, sample_pair_long)
+from cpe.training import (OBJECTIVES, PretrainConfig, embed_chunked_batch, embed_documents,
+                          esimcse_augment, forward_cpe_hier, forward_cpe_long, forward_esimcse,
+                          forward_simcse, mnr_loss, pretrain, sample_pair_hier, sample_pair_long)
 import oracle_ops as O
 from test_encoder import _tape_nodes
 
@@ -314,7 +315,7 @@ class TestClsOnlyForwards:
                  for i in range(3)]
         rows = self._query_rows(monkeypatch)
         forward_cpe_long(pairs, init_params(self.LONG, 0), self.LONG, train=True, rng=rng)
-        self._assert_cls_only(rows, 2, [3, 1])  # the 3 packed anchors, then 1 per positive
+        self._assert_cls_only(rows, 1, [6])  # the 3 anchors and the 3 positives, packed
 
     def test_embed_chunked_batch(self, monkeypatch):
         cfg = EncoderConfig(**{**vars(CFG), "layers": 2})
@@ -354,6 +355,102 @@ class TestClsOnlyForwards:
         assert embs.shape == (5, cfg.dim) and len(returned) == 3
 
 
+class TestOnePassForwards:
+    """`cpe-long`, SimCSE and ESimCSE each encode their anchors and then their
+    positives in one encoder call, split at N. Without dropout that equals
+    encoding the two in calls of their own: the anchors, the candidates and
+    every parameter gradient of the loss."""
+
+    LONG = EncoderConfig(**{**vars(TestClsOnlyForwards.LONG), "dropout": 0.0})
+    HIER = EncoderConfig(**{**vars(CFG), "dropout": 0.0})
+    PCFG = PretrainConfig(objective="esimcse", chunk_len=8, n_chunks=3, max_tokens=24,
+                          esimcse_rate=0.5)
+    TOL = {np.float32: 1e-5, np.float64: 1e-12}  # relative to the largest entry
+
+    def _docs(self):
+        return [_doc(n, seed=i, doc_id=str(i)) for i, n in enumerate((12, 60, 25, 41))]
+
+    def _chunked(self, docs):
+        return [chunk(d, self.PCFG.chunk_len, self.PCFG.n_chunks, self.PCFG.max_tokens)
+                for d in docs]
+
+    def _long_pairs(self):
+        rng = np.random.default_rng(0)
+        return [sample_pair_long(d, 6, self.LONG.max_positions, rng) for d in self._docs()]
+
+    def _augmented(self, rng):
+        return self._chunked([Document(id=d.id, tokens=tuple(
+            esimcse_augment(d.tokens, self.PCFG.esimcse_rate, rng))) for d in self._docs()])
+
+    def _outputs(self, forward, config, dtype):
+        """Anchors, candidates and the loss's gradient over every parameter as
+        one vector: a key bias's gradient is zero up to rounding (attention
+        ignores a shift shared by all keys), so it has no scale of its own."""
+        params = {k: T.parameter(p.data.astype(dtype)) for k, p in init_params(config, 2).items()}
+        a, c = forward(params)
+        out = [a.data, c.data]
+        T.backward(mnr_loss(a, c)[0])
+        return out + [np.concatenate([g.ravel() for g in T.collect_gradients(params).values()])]
+
+    def _assert_equal(self, one_pass, two_calls, config, dtype):
+        for got, want in zip(self._outputs(one_pass, config, dtype),
+                             self._outputs(two_calls, config, dtype)):
+            assert got.dtype == dtype and np.abs(want).max() > 0
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=self.TOL[dtype] * np.abs(want).max())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_cpe_long_equals_two_calls(self, dtype):
+        pairs, cfg = self._long_pairs(), self.LONG
+        self._assert_equal(
+            lambda p: forward_cpe_long(pairs, p, cfg),
+            lambda p: (encode_packed([q.anchor for q in pairs], p, cfg),
+                       encode_chunk(np.stack([q.positive_ids for q in pairs]),
+                                    np.stack([q.positive_mask for q in pairs]), p, cfg)),
+            cfg, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_simcse_equals_two_calls(self, dtype):
+        chunked, cfg, rng = self._chunked(self._docs()), self.HIER, np.random.default_rng(0)
+        self._assert_equal(
+            lambda p: forward_simcse(chunked, p, cfg, rng=rng),
+            lambda p: tuple(embed_chunked_batch(chunked, p, cfg, train=True, rng=rng)
+                            for _ in range(2)),
+            cfg, dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_esimcse_equals_two_calls(self, dtype):
+        docs, cfg = self._docs(), self.HIER
+        chunked = self._chunked(docs)
+        aug = self._augmented(np.random.default_rng(0))  # the draws forward_esimcse makes
+        assert not all(np.array_equal(a.chunks, c.chunks) for a, c in zip(aug, chunked))
+        self._assert_equal(
+            lambda p: forward_esimcse(docs, chunked, p, cfg, self.PCFG, np.random.default_rng(0)),
+            lambda p: (embed_chunked_batch(chunked, p, cfg), embed_chunked_batch(aug, p, cfg)),
+            cfg, dtype)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("objective", ["cpe-long", "simcse", "esimcse"])
+    def test_tape_nodes_per_step(self, objective, layers):
+        # one train-mode [CLS]-only encoder pass (its two row-0 slices
+        # included), then the [CLS] slice, the pooling node (none on
+        # cpe-long), the anchor and candidate slices and the loss
+        rng = np.random.default_rng(0)
+        if objective == "cpe-long":
+            cfg = EncoderConfig(**{**vars(TestClsOnlyForwards.LONG), "layers": layers})
+            a, c = forward_cpe_long(self._long_pairs(), init_params(cfg, 0), cfg, train=True,
+                                    rng=rng)
+        else:
+            cfg = EncoderConfig(**{**vars(CFG), "layers": layers})
+            chunked = self._chunked(self._docs())
+            a, c = (forward_simcse(chunked, init_params(cfg, 0), cfg, rng=rng)
+                    if objective == "simcse" else
+                    forward_esimcse(self._docs(), chunked, init_params(cfg, 0), cfg, self.PCFG,
+                                    rng))
+        loss, _ = mnr_loss(a, c)
+        assert _tape_nodes(loss) == 5 + 14 * layers + 2 + (4 if objective == "cpe-long" else 5)
+
+
 class TestPackedSlidingPasses:
     """`cpe-long` packs each sliding encoder call end to end: the sliding pass
     sees one row of the real tokens and [CLS] of every sequence, never B
@@ -386,7 +483,7 @@ class TestPackedSlidingPasses:
         forward_cpe_long(pairs, init_params(self.LONG, 0), self.LONG, train=True, rng=rng)
         real = sum(len(p.anchor) for p in pairs)  # tokens and [CLS], cut at 40
         assert real < len(pairs) * self.LONG.max_positions
-        assert rows == [(1, real), (len(pairs), 5)]  # the packed anchors, then the positives
+        assert rows == [(1, real + len(pairs) * (4 + 1))]  # then each [CLS] + span positive
 
     def test_embed_documents_computes_no_padding(self, monkeypatch):
         rows = self._sliding_rows(monkeypatch)
@@ -448,6 +545,14 @@ class TestPretrain:
         with pytest.raises(ValueError, match="skipped"):
             pretrain(shorts, CFG, self._cfg())
 
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_fewer_eligible_docs_than_a_batch_errors(self, objective):
+        # 3 eligible documents fill no batch of 4: no step would run
+        config = TestClsOnlyForwards.LONG if objective == "cpe-long" else CFG
+        corpus = _tiny_corpus(3) + [Document(id="empty", tokens=())]
+        with pytest.raises(ValueError, match=r"pretrain\.batch_size=4 .* got 3 \(skipped 1\)"):
+            pretrain(corpus, config, self._cfg(objective=objective))
+
     def test_skip_counting(self):
         corpus = _tiny_corpus(12) + [Document(id="tiny", tokens=(5, 6, 7))]
         res = pretrain(corpus, CFG, self._cfg())
@@ -492,6 +597,19 @@ class TestPretrain:
         config = TestClsOnlyForwards.LONG if objective == "cpe-long" else CFG
         res = pretrain(_tiny_corpus(16), config, self._cfg(objective=objective))
         assert res.steps == 4 and len(refs) >= 4 and live == [0, 0, 0, 0]
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_one_encoder_call_per_step(self, monkeypatch, objective):
+        calls, original = [], encoder.encoder_forward
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs["train"])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(encoder, "encoder_forward", spy)
+        config = TestClsOnlyForwards.LONG if objective == "cpe-long" else CFG
+        res = pretrain(_tiny_corpus(16), config, self._cfg(objective=objective))
+        assert res.steps == 4 and calls == [True] * 4
 
     @pytest.mark.parametrize("objective", ["simcse", "esimcse"])
     def test_baseline_objectives_run(self, objective):
