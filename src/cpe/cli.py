@@ -101,10 +101,9 @@ def cmd_pretrain(cfg, args):
     pcfg = cfg.pretrain_config(objective=args.objective)
     ecfg = cfg.encoder_config(vocab.size, pcfg.objective)
 
-    log_path = os.path.join(out, "pretrain_log.tsv")
-    with open(log_path, "w") as log_file:
-        result = pretrain(docs, ecfg, pcfg,
-                          log=lambda line: print(line, file=log_file))
+    result = pretrain(docs, ecfg, pcfg)  # a failed pretrain leaves the last run's files
+    with open(os.path.join(out, "pretrain_log.tsv"), "w") as log_file:
+        log_file.writelines(line + "\n" for line in result.log_lines)
     save_encoder(os.path.join(out, "checkpoint.bin"), result.params, ecfg, pcfg, vocab)
     vocab.save(os.path.join(out, "vocab.txt"))
     print(f"pretrained {pcfg.objective} for {result.steps} steps "

@@ -2,11 +2,17 @@
 
 Values are numpy arrays (float32 by default, float64 for gradient
 checking). Every operation that touches a gradient-tracked tensor records
-a node on a dynamic tape; `backward` replays the tape in reverse
-topological order and consumes it as it goes: each node drops its
-gradient, its closure and its parents once its closure has run, so a
-step's activations and interior gradients are freed during the sweep and
-only leaves keep `.grad`. A second backward through a spent graph raises.
+a node on a dynamic tape. A node holds the gradient, the backward closure,
+the parents' nodes and the shape and dtype, not the value; each closure
+keeps its parents' nodes and only the arrays its own backward reads, never
+a `Tensor`. So a value dies once nothing reads it, neither the forward
+code nor a closure: the embedding lookups, the residual sums and the
+projections added into them are freed during the forward. `backward`
+replays the tape in reverse topological order and consumes it as it goes:
+each node drops its gradient, its closure and its parents once its closure
+has run, so the saved arrays and interior gradients are freed during the
+sweep and only leaves keep `.grad`. A second backward through a spent
+graph raises.
 
 Fused ops record one node with a closed-form backward pass: `linear`
 (x @ w + b over the last axis), `attention` (masked scaled dot-product
@@ -78,8 +84,21 @@ class ShapeError(ValueError):
     pass
 
 
+class _Node:
+    """What the tape records for one tracked tensor: its gradient, its
+    backward closure, its parents' nodes, and its shape and dtype. Not its
+    value: the tensor holds that, and a closure only the arrays it reads."""
+    __slots__ = ("grad", "_backward", "_parents", "shape", "dtype")
+
+    def __init__(self, data, parents, backward):
+        self.grad, self._backward, self._parents = None, backward, parents
+        self.shape, self.dtype = data.shape, data.dtype
+
+
 class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    """An array `data` and, when gradient-tracked, its tape `node` (else
+    None); `parents` are the parents' nodes."""
+    __slots__ = ("data", "node", "name")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, name=None):
         if not isinstance(data, np.ndarray):
@@ -88,11 +107,16 @@ class Tensor:
             else:
                 data = np.asarray(data, dtype=np.float32)
         self.data = data
-        self.grad = None
-        self.requires_grad = requires_grad
-        self._parents = parents
-        self._backward = backward
+        self.node = _Node(data, tuple(parents), backward) if requires_grad else None
         self.name = name
+
+    # the tape's fields, read through the node (None for an untracked tensor)
+    requires_grad = property(lambda self: self.node is not None)
+    grad = property(lambda self: getattr(self.node, "grad", None),
+                    lambda self, g: setattr(self.node, "grad", g))
+    _parents = property(lambda self: getattr(self.node, "_parents", ()))
+    _backward = property(lambda self: getattr(self.node, "_backward", None),
+                         lambda self, fn: setattr(self.node, "_backward", fn))
 
     @property
     def shape(self):
@@ -145,26 +169,28 @@ def _unbroadcast(grad, shape):
 
 
 def _node(data, parents, backward, name=None):
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req, parents=tuple(parents) if req else (),
-                  backward=backward if req else None, name=name)
+    nodes = tuple(p.node for p in parents if p.node is not None)
+    return Tensor(data, bool(nodes), nodes, backward, name)
 
 
-def _accum(t, g):
-    """Add `g` into `t.grad`.
+def _accum(n, g):
+    """Add `g` into the gradient of node `n`; nothing when `n` is None (an
+    untracked parent). The shape comes from the node, which keeps no value:
+    a value dies once neither the forward code nor a closure still reads
+    it, often long before backward reaches its node.
 
-    The first write stores `g` itself when it has t's shape, so a stored
-    gradient may be the very array another tensor holds (`add` hands the
+    The first write stores `g` itself when it has n's shape, so a stored
+    gradient may be the very array another node holds (`add` hands the
     same `g` to both parents) or a view of the child's gradient. Hence the
     invariant: no code mutates a stored `.grad` or an incoming `g` in place;
-    a later write rebinds `t.grad` to a new array.
+    a later write rebinds `n.grad` to a new array.
     """
-    if not t.requires_grad:
+    if n is None:
         return
-    if t.grad is None:
-        t.grad = g if g.shape == t.shape else np.zeros_like(t.data, dtype=g.dtype) + g
+    if n.grad is None:
+        n.grad = g if g.shape == n.shape else np.zeros(n.shape, dtype=g.dtype) + g
     else:
-        t.grad = t.grad + g
+        n.grad = n.grad + g
 
 
 # ---------------------------------------------------------------------------
@@ -176,30 +202,31 @@ def add(a, b):
         out = a.data + b.data
     except ValueError:
         raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+    an, bn, a_shape, b_shape = a.node, b.node, a.shape, b.shape
 
     def bwd(g):
-        _accum(a, _unbroadcast(g, a.shape))
-        _accum(b, _unbroadcast(g, b.shape))
+        _accum(an, _unbroadcast(g, a_shape))
+        _accum(bn, _unbroadcast(g, b_shape))
 
     return _node(out, (a, b), bwd)
 
 
 def relu(a):
     a = _as_tensor(a)
-    out = np.maximum(a.data, 0)
+    out, an = np.maximum(a.data, 0), a.node
 
     def bwd(g):
-        _accum(a, g * (a.data > 0))
+        _accum(an, g * (out > 0))  # out > 0 exactly where a > 0
 
     return _node(out, (a,), bwd)
 
 
 def tanh(a):
     a = _as_tensor(a)
-    out = np.tanh(a.data)
+    out, an = np.tanh(a.data), a.node
 
     def bwd(g):
-        _accum(a, g * (1.0 - out * out))
+        _accum(an, g * (1.0 - out * out))
 
     return _node(out, (a,), bwd)
 
@@ -213,27 +240,28 @@ def matmul(a, b):
         out = np.matmul(a.data, b.data)
     except ValueError:
         raise ShapeError(f"matmul: shapes {a.shape} and {b.shape} do not conform")
+    ad, bd, an, bn = a.data, b.data, a.node, b.node
 
     def bwd(g):
-        if a.ndim == 1 and b.ndim == 1:
-            _accum(a, g * b.data)
-            _accum(b, g * a.data)
+        if ad.ndim == 1 and bd.ndim == 1:
+            _accum(an, g * bd)
+            _accum(bn, g * ad)
             return
-        ad = a.data if a.ndim > 1 else a.data[None, :]
-        bd = b.data if b.ndim > 1 else b.data[:, None]
+        a2 = ad if ad.ndim > 1 else ad[None, :]
+        b2 = bd if bd.ndim > 1 else bd[:, None]
         gg = g
-        if a.ndim == 1:
+        if ad.ndim == 1:
             gg = gg[..., None, :]
-        if b.ndim == 1:
+        if bd.ndim == 1:
             gg = gg[..., :, None]
-        ga = np.matmul(gg, np.swapaxes(bd, -1, -2))
-        gb = np.matmul(np.swapaxes(ad, -1, -2), gg)
-        if a.ndim == 1:
+        ga = np.matmul(gg, np.swapaxes(b2, -1, -2))
+        gb = np.matmul(np.swapaxes(a2, -1, -2), gg)
+        if ad.ndim == 1:
             ga = ga.reshape(ga.shape[:-2] + (ga.shape[-1],))
-        if b.ndim == 1:
+        if bd.ndim == 1:
             gb = gb.reshape(gb.shape[:-1])
-        _accum(a, _unbroadcast(ga, a.shape))
-        _accum(b, _unbroadcast(gb, b.shape))
+        _accum(an, _unbroadcast(ga, ad.shape))
+        _accum(bn, _unbroadcast(gb, bd.shape))
 
     return _node(out, (a, b), bwd)
 
@@ -253,12 +281,13 @@ def linear(x, w, b):
     y = np.matmul(x2, w.data)
     y += b.data
     out = y.reshape(x.shape[:-1] + w.shape[1:])
+    xn, wn, bn, x_shape, wd = x.node, w.node, b.node, x.shape, w.data
 
     def bwd(g):
         g2 = g.reshape(-1, g.shape[-1])
-        _accum(w, np.matmul(x2.T, g2))
-        _accum(b, np.matmul(np.ones(len(g2), dtype=g2.dtype), g2))
-        _accum(x, np.matmul(g2, w.data.T).reshape(x.shape))
+        _accum(wn, np.matmul(x2.T, g2))
+        _accum(bn, np.matmul(np.ones(len(g2), dtype=g2.dtype), g2))
+        _accum(xn, np.matmul(g2, wd.T).reshape(x_shape))
 
     return _node(out, (x, w, b), bwd)
 
@@ -273,22 +302,22 @@ def _is_basic_key(key):
 
 def slice_(a, key):
     a = _as_tensor(a)
-    out = a.data[key]
+    out, an = a.data[key], a.node
     basic = _is_basic_key(key)
 
     def bwd(g):
         if not basic:  # an integer-array key may repeat positions
-            full = np.zeros_like(a.data)
+            full = np.zeros(an.shape, dtype=an.dtype)
             np.add.at(full, key, g)
-            _accum(a, full)
+            _accum(an, full)
             return
-        if a.grad is None:
-            full = np.zeros_like(a.data, dtype=g.dtype)
+        if an.grad is None:
+            full = np.zeros(an.shape, dtype=g.dtype)
             full[key] = g
         else:  # a copy: the stored gradient may be shared (see `_accum`)
-            full = a.grad.copy()
+            full = an.grad.copy()
             full[key] += g
-        a.grad = full
+        an.grad = full
 
     return _node(out, (a,), bwd)
 
@@ -298,20 +327,21 @@ def index_select(a, axis, indices):
     ids once and sums the rows of each repeated id as one segment."""
     a = _as_tensor(a)
     indices = np.asarray(indices)
-    out = np.take(a.data, indices, axis=axis)
+    out, an = np.take(a.data, indices, axis=axis), a.node
+    moved = np.moveaxis(a.data, axis, 0).shape
 
     def bwd(g):
         # collapse the index dimensions gathered at `axis` to one
         gm = np.moveaxis(g, tuple(range(axis, axis + indices.ndim)), tuple(range(indices.ndim)))
         gm = gm.reshape((indices.size,) + gm.shape[indices.ndim:])
-        full = np.zeros(np.moveaxis(a.data, axis, 0).shape, dtype=g.dtype)
+        full = np.zeros(moved, dtype=g.dtype)
         if indices.size:
             ids = indices.reshape(-1) % full.shape[0]  # negative ids wrap, as in `np.take`
             order = np.argsort(ids, kind="stable")
             ids = ids[order]
             starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
             full[ids[starts]] = np.add.reduceat(gm[order], starts, axis=0)
-        _accum(a, np.moveaxis(full, 0, axis))
+        _accum(an, np.moveaxis(full, 0, axis))
 
     return _node(out, (a,), bwd)
 
@@ -365,11 +395,11 @@ def _band_transpose(p, w):
 
 def sum_(a, axis=None):
     a = _as_tensor(a)
-    out = a.data.sum(axis=axis)
+    out, an = a.data.sum(axis=axis), a.node
 
     def bwd(g):
         gg = g if axis is None else np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(gg, a.shape).copy())
+        _accum(an, np.broadcast_to(gg, an.shape).copy())
 
     return _node(out, (a,), bwd)
 
@@ -394,10 +424,10 @@ def masked_mean(rows, mask):
     rows = _as_tensor(rows)
     full, mask = _scatter_rows(rows, mask, 0.0, "masked_mean")
     cnt = mask.sum(axis=1, keepdims=True).astype(full.dtype)
-    out = full.sum(axis=1) / cnt
+    out, rn = full.sum(axis=1) / cnt, rows.node
 
     def bwd(g):
-        _accum(rows, np.broadcast_to((g / cnt)[:, None], mask.shape + g.shape[1:])[mask])
+        _accum(rn, np.broadcast_to((g / cnt)[:, None], mask.shape + g.shape[1:])[mask])
 
     return _node(out, (rows,), bwd)
 
@@ -409,11 +439,12 @@ def masked_max(rows, mask):
     full, mask = _scatter_rows(rows, mask, -np.inf, "masked_max")
     idx = np.argmax(full, axis=1)[:, None]
     out = np.take_along_axis(full, idx, axis=1)[:, 0]
+    rn, shape, dtype = rows.node, full.shape, full.dtype
 
     def bwd(g):
-        gfull = np.zeros_like(full)
+        gfull = np.zeros(shape, dtype=dtype)
         np.put_along_axis(gfull, idx, g[:, None], axis=1)
-        _accum(rows, gfull[mask])
+        _accum(rn, gfull[mask])
 
     return _node(out, (rows,), bwd)
 
@@ -475,17 +506,18 @@ def attention(q, k, v, key_mask, heads, probs=None):
     if probs is not None:
         probs.append(p)
     out = _merge_heads(np.matmul(p, vh))
+    qn, kn, vn = q.node, k.node, v.node
 
     def bwd(g):
         gh = _split_heads(g, heads)
-        _accum(v, _merge_heads(np.matmul(np.swapaxes(p, -1, -2), gh)))
+        _accum(vn, _merge_heads(np.matmul(np.swapaxes(p, -1, -2), gh)))
         ds = _softmax_grad(p, np.matmul(gh, np.swapaxes(vh, -1, -2)))
         gq = np.matmul(ds, kh)
         gq *= c
-        _accum(q, _merge_heads(gq))
+        _accum(qn, _merge_heads(gq))
         gk = np.matmul(np.swapaxes(ds, -1, -2), qh)
         gk *= c
-        _accum(k, _merge_heads(gk))
+        _accum(kn, _merge_heads(gk))
 
     return _node(out, (q, k, v), bwd)
 
@@ -555,6 +587,7 @@ def sliding_attention(q, k, v, key_mask, heads, w, probs=None, seg_start=None):
     out = _band_mix(p[..., :span], vh, w)
     out += np.matmul(p_glob, vg)
     out[:, :, first] = np.matmul(pg, vs)[..., 0, :]
+    qn, kn, vn = q.node, k.node, v.node
 
     def bwd(grad):
         gr = _split_heads(grad, heads)
@@ -576,9 +609,9 @@ def sliding_attention(q, k, v, key_mask, heads, w, probs=None, seg_start=None):
         gk[:, :, first] += np.matmul(np.swapaxes(ds_glob, -1, -2), qh)
         gk += np.matmul(np.swapaxes(dsg, -1, -2), qh[:, :, first[:, None]])[:, :, real]
         gk *= c
-        _accum(q, _merge_heads(gq))
-        _accum(k, _merge_heads(gk))
-        _accum(v, _merge_heads(gv))
+        _accum(qn, _merge_heads(gq))
+        _accum(kn, _merge_heads(gk))
+        _accum(vn, _merge_heads(gv))
 
     return _node(_merge_heads(out), (q, k, v), bwd)
 
@@ -608,18 +641,19 @@ def layer_norm(a, gamma, beta):
     xhat *= inv
     out = xhat * gamma.data
     out += beta.data
+    an, gn, bn, a_shape, gd = a.node, gamma.node, beta.node, a.shape, gamma.data
 
     def bwd(g):
         g = g.reshape(-1, d)
-        _accum(gamma, np.einsum("ij,ij->j", g, xhat))
-        _accum(beta, np.matmul(np.ones(len(g), dtype=g.dtype), g))
+        _accum(gn, np.einsum("ij,ij->j", g, xhat))
+        _accum(bn, np.matmul(np.ones(len(g), dtype=g.dtype), g))
         # inv * (dxhat - rowmean(dxhat) - xhat * rowmean(dxhat * xhat))
-        dx = g * gamma.data
+        dx = g * gd
         dot = np.einsum("ij,ij->i", dx, xhat) / d
         dx -= np.matmul(dx, avg)[:, None]
         dx -= xhat * dot[:, None]
         dx *= inv
-        _accum(a, dx.reshape(a.shape))
+        _accum(an, dx.reshape(a_shape))
 
     return _node(out.reshape(a.shape), (a, gamma, beta), bwd)
 
@@ -631,10 +665,10 @@ def dropout(a, rate, rng, train):
         return a
     keep = (rng.random(a.shape) >= rate)
     factor = 1.0 / (1.0 - rate)
-    k = keep.astype(a.data.dtype) * factor
+    k, an = keep.astype(a.data.dtype) * factor, a.node
 
     def bwd(g):
-        _accum(a, g * k)
+        _accum(an, g * k)
 
     return _node(a.data * k, (a,), bwd)
 
@@ -665,7 +699,7 @@ def cosine_nce(a, c, tau):
     sims = np.matmul(an, cn.T)
     n, s = sims.shape[0], 1.0 / tau
     logp = _log_probs(sims * s)
-    diag = np.arange(n)
+    diag, a_node, c_node = np.arange(n), a.node, c.node
 
     def unit_grad(gu, u, norm):  # through u = x / |x|
         return (gu - u * (gu * u).sum(axis=-1, keepdims=True)) / norm
@@ -674,8 +708,8 @@ def cosine_nce(a, c, tau):
         ds = np.exp(logp)
         ds[diag, diag] -= 1.0
         ds *= g * (s / n)
-        _accum(a, unit_grad(np.matmul(ds, cn), an, na))
-        _accum(c, unit_grad(np.matmul(ds.T, an), cn, nc))
+        _accum(a_node, unit_grad(np.matmul(ds, cn), an, na))
+        _accum(c_node, unit_grad(np.matmul(ds.T, an), cn, nc))
 
     loss = _node(logp[diag, diag].sum() * (-1.0 / n), (a, c), bwd)
     return loss, sims
@@ -688,14 +722,14 @@ def softmax_cross_entropy(logits, targets):
     z = _as_tensor(logits)
     y = np.asarray(targets, dtype=z.data.dtype)
     n = z.shape[0]
-    logp = _log_probs(z.data)
+    logp, zn = _log_probs(z.data), z.node
 
     def bwd(g):
         # p*s - y*s rounds as the composed log-softmax chain did; (p - y)*s does not
         s = g * (1.0 / n)
         dz = np.exp(logp) * s
         dz -= y * s
-        _accum(z, dz)
+        _accum(zn, dz)
 
     return _node((logp * y).sum() * (-1.0 / n), (z,), bwd)
 
@@ -709,12 +743,12 @@ def bce_with_logits(logits, targets):
     z = _as_tensor(logits)
     x = z.data
     y = np.asarray(targets, dtype=x.dtype)
-    s = 1.0 / x.size
+    s, zn = 1.0 / x.size, z.node
 
     def bwd(g):
         dz = _logistic(x) - y
         dz *= g * s
-        _accum(z, dz)
+        _accum(zn, dz)
 
     loss = (np.maximum(x, 0) - y * x + np.log1p(np.exp(-np.abs(x)))).sum() * s
     return _node(loss, (z,), bwd)
@@ -730,16 +764,20 @@ def _consumed(grad):
 def backward(loss):
     """Reverse-mode accumulation from a scalar loss to all tracked leaves.
 
-    The sweep consumes the tape: once a node's closure has run, the node
-    drops its gradient, its closure and its parents, so its saved arrays
-    and interior gradients are freed as soon as nothing upstream needs them.
-    Only leaves (tensors with no closure, such as every `parameter`) keep
-    `.grad`. A second backward through the same graph raises RuntimeError.
+    The sweep walks nodes, not tensors, and consumes the tape: once a
+    node's closure has run, the node drops its gradient, its closure and its
+    parents' nodes, so the arrays that closure kept and the interior
+    gradients are freed as soon as nothing upstream needs them. A value no
+    closure kept died during the forward. Only leaves (nodes with no
+    closure, such as every `parameter`'s) keep `.grad`. A second backward
+    through the same graph raises RuntimeError.
     """
     if loss.data.ndim != 0 and loss.data.size != 1:
         raise ShapeError(f"backward: loss must be scalar, got shape {loss.shape}")
+    if loss.node is None:
+        return  # nothing tracked
     topo, seen = [], set()
-    stack = [(loss, False)]
+    stack = [(loss.node, False)]
     while stack:
         node, done = stack.pop()
         if done:
@@ -750,9 +788,9 @@ def backward(loss):
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
+            if id(p) not in seen:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
+    loss.node.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
         if node._backward is not None:

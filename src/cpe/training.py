@@ -230,12 +230,10 @@ def _eligible(doc, cfg):
     return len(doc.tokens) >= 1
 
 
-def pretrain(docs, encoder_config, cfg, log=None):
-    """Contrastive pretraining; returns trained params plus run statistics.
-
-    `log` is an optional callable receiving one tab-separated line per step
-    ({step, epoch, objective, loss}).
-    """
+def pretrain(docs, encoder_config, cfg):
+    """Contrastive pretraining; returns trained params plus run statistics,
+    among them one tab-separated log line per step ({step, epoch, objective,
+    loss})."""
     cfg.validate()
     encoder_config.validate()
     if cfg.objective == "cpe-long" and encoder_config.attention != "sliding":
@@ -304,10 +302,7 @@ def pretrain(docs, encoder_config, cfg, log=None):
             adamw_step(params, grads, state, hyper)
 
             step += 1
-            line = f"{step}\t{epoch}\t{cfg.objective}\t{val:.6f}"
-            result.log_lines.append(line)
-            if log is not None:
-                log(line)
+            result.log_lines.append(f"{step}\t{epoch}\t{cfg.objective}\t{val:.6f}")
     result.steps = step
     T.zero_gradients(params)  # the last step's gradients are no part of the model
     return result

@@ -4,7 +4,8 @@
 references for its fused ops from small steps (broadcast products, sums,
 reshapes, a log-softmax) and reduce outputs to a scalar loss, so those
 steps live here, on the same private tape machinery (`_node`, `_accum`,
-`_unbroadcast`); `test_tensor.py` grad-checks each of them.
+`_unbroadcast`): each closure captures its parents' nodes and the arrays
+it reads, never a `Tensor`. `test_tensor.py` grad-checks each of them.
 """
 
 import numpy as np
@@ -15,47 +16,51 @@ from cpe import tensor as T
 def mul(a, b):
     a = T._as_tensor(a)
     b = T._as_tensor(b, like=a)
+    ad, bd, an, bn = a.data, b.data, a.node, b.node
 
     def bwd(g):
-        T._accum(a, T._unbroadcast(g * b.data, a.shape))
-        T._accum(b, T._unbroadcast(g * a.data, b.shape))
+        T._accum(an, T._unbroadcast(g * bd, ad.shape))
+        T._accum(bn, T._unbroadcast(g * ad, bd.shape))
 
-    return T._node(a.data * b.data, (a, b), bwd)
+    return T._node(ad * bd, (a, b), bwd)
 
 
 def scale(a, c):
     a, c = T._as_tensor(a), float(c)
-    return T._node(a.data * c, (a,), lambda g: T._accum(a, g * c))
+    n = a.node
+    return T._node(a.data * c, (a,), lambda g: T._accum(n, g * c))
 
 
 def exp(a):
     a = T._as_tensor(a)
-    out = np.exp(a.data)
-    return T._node(out, (a,), lambda g: T._accum(a, g * out))
+    out, n = np.exp(a.data), a.node
+    return T._node(out, (a,), lambda g: T._accum(n, g * out))
 
 
 def log(a):
     a = T._as_tensor(a)
-    return T._node(np.log(a.data), (a,), lambda g: T._accum(a, g / a.data))
+    x, n = a.data, a.node
+    return T._node(np.log(x), (a,), lambda g: T._accum(n, g / x))
 
 
 def sigmoid(a):
     a = T._as_tensor(a)
-    out = T._logistic(a.data)
-    return T._node(out, (a,), lambda g: T._accum(a, g * out * (1.0 - out)))
+    out, n = T._logistic(a.data), a.node
+    return T._node(out, (a,), lambda g: T._accum(n, g * out * (1.0 - out)))
 
 
 def log_softmax(a, axis=-1):
     a = T._as_tensor(a)
     z = a.data - np.max(a.data, axis=axis, keepdims=True)
     out = z - np.log(np.exp(z).sum(axis=axis, keepdims=True))
-    p = np.exp(out)
-    return T._node(out, (a,), lambda g: T._accum(a, g - p * g.sum(axis=axis, keepdims=True)))
+    p, n = np.exp(out), a.node
+    return T._node(out, (a,), lambda g: T._accum(n, g - p * g.sum(axis=axis, keepdims=True)))
 
 
 def reshape(a, shape):
     a = T._as_tensor(a)
-    return T._node(a.data.reshape(shape), (a,), lambda g: T._accum(a, g.reshape(a.shape)))
+    n = a.node
+    return T._node(a.data.reshape(shape), (a,), lambda g: T._accum(n, g.reshape(n.shape)))
 
 
 def grad_check(fn, params, eps=1e-5, num_samples=8, rng=None):

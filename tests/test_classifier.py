@@ -5,7 +5,7 @@ from cpe import tensor as T
 from cpe.classifier import (ClassifierConfig, classification_loss, init_mlp, mlp_logits,
                             predict_batch, train_classifier)
 import oracle_ops as O
-from test_encoder import _tape_nodes
+from test_encoder import _closure_tensors, _tape_nodes
 
 
 def _zero_mlp(input_dim, num_labels):
@@ -111,6 +111,19 @@ class TestLoss:
         x = np.random.default_rng(0).standard_normal((5, 6)).astype(np.float32)
         loss = classification_loss(mlp_logits(T.constant(x), params), self.TARGETS[task], task)
         assert _tape_nodes(loss) == 4 + 3 + 1
+
+    def test_no_backward_closure_holds_a_tensor(self, monkeypatch):
+        walked, original = [], T.backward
+
+        def spy(loss):
+            walked.append(_closure_tensors(loss))
+            original(loss)
+
+        monkeypatch.setattr(T, "backward", spy)
+        x = np.random.default_rng(0).standard_normal((5, 6)).astype(np.float32)
+        train_classifier(x, [0, 2, 1, 2, 0], 3, "multiclass",
+                         ClassifierConfig(epochs=1, batch_size=5, hidden=(4, 4, 4), seed=0))
+        assert walked == [(0, 4 + 3 + 1 + 8)]  # the nodes, and the head's eight leaves
 
     @pytest.mark.parametrize("task", sorted(TARGETS))
     def test_grad_check_through_the_head(self, task):

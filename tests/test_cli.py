@@ -396,6 +396,21 @@ class TestMissingArtifacts:
         _one_error(capsys, "pretrain.batch_size=4", "got 3", "skipped 0")
         assert not (out / "checkpoint.bin").exists()
 
+    def test_failed_pretrain_leaves_the_last_run_and_no_log(self, tiny_copy, tmp_path, capsys):
+        # the log is written only once pretrain has returned: a failed run
+        # leaves an earlier run's files as they were, and a first run no log
+        kept = {n: (tiny_copy / n).read_bytes()
+                for n in ("pretrain_log.tsv", "checkpoint.bin", "vocab.txt")}
+        assert kept["pretrain_log.tsv"]
+        fresh = tmp_path / "fresh"
+        assert _run(fresh, "gen-synthetic", extra=TINY) == 0
+        for out in (tiny_copy, fresh):
+            capsys.readouterr()
+            assert _run(out, "pretrain", extra=[*TINY, "pretrain.batch_size=100"]) == 1
+            _one_error(capsys, "pretrain.batch_size=100", "got 24")
+        assert {n: (tiny_copy / n).read_bytes() for n in kept} == kept
+        assert not (fresh / "pretrain_log.tsv").exists()
+
     def test_cpe_hier_with_partial_second_slot_trains(self, tmp_path):
         # max_tokens 9..15 with chunk_len 8: the second slot is partial
         out = tmp_path / "x"

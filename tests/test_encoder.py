@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -322,6 +324,44 @@ def _tape_nodes(out):
             seen.add(id(t))
             stack.extend(t._parents)
     return len(seen)
+
+
+def _closure_tensors(out):
+    """(Tensors held by the backward closures of the tape under `out`, in a
+    closure cell or in a tuple in one; the number of nodes walked)."""
+    held, seen, stack = 0, set(), [out]
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        for cell in getattr(t._backward, "__closure__", None) or ():
+            v = cell.cell_contents
+            held += sum(isinstance(x, T.Tensor) for x in (v if isinstance(v, tuple) else (v,)))
+        stack.extend(t._parents)
+    return held, len(seen)
+
+
+@pytest.mark.parametrize("attention", ["dense", "sliding"])
+def test_train_forward_frees_the_values_no_backward_reads(monkeypatch, attention):
+    # each residual sum is read by the next layer norm's forward and by no
+    # closure, so it dies as the forward drops it; the output's graph still
+    # reaches every parameter
+    cfg = EncoderConfig(**{**vars(DENSE), "attention": attention, "window": 2})
+    refs, original = [], T.add
+
+    def spy(a, b):
+        out = original(a, b)
+        refs.append(weakref.ref(out.data))
+        return out
+
+    monkeypatch.setattr(T, "add", spy)
+    params = init_params(cfg, 0)
+    ids, mask = _batch(np.random.default_rng(0), 2, 12, cfg)
+    h = encoder_forward(ids, mask, params, cfg, train=True, rng=np.random.default_rng(1))
+    assert len(refs) == 1 + 2 * cfg.layers and all(ref() is None for ref in refs)
+    T.backward(T.sum_(h))
+    assert all(p.grad is not None for p in params.values())
 
 
 @pytest.mark.parametrize("attention", ["dense", "sliding"])

@@ -87,6 +87,13 @@ class TestPrimitives:
         assert np.array_equal(run(), run())
 
 
+def _owner(a):
+    """The array that owns the memory of `a`, a view or not."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
 class TestBackward:
     def test_linear_map_gradient(self):
         x = np.array([1.0, 2.0, -1.0])
@@ -125,12 +132,15 @@ class TestBackward:
         x = T.constant(rng.standard_normal((4, 3)))
         w, b = T.parameter(rng.standard_normal((3, 5))), T.parameter(np.zeros(5))
         h = T.linear(x, w, b)
-        loss = T.sum_(T.layer_norm(h, T.parameter(np.ones(5)), T.parameter(np.zeros(5))))
-        ref = weakref.ref(h.data)
-        del h
-        assert ref() is not None  # the graph holds it until backward has passed
+        y = T.layer_norm(h, T.parameter(np.ones(5)), T.parameter(np.zeros(5)))
+        v, c = T.parameter(rng.standard_normal((5, 2))), T.parameter(np.zeros(2))
+        loss = T.sum_(T.linear(y, v, c))
+        h_ref, y_ref = weakref.ref(_owner(h.data)), weakref.ref(_owner(y.data))
+        del h, y
+        assert h_ref() is None  # only layer_norm's forward read it
+        assert y_ref() is not None  # the linear's closure holds it until backward has passed
         T.backward(loss)
-        assert ref() is None
+        assert y_ref() is None
         assert w.grad is not None and w.grad.shape == (3, 5)
 
     def test_three_layer_network_matches_finite_differences(self):

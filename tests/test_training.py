@@ -14,7 +14,7 @@ from cpe.training import (OBJECTIVES, PretrainConfig, embed_chunked_batch, embed
                           esimcse_augment, forward_cpe_hier, forward_cpe_long, forward_esimcse,
                           forward_simcse, mnr_loss, pretrain, sample_pair_hier, sample_pair_long)
 import oracle_ops as O
-from test_encoder import _tape_nodes
+from test_encoder import _closure_tensors, _tape_nodes
 
 CFG = EncoderConfig(vocab_size=30, dim=16, layers=1, heads=2, ff=32,
                     max_positions=9, dropout=0.1)
@@ -610,6 +610,22 @@ class TestPretrain:
         config = TestClsOnlyForwards.LONG if objective == "cpe-long" else CFG
         res = pretrain(_tiny_corpus(16), config, self._cfg(objective=objective))
         assert res.steps == 4 and calls == [True] * 4
+
+    @pytest.mark.parametrize("objective", OBJECTIVES)
+    def test_no_backward_closure_holds_a_tensor(self, monkeypatch, objective):
+        # a closure keeps its parents' nodes and the arrays it reads: a
+        # Tensor in it would keep that tensor's value alive until backward
+        walked, original = [], T.backward
+
+        def spy(loss):
+            walked.append(_closure_tensors(loss))
+            original(loss)
+
+        monkeypatch.setattr(T, "backward", spy)
+        config = TestClsOnlyForwards.LONG if objective == "cpe-long" else CFG
+        res = pretrain(_tiny_corpus(8), config, self._cfg(objective=objective))
+        assert res.steps == 2 and [held for held, _ in walked] == [0, 0]
+        assert all(nodes > 5 + 14 * config.layers for _, nodes in walked)
 
     @pytest.mark.parametrize("objective", ["simcse", "esimcse"])
     def test_baseline_objectives_run(self, objective):
