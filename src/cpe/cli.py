@@ -2,19 +2,28 @@
 
 Commands: gen-synthetic, pretrain, embed, train-clf, eval, sweep-chunk.
 Each command is a pure function of (config, seed, input artifacts) and
-writes artifacts with stable names under the output directory.
+writes artifacts with stable names under the output directory. `embed` and
+`eval` run their models untracked, so their forwards build no tape. A
+command that succeeds also writes `run-<command>.json`, a record of what
+the invocation cost and ran on; no command reads it.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
+import json
 import os
+import platform
+import resource
 import sys
+import time
 
 import numpy as np
 
 from . import corpus as C
 from . import metrics as M
+from . import tensor as T
 from .checkpoint import Head, load_encoder, load_head, save_encoder, save_head
 from .classifier import predict_batch, train_classifier
 from .config import ExperimentConfig
@@ -78,6 +87,12 @@ def _split(n, seed, frac):
     return perm[:cut], perm[cut:]
 
 
+def _untracked(params):
+    """The same arrays, neither copied nor cast, as untracked tensors: a
+    forward over them records no tape node."""
+    return {k: T.Tensor(p.data, name=k) for k, p in params.items()}
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -89,7 +104,6 @@ def cmd_gen_synthetic(cfg, args):
     C.save_label_map(os.path.join(out, "labels.tsv"),
                      {t: f"topic{t}" for t in range(spec.num_topics)})
     print(f"wrote {len(records)} documents to {out}/corpus.jsonl")
-    return 0
 
 
 def cmd_pretrain(cfg, args):
@@ -108,7 +122,8 @@ def cmd_pretrain(cfg, args):
     vocab.save(os.path.join(out, "vocab.txt"))
     print(f"pretrained {pcfg.objective} for {result.steps} steps "
           f"(skipped {result.skipped_docs} docs); checkpoint.bin written")
-    return 0
+    return {"steps": result.steps, "skipped_docs": result.skipped_docs,
+            "hard_negative_batches": result.hard_negative_batches}
 
 
 def cmd_embed(cfg, args):
@@ -126,13 +141,12 @@ def cmd_embed(cfg, args):
             _require(ckpt_path, "pretrain", hint="(or pass --random-init)"))
 
     docs = C.encode_documents(records, vocab, task=_task(cfg))
-    embs = embed_documents(docs, params, ecfg, pooling=args.pooling or pcfg.pooling,
+    embs = embed_documents(docs, _untracked(params), ecfg, pooling=args.pooling or pcfg.pooling,
                            chunk_len=pcfg.chunk_len, n_chunks=pcfg.n_chunks,
                            max_tokens=pcfg.max_tokens)
     M.export_embeddings(os.path.join(out, "embeddings.tsv"), embs,
                         [d.id for d in docs], [d.labels for d in docs])
     print(f"wrote {len(docs)} embeddings (dim {embs.shape[1]}) to {out}/embeddings.tsv")
-    return 0
 
 
 def cmd_train_clf(cfg, args):
@@ -152,7 +166,6 @@ def cmd_train_clf(cfg, args):
               Head(task=task, num_labels=num_labels, hidden=ccfg.hidden,
                    threshold=ccfg.threshold, seed=seed, train_frac=frac, num_docs=len(embs)))
     print(f"trained {task} classifier on {len(train_idx)} docs; clf.bin written")
-    return 0
 
 
 def cmd_eval(cfg, args):
@@ -174,7 +187,7 @@ def cmd_eval(cfg, args):
     for m in wanted:
         if m == "f1":
             _require(clf_path, "train-clf")  # head is None only when clf.bin is missing
-            preds, _ = predict_batch(embs[test_idx], params, head.task,
+            preds, _ = predict_batch(embs[test_idx], _untracked(params), head.task,
                                      threshold=head.threshold)
             gold = [labels[i] for i in test_idx]
             try:
@@ -201,7 +214,6 @@ def cmd_eval(cfg, args):
     M.write_metrics(os.path.join(out, "metrics.txt"), report)
     for k, v in report.items():
         print(f"{k}\t{v:.6f}" if isinstance(v, float) else f"{k}\t{v}")
-    return 0
 
 
 def cmd_sweep_chunk(cfg, args):
@@ -235,7 +247,6 @@ def cmd_sweep_chunk(cfg, args):
         for size, mac, mic in rows:
             f.write(f"{size}\t{mac:.6f}\t{mic:.6f}\n")
     print(f"sweep over {sizes} complete; sweep.tsv written")
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -271,6 +282,7 @@ def build_parser():
     return p
 
 
+# each returns the fields it adds to its run record, or None
 COMMANDS = {
     "gen-synthetic": cmd_gen_synthetic,
     "pretrain": cmd_pretrain,
@@ -281,11 +293,31 @@ COMMANDS = {
 }
 
 
+_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _write_run_record(cfg, command, wall_s, fields):
+    """run-<command>.json: the command, its wall time and this process's
+    peak RSS (ru_maxrss is in KiB on Linux), the seed and the SHA-256 of
+    config_effective.ini's text, the Python and numpy versions and the BLAS
+    thread settings, then the command's own `fields`."""
+    record = {"command": command, "wall_s": wall_s,
+              "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+              "seed": cfg.seed, "config_sha256": hashlib.sha256(cfg.dump().encode()).hexdigest(),
+              "python": platform.python_version(), "numpy": np.__version__,
+              "env": {name: os.environ.get(name) for name in _THREAD_VARS}, **(fields or {})}
+    with open(os.path.join(cfg.output_dir, f"run-{command}.json"), "w") as f:
+        f.write(json.dumps(record, indent=2) + "\n")
+
+
 def main(argv=None):
+    start = time.perf_counter()
     try:
         args = build_parser().parse_args(argv)
         cfg = ExperimentConfig.load(args.config, overrides=args.set)
-        return COMMANDS[args.command](cfg, args)
+        fields = COMMANDS[args.command](cfg, args)
+        _write_run_record(cfg, args.command, time.perf_counter() - start, fields)
+        return 0
     # ConfigError and CorpusError are ValueErrors, as are the artifact readers' errors
     except (CliError, ValueError, FloatingPointError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -320,7 +320,9 @@ def embed_documents(docs, params, encoder_config, pooling="max", *, chunk_len, n
     packed encoder call (`encode_packed`). `batch_size` only groups the
     documents into calls: a document's embedding does not depend on it, nor
     on the other documents, up to float rounding. The hierarchical path
-    encodes each group's real chunks as one batch."""
+    encodes each group's real chunks as one batch. Untracked parameters, as
+    the CLI's `embed` passes, build no tape; tracked ones build each
+    batch's graph, dropped before the next batch."""
     out = []
     if encoder_config.attention == "sliding":
         for lo in range(0, len(docs), batch_size):

@@ -1,5 +1,6 @@
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -12,11 +13,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpe.checkpoint import Head, load_checkpoint, save_checkpoint
+from cpe import cli
+from cpe import corpus as C
+from cpe import tensor as T
+from cpe.checkpoint import Head, load_checkpoint, load_encoder, load_head, save_checkpoint
+from cpe.classifier import predict_batch
 from cpe.cli import main
 from cpe.config import DEFAULTS, ConfigError, ExperimentConfig
 from cpe.encoder import EncoderConfig
-from cpe.training import PretrainConfig
+from cpe.metrics import load_embeddings
+from cpe.training import PretrainConfig, embed_documents
 from test_checkpoint import set_zip_flag
 
 FAST = [
@@ -850,3 +856,116 @@ class TestArtifactMutations:
                 lines = err.getvalue().splitlines()
                 assert rc == 0 or (rc == 1 and len(lines) == 1
                                    and lines[0].startswith("error:")), (stage, rc, lines)
+
+
+@pytest.fixture(scope="module")
+def long_run(tmp_path_factory):
+    """gen-synthetic and a `cpe-long` pretrain on 24 documents."""
+    out = tmp_path_factory.mktemp("long") / "run"
+    assert _run(out, "gen-synthetic", extra=TINY) == 0
+    assert _run(out, "pretrain", "--objective", "cpe-long", extra=TINY) == 0
+    return out
+
+
+@pytest.fixture
+def op_nodes(monkeypatch):
+    """The tape nodes that operations record while the test runs: nodes with
+    parents, so not the parameters a reader or `init_params` makes."""
+    made = []
+
+    class Spy(T._Node):
+        __slots__ = ()
+
+        def __init__(self, data, parents, backward):
+            if parents:
+                made.append(data.shape)
+            super().__init__(data, parents, backward)
+
+    monkeypatch.setattr(T, "_Node", Spy)
+    return made
+
+
+@pytest.fixture(scope="module", params=["tiny_run", "long_run"])
+def pretrained_run(request):
+    """A pretrained run of each attention path, built before `op_nodes` spies."""
+    return request.getfixturevalue(request.param)
+
+
+class TestUntrackedInference:
+    def test_embed_builds_no_tape_and_matches_the_tracked_embed(self, pretrained_run,
+                                                                 tmp_path, op_nodes):
+        out = tmp_path / "x"
+        shutil.copytree(pretrained_run, out)
+        assert _run(out, "embed", extra=TINY) == 0
+        assert op_nodes == []
+        ecfg, pcfg, params, vocab = load_encoder(out / "checkpoint.bin")
+        assert all(p.requires_grad for p in params.values())
+        docs = C.encode_documents(C.load_jsonl(out / "corpus.jsonl"), vocab)
+        want = embed_documents(docs, params, ecfg, pooling=pcfg.pooling,
+                               chunk_len=pcfg.chunk_len, n_chunks=pcfg.n_chunks,
+                               max_tokens=pcfg.max_tokens)
+        assert op_nodes  # the tracked embed records its tape
+        assert np.array_equal(load_embeddings(out / "embeddings.tsv")[0], want)
+
+    @pytest.mark.parametrize("objective", ["cpe-hier", "cpe-long"])
+    def test_random_init_embed_builds_no_tape(self, tmp_path, op_nodes, objective):
+        out = tmp_path / "x"
+        extra = [*TINY, f"pretrain.objective={objective}"]
+        assert _run(out, "gen-synthetic", extra=extra) == 0
+        assert _run(out, "embed", "--random-init", extra=extra) == 0
+        assert op_nodes == []
+        assert load_embeddings(out / "embeddings.tsv")[0].shape == (24, 16)
+
+    def test_eval_builds_no_tape_and_matches_the_tracked_head(self, tiny_copy, monkeypatch,
+                                                              op_nodes):
+        calls = []
+
+        def spy(embeddings, params, task, threshold):
+            calls.append((embeddings, task, threshold, predict_batch(embeddings, params, task,
+                                                                     threshold=threshold)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(cli, "predict_batch", spy)
+        assert _run(tiny_copy, "eval", "--metrics", "f1", extra=TINY) == 0
+        assert op_nodes == [] and len(calls) == 1
+        embeddings, task, threshold, (preds, probs) = calls[0]
+        _, params = load_head(tiny_copy / "clf.bin", embeddings.shape[1])
+        want_preds, want_probs = predict_batch(embeddings, params, task, threshold=threshold)
+        assert op_nodes  # the tracked head records its tape
+        assert preds == want_preds and np.array_equal(probs, want_probs)
+
+
+RECORD_KEYS = ["command", "wall_s", "peak_rss_mb", "seed", "config_sha256", "python",
+               "numpy", "env"]
+PRETRAIN_KEYS = ["steps", "skipped_docs", "hard_negative_batches"]
+
+
+class TestRunRecord:
+    def test_each_stage_writes_its_record(self, tmp_path):
+        out = tmp_path / "run"
+        for stage in STAGES:
+            assert _run(out, stage, extra=[*TINY, "run.seed=7"]) == 0
+            record = json.loads((out / f"run-{stage}.json").read_text())
+            assert list(record) == RECORD_KEYS + (PRETRAIN_KEYS if stage == "pretrain" else [])
+            assert record["command"] == stage and record["seed"] == 7
+            assert record["config_sha256"] == hashlib.sha256(
+                (out / "config_effective.ini").read_bytes()).hexdigest()
+            assert record["wall_s"] > 0 and record["peak_rss_mb"] > 1
+            assert record["numpy"] == np.__version__
+            assert sorted(record["env"]) == ["MKL_NUM_THREADS", "OMP_NUM_THREADS",
+                                             "OPENBLAS_NUM_THREADS"]
+            assert record["env"]["OPENBLAS_NUM_THREADS"] == os.environ.get(
+                "OPENBLAS_NUM_THREADS")
+        record = json.loads((out / "run-pretrain.json").read_text())
+        steps = len((out / "pretrain_log.tsv").read_text().splitlines())
+        assert record["steps"] == steps and record["skipped_docs"] == 0
+        assert 0 <= record["hard_negative_batches"] <= steps
+
+    def test_failed_stage_leaves_the_last_record(self, tiny_copy, capsys):
+        out = tiny_copy
+        record = (out / "run-embed.json").read_bytes()
+        (out / "checkpoint.bin").unlink()
+        assert _run(out, "embed", extra=TINY) == 1
+        assert (out / "run-embed.json").read_bytes() == record
+        assert _run(out, "eval", "--metrics", "f1,bogus", extra=TINY) == 1
+        assert not (out / "run-eval.json").exists()
