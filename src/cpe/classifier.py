@@ -100,9 +100,8 @@ def train_classifier(embeddings, labels, num_labels, task, config, params=None):
             idx = order[lo:lo + config.batch_size]
             logits = mlp_logits(T.constant(embeddings[idx]), params)
             loss = classification_loss(logits, targets[idx], task)
-            T.zero_gradients(params)
             T.backward(loss)
-            adamw_step(params, T.collect_gradients(params), state, hyper)
+            adamw_step(params, state, hyper)
     return params
 
 

@@ -102,15 +102,14 @@ def param_specs(config):
 
 
 def _build(specs, seed):
-    """The parameters of a name -> (shape, fill) map, filled in its order
-    from one seeded generator: truncated-normal weights (std 0.02), zeros
-    or ones."""
+    """The parameters of a name -> (shape, fill) map as one `T.Parameters`
+    store, views of one float32 buffer, filled in the map's order from one
+    seeded generator: truncated-normal weights (std 0.02), zeros or ones."""
     rng = np.random.default_rng(seed)
     fills = {"normal": lambda shape: _trunc_normal(rng, shape),
              "zeros": lambda shape: np.zeros(shape, dtype=np.float32),
              "ones": lambda shape: np.ones(shape, dtype=np.float32)}
-    return {name: T.parameter(fills[fill](shape), name=name)
-            for name, (shape, fill) in specs.items()}
+    return T.Parameters({name: fills[fill](shape) for name, (shape, fill) in specs.items()})
 
 
 def init_params(config, seed):

@@ -14,6 +14,11 @@ has run, so the saved arrays and interior gradients are freed during the
 sweep and only leaves keep `.grad`. A second backward through a spent
 graph raises.
 
+A model's parameters are a `Parameters` store: views of one contiguous
+buffer, whose leaves' gradients one `np.concatenate` gathers (and clears)
+into a flat buffer of the same layout, so an optimizer works on whole
+buffers rather than on each parameter.
+
 Fused ops record one node with a closed-form backward pass: `linear`
 (x @ w + b over the last axis), `attention` (masked scaled dot-product
 attention), `sliding_attention` (a band of keys plus the [CLS] key, the one
@@ -54,6 +59,7 @@ from __future__ import annotations
 
 import ctypes
 import math
+import operator
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
@@ -142,6 +148,55 @@ class Tensor:
 
 def parameter(data, name=None):
     return Tensor(np.asarray(data), requires_grad=True, name=name)
+
+
+class Parameters(dict):
+    """A model's name -> parameter map whose values are views, in insertion
+    order, of one contiguous buffer `flat`: the store an optimizer updates
+    with whole-buffer operations, keeping its own per-element state in the
+    same layout.
+
+    `gather_gradients` takes the gradients backward left on the leaves into
+    one flat buffer. A parameter whose `.data` was rebound to another array
+    (or whose entry was replaced) no longer views `flat`; the gather raises
+    rather than let the optimizer train a stale copy. Write into `.data` in
+    place instead."""
+
+    def __init__(self, arrays):
+        arrays = {name: np.asarray(a) for name, a in arrays.items()}
+        ends = np.cumsum([a.size for a in arrays.values()]).tolist()
+        self._layout = [(name, a.shape, end - a.size, end)
+                        for (name, a), end in zip(arrays.items(), ends)]
+        self.flat = np.concatenate([a.ravel() for a in arrays.values()])
+        views = self.split(self.flat)
+        super().__init__((name, parameter(v, name=name)) for name, v in views.items())
+        self._views = list(views.values())
+        # what the gather reads for a parameter backward did not reach: zeros, no memory
+        self._zeros = [np.broadcast_to(self.flat.dtype.type(0), v.shape) for v in self._views]
+
+    def split(self, flat):
+        """Name -> view of `flat`, an array in this store's layout."""
+        return {name: flat[lo:hi].reshape(shape) for name, shape, lo, hi in self._layout}
+
+    def gather_gradients(self, out):
+        """Copy every parameter's `.grad` into `out`, in the store's layout,
+        and clear them, in one `np.concatenate`: a parameter backward did not
+        reach contributes zeros. Raises ValueError, naming the parameter,
+        if one no longer views `flat`."""
+        tensors = list(self.values())
+        if not all(map(operator.is_, map(_DATA, tensors), self._views)):
+            name = next(n for (n, p), v in zip(self.items(), self._views) if p.data is not v)
+            raise ValueError(f"parameter '{name}' no longer views its store's buffer (its "
+                             f".data or its entry was replaced); write into .data in place")
+        np.concatenate(list(map(_take_grad, tensors, self._zeros)), axis=None, out=out)
+
+
+_DATA = operator.attrgetter("data")
+
+
+def _take_grad(p, zero):
+    g, p.node.grad = p.node.grad, None
+    return zero if g is None else g
 
 
 def constant(data, dtype=np.float32):
@@ -797,13 +852,3 @@ def backward(loss):
             node._backward(node.grad)
             node.grad, node._backward, node._parents = None, _consumed, ()
 
-
-def collect_gradients(params):
-    """Gradients for a name->Tensor map; untouched parameters get zeros."""
-    return {k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for k, p in params.items()}
-
-
-def zero_gradients(params):
-    for p in params.values():
-        p.grad = None

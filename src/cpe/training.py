@@ -232,8 +232,11 @@ def _eligible(doc, cfg):
 
 def pretrain(docs, encoder_config, cfg):
     """Contrastive pretraining; returns trained params plus run statistics,
-    among them one tab-separated log line per step ({step, epoch, objective,
-    loss})."""
+    among them one tab-separated log line per step: step, epoch, objective,
+    loss, the gradient's L2 norm before the update, and the margin, the
+    mean over anchors of the positive's cosine minus the hardest in-batch
+    negative's. The optimizer state dies with the call: the returned
+    params hold neither gradients nor moments."""
     cfg.validate()
     encoder_config.validate()
     if cfg.objective == "cpe-long" and encoder_config.attention != "sliding":
@@ -293,18 +296,17 @@ def pretrain(docs, encoder_config, cfg):
                     f"NaN/Inf loss at step {step} (epoch {epoch}); aborting")
             off_diag = sims.copy()
             np.fill_diagonal(off_diag, -np.inf)
-            if np.any(off_diag.max(axis=1) > np.diag(sims)):
+            margin = np.diag(sims) - off_diag.max(axis=1)
+            if np.any(margin < 0):
                 result.hard_negative_batches += 1
 
-            T.zero_gradients(params)
             T.backward(loss)
-            grads = T.collect_gradients(params)
-            adamw_step(params, grads, state, hyper)
+            grad_norm = adamw_step(params, state, hyper)
 
             step += 1
-            result.log_lines.append(f"{step}\t{epoch}\t{cfg.objective}\t{val:.6f}")
+            result.log_lines.append(f"{step}\t{epoch}\t{cfg.objective}\t{val:.6f}"
+                                    f"\t{grad_norm:.6f}\t{margin.mean():.6f}")
     result.steps = step
-    T.zero_gradients(params)  # the last step's gradients are no part of the model
     return result
 
 

@@ -71,10 +71,11 @@ def grad_check(fn, params, eps=1e-5, num_samples=8, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(0)
-    p64 = {k: T.Tensor(v.data.astype(np.float64), requires_grad=True, name=k)
-           for k, v in params.items()}
+    p64 = T.Parameters({k: v.data.astype(np.float64) for k, v in params.items()})
     T.backward(fn(p64))
-    analytic = T.collect_gradients(p64)
+    grads = np.empty_like(p64.flat)
+    p64.gather_gradients(out=grads)
+    analytic = p64.split(grads)
 
     worst = 0.0
     for name, t in p64.items():

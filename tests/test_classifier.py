@@ -1,6 +1,10 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
+from cpe import classifier
 from cpe import tensor as T
 from cpe.classifier import (ClassifierConfig, classification_loss, init_mlp, mlp_logits,
                             predict_batch, train_classifier)
@@ -203,6 +207,25 @@ class TestTrainClassifier:
         preds, _ = predict_batch(embs, params, "multilabel")
         agree = np.mean([p == l for p, l in zip(preds, labels)])
         assert agree > 0.9
+
+    def test_trained_head_keeps_no_optimizer_state_alive(self, monkeypatch):
+        # the returned head holds its parameters alone: no gradient, no moment
+        buffers = []
+        step = classifier.adamw_step
+
+        def spy(params, state, hyper):
+            out = step(params, state, hyper)
+            buffers.append(weakref.ref(state.buffer))
+            return out
+
+        monkeypatch.setattr(classifier, "adamw_step", spy)
+        embs, labels = _separable(n=20)
+        params = train_classifier(embs, labels, 2, "multiclass", ClassifierConfig(epochs=2))
+        gc.collect()
+        assert buffers and buffers[-1]() is None
+        assert all(p.grad is None for p in params.values())
+        assert params.flat.base is None
+        assert params.flat.size == sum(p.data.size for p in params.values())
 
     def test_training_loss_nonincreasing_epoch_means(self):
         embs, labels = _separable(n=40)

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import shutil
@@ -166,8 +167,8 @@ class TestPipeline:
         a = (outs[0] / "metrics.txt").read_bytes()
         b = (outs[1] / "metrics.txt").read_bytes()
         assert a == b
-        assert (outs[0] / "embeddings.tsv").read_bytes() == \
-               (outs[1] / "embeddings.tsv").read_bytes()
+        for name in ("embeddings.tsv", "pretrain_log.tsv"):  # grad_norm and margin too
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
     def test_config_effective_reproduces_the_run(self, tmp_path):
         out, again = tmp_path / "run", tmp_path / "again"
@@ -250,9 +251,12 @@ class TestPipeline:
         _run(out, "pretrain", "--objective", "simcse")
         lines = (out / "pretrain_log.tsv").read_text().splitlines()
         assert lines
-        step, epoch, objective, loss = lines[0].split("\t")
-        assert step == "1" and epoch == "1" and objective == "simcse"
-        float(loss)
+        for line in lines:
+            step, epoch, objective, loss, grad_norm, margin = line.split("\t")
+            assert objective == "simcse" and float(loss) > 0
+            assert all(len(x.split(".")[1]) == 6 for x in (loss, grad_norm, margin))
+            assert 0 < float(grad_norm) < math.inf and -2 <= float(margin) <= 2
+        assert lines[0].split("\t")[:2] == ["1", "1"]
 
 
 # section.key=value overrides that load rejects: an unknown section or key

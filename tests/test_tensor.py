@@ -113,12 +113,14 @@ class TestBackward:
             T.backward(T.parameter(np.ones(3)))
 
     def test_untouched_params_get_zero_gradients(self):
-        used = T.parameter(np.ones(2), name="used")
-        unused = T.parameter(np.ones(2), name="unused")
+        params = T.Parameters({"used": np.ones(2), "unused": np.ones(2)})
+        used = params["used"]
         T.backward(T.sum_(O.mul(used, used)))
-        grads = T.collect_gradients({"used": used, "unused": unused})
-        np.testing.assert_allclose(grads["unused"], 0.0)
-        np.testing.assert_allclose(grads["used"], 2.0)
+        grads = np.full(4, np.nan)
+        params.gather_gradients(out=grads)
+        np.testing.assert_allclose(params.split(grads)["unused"], 0.0)
+        np.testing.assert_allclose(params.split(grads)["used"], 2.0)
+        assert used.grad is None  # the gather takes the gradients off the leaves
 
     def test_second_backward_through_a_spent_graph_raises(self):
         w = T.parameter(np.ones(3))
@@ -288,7 +290,7 @@ class TestAccumSharing:
         T.backward(T.sum_(O.mul(x, x)))
         kept = x.grad
         before = kept.copy()
-        T.backward(T.sum_(O.mul(x, x)))  # no zero_gradients: accumulates
+        T.backward(T.sum_(O.mul(x, x)))  # nothing takes the gradient in between: accumulates
         np.testing.assert_array_equal(kept, before)
         np.testing.assert_array_equal(x.grad, 2 * before)
 

@@ -1,3 +1,4 @@
+import gc
 import math
 import weakref
 
@@ -386,11 +387,13 @@ class TestOnePassForwards:
         """Anchors, candidates and the loss's gradient over every parameter as
         one vector: a key bias's gradient is zero up to rounding (attention
         ignores a shift shared by all keys), so it has no scale of its own."""
-        params = {k: T.parameter(p.data.astype(dtype)) for k, p in init_params(config, 2).items()}
+        params = T.Parameters({k: p.data.astype(dtype) for k, p in init_params(config, 2).items()})
         a, c = forward(params)
         out = [a.data, c.data]
         T.backward(mnr_loss(a, c)[0])
-        return out + [np.concatenate([g.ravel() for g in T.collect_gradients(params).values()])]
+        grads = np.empty_like(params.flat)
+        params.gather_gradients(out=grads)
+        return out + [grads]
 
     def _assert_equal(self, one_pass, two_calls, config, dtype):
         for got, want in zip(self._outputs(one_pass, config, dtype),
@@ -524,7 +527,7 @@ class TestPretrain:
         res = pretrain(_tiny_corpus(48), CFG, self._cfg(epochs=3))
         per_epoch = {}
         for line in res.log_lines:
-            _, epoch, _, loss = line.split("\t")
+            _, epoch, _, loss, _, _ = line.split("\t")
             per_epoch.setdefault(int(epoch), []).append(float(loss))
         assert np.mean(per_epoch[3]) < np.mean(per_epoch[1])
 
@@ -539,6 +542,23 @@ class TestPretrain:
         # a kept PretrainResult holds the model, not the last step's gradients
         res = pretrain(_tiny_corpus(), CFG, self._cfg())
         assert res.steps > 0 and all(p.grad is None for p in res.params.values())
+
+    def test_returned_params_keep_no_optimizer_state_alive(self, monkeypatch):
+        # a kept result (the long-document bench keeps every round's) holds the
+        # parameters alone: the gradient row and the moments die with the call
+        buffers = []
+
+        def spy(params, state, hyper):
+            out = adamw_step(params, state, hyper)
+            buffers.append(weakref.ref(state.buffer))
+            return out
+
+        monkeypatch.setattr(training, "adamw_step", spy)
+        res = pretrain(_tiny_corpus(), CFG, self._cfg())
+        gc.collect()
+        assert buffers and buffers[-1]() is None
+        flat = res.params.flat
+        assert flat.base is None and flat.size == sum(p.data.size for p in res.params.values())
 
     def test_all_docs_skipped_errors(self):
         shorts = [Document(id=str(i), tokens=(5, 6)) for i in range(8)]
@@ -560,9 +580,9 @@ class TestPretrain:
 
     def test_log_line_format(self):
         res = pretrain(_tiny_corpus(), CFG, self._cfg())
-        step, epoch, objective, loss = res.log_lines[0].split("\t")
+        step, epoch, objective, loss, grad_norm, margin = res.log_lines[0].split("\t")
         assert step == "1" and epoch == "1" and objective == "cpe-hier"
-        float(loss)
+        assert float(loss) > 0 and float(grad_norm) > 0 and -2 <= float(margin) <= 2
 
     def test_objective_validation(self):
         with pytest.raises(ValueError, match="objective"):
@@ -653,7 +673,6 @@ def test_overfit_one_batch():
         loss_val = loss.item()
         if loss_val < 0.05:
             break
-        T.zero_gradients(params)
         T.backward(loss)
-        adamw_step(params, T.collect_gradients(params), state, hyper)
+        adamw_step(params, state, hyper)
     assert loss_val < 0.05
