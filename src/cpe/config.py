@@ -59,7 +59,7 @@ def _text(value):
 
 
 # ranges of the keys that no dataclass validates: (section, key, test, wording)
-RANGES = [("run", "seed", lambda v: v >= 0, ">= 0"),
+RANGES = [("run", "seed", lambda v: 0 <= v < 2**64, "in [0, 2**64)"),  # a Philox key
           ("corpus", "min_freq", lambda v: v >= 1, ">= 1"),
           ("corpus", "train_frac", lambda v: 0 < v < 1, "in (0, 1)"),
           ("eval", "dbscan_eps", lambda v: v > 0, "positive"),

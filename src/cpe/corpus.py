@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -245,9 +247,55 @@ class SyntheticSpec:
 
 
 def _doc_rng(seed, doc_index):
-    # counter-based generator keyed per document: parallel-safe, deterministic
-    return np.random.Generator(np.random.Philox(key=np.uint64(seed) * np.uint64(1_000_003)
-                                                + np.uint64(doc_index)))
+    # counter-based generator keyed per document: parallel-safe, deterministic;
+    # the key is taken mod 2**64 in Python integers, so any seed in [0, 2**64)
+    # keys a stream without numpy's scalar overflow
+    return np.random.Generator(np.random.Philox(key=(seed * 1_000_003 + doc_index) % 2**64))
+
+
+class _Draws:
+    """A document's Generator draws, read from its bit generator's raw 64-bit
+    outputs, drawn `n` at a time with `random_raw`, as numpy would make them:
+
+    - `random()` is `(o >> 11) * 2**-53` of the next output `o`, so
+      `random() < p` is `raw() < ceil(p * 2**53) << 11`;
+    - `integers(n)` for 1 <= n < 2**32 is Lemire's multiply-and-reject on a
+      32-bit word: the low half of a fresh output, whose high half is kept
+      for the next call, starting from the half the Generator left in the
+      bit generator's state;
+    - `integers(1)` draws nothing.
+
+    The reader draws ahead and keeps the buffered half to itself, so the
+    Generator draws nothing after it is made.
+    """
+
+    __slots__ = ("raw", "_half")
+
+    def __init__(self, bit_generator, n):
+        state = bit_generator.state
+        self._half = state["uinteger"] if state["has_uint32"] else None
+        chunks = iter(lambda: bit_generator.random_raw(n).tolist(), None)  # endless
+        self.raw = chain.from_iterable(chunks).__next__  # the next raw output
+
+    def random(self):
+        return (self.raw() >> 11) * 2.0**-53
+
+    def integers(self, n):
+        if n == 1:
+            return 0
+        m = self._word() * n
+        while m & 0xFFFFFFFF < n and m & 0xFFFFFFFF < (1 << 32) % n:  # biased: redraw
+            m = self._word() * n
+        return m >> 32
+
+    def _word(self):
+        half = self._half
+        if half is not None:
+            self._half = None
+            return half
+        o = self.raw()
+        self._half = o >> 32
+        return o & 0xFFFFFFFF
 
 
 def gen_synthetic(spec, seed):
@@ -256,14 +304,23 @@ def gen_synthetic(spec, seed):
     Each document draws a topic (or topic pair in multilabel mode) and a
     document-specific word distribution over that topic's vocabulary
     region; `noise_rate` of positions come from the shared region.
+
+    The topics, the length and the word distributions come from the
+    document's Generator; its words come from a `_Draws` reader over the
+    same stream, which answers `random()` and `integers(n)` exactly as the
+    Generator would. Two tests pin the bytes of every corpus:
+    `test_matches_per_word_choice_generator` (the per-word `rng.choice`
+    generator) and `test_matches_generator_calls` (the Generator-call loop
+    in `tests/oracle_corpus.py`).
     """
     spec.validate()
     noise_rate, shared_vocab = spec.noise_rate, spec.shared_vocab
+    noise_cut = math.ceil(noise_rate * 2**53) << 11  # raw() < noise_cut: random() < noise_rate
     shared = [f"sh{j}" for j in range(shared_vocab)]
+    names = [[f"t{t}w{j}" for j in range(spec.vocab_per_topic)] for t in range(spec.num_topics)]
     records = []
     for i in range(spec.num_docs):
         rng = _doc_rng(seed, i)
-        random, integers = rng.random, rng.integers
         if spec.task == "multilabel":
             k = int(rng.integers(1, 3))
             topics = sorted(rng.choice(spec.num_topics, size=k, replace=False).tolist())
@@ -276,19 +333,20 @@ def gen_synthetic(spec, seed):
         regions = []
         for t in topics:
             cdf = rng.dirichlet(np.full(spec.vocab_per_topic, spec.doc_alpha)).cumsum()
-            regions.append(((cdf / cdf[-1]).tolist(),
-                            [f"t{t}w{j}" for j in range(spec.vocab_per_topic)]))
+            regions.append(((cdf / cdf[-1]).tolist(), names[t]))
+        # a word takes at most two outputs, unless Lemire's rejection redraws
+        draws = _Draws(rng.bit_generator, 2 * length)
+        raw, random, integers = draws.raw, draws.random, draws.integers
         # both shortcuts keep the stream draw for draw: integers(1) returns 0
         # without drawing, so a one-topic document skips the call, and
         # bisect_right on the same float64 values is searchsorted(side="right")
         n_regions = len(regions)
         words = []
         for _ in range(length):
-            if shared and random() < noise_rate:
+            if shared and raw() < noise_cut:
                 words.append(shared[integers(shared_vocab)])
             else:
-                cdf, names = regions[integers(n_regions) if n_regions > 1 else 0]
-                words.append(names[bisect_right(cdf, random())])
+                cdf, topic_names = regions[integers(n_regions) if n_regions > 1 else 0]
+                words.append(topic_names[bisect_right(cdf, random())])
         records.append({"id": f"doc{i:05d}", "text": " ".join(words), "labels": topics})
     return records
-

@@ -614,8 +614,8 @@ def sliding_attention(q, k, v, key_mask, heads, w, probs=None, seg_start=None):
     size = np.diff(np.append(first, l))
     real = np.arange(size.max()) < size[:, None]  # (S, W)
     seg = np.where(real, first[:, None] + np.arange(real.shape[1]), first[:, None])
-    rows, col = pos[:, None], np.cumsum(is_first)[:, None] - 1  # (L, 1): each row's segment
-    end = (first + size)[col]  # (L, 1): one past each row's segment
+    seg_of = np.cumsum(is_first) - 1  # (L,) each row's segment
+    rows, col = pos[:, None], seg_of[:, None]
     kg, vg = kh[:, :, first], vh[:, :, first]
 
     def by_seg(x):  # (B,H,L,1) [CLS] column -> (B,H,L,S), zero off each row's segment
@@ -623,10 +623,7 @@ def sliding_attention(q, k, v, key_mask, heads, w, probs=None, seg_start=None):
         out[..., rows, col] = x
         return out
 
-    raw = pos[:, None] + np.arange(-w, w + 1)  # (L, 2w+1): key of each slot
-    keys = np.concatenate([np.clip(raw, 0, l - 1), start[:, None]], 1)
-    invalid = ~np.take(key_mask, keys, axis=1)[:, None]  # (B, 1, L, 2w+2)
-    invalid[..., :span] |= (raw <= start[:, None]) | (raw >= end)
+    invalid = _band_invalid(key_mask, start, (first + size)[seg_of], w)
     invalid[:, :, first] = True  # the [CLS] rows attend densely, in `pg`
     qs = qh * c  # forward only: the backward scales gq and gk instead
     p = np.empty(qh.shape[:-1] + (span + 1,), dtype=qh.dtype)
@@ -669,6 +666,24 @@ def sliding_attention(q, k, v, key_mask, heads, w, probs=None, seg_start=None):
         _accum(vn, _merge_heads(gv))
 
     return _node(_merge_heads(out), (q, k, v), bwd)
+
+
+def _band_invalid(key_mask, start, end, w):
+    """(B, 1, L, 2w+2) true where row i may not read: band slot j (key
+    i+j-w) on a masked key or outside [start_i + 1, end_i), the row's
+    segment without its [CLS]; and the last column, the [CLS] key start_i,
+    when it is masked. key_mask is (B, L); start and end are (L,)."""
+    b, l = key_mask.shape
+    span = 2 * w + 1
+    shift = (w - np.arange(l))[:, None]  # key s is slot s - i + w of row i
+    slot = np.arange(span)
+    outside = (slot <= start[:, None] + shift) | (slot >= end[:, None] + shift)  # (L, 2w+1)
+    masked = np.ones((b, l + 2 * w), dtype=bool)  # the padding is outside every segment
+    masked[:, w:w + l] = ~key_mask
+    invalid = np.empty((b, 1, l, span + 1), dtype=bool)
+    np.logical_or(sliding_window_view(masked, span, axis=1), outside, out=invalid[:, 0, :, :span])
+    invalid[:, 0, :, span] = ~key_mask[:, start]
+    return invalid
 
 
 def _dense_rows(rows, seg, real, l):

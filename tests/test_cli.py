@@ -269,7 +269,8 @@ LOAD_TIME_REJECTED = [
     "pretrain.epochs=abc", "classifier.hidden=a,b,c", "eval.normalize=maybe",
     "classifier.lr=inf", "pretrain.tau=nan",
     # out of range: each section's dataclass `validate`, and the run, corpus and eval keys
-    "synthetic.doc_alpha=0", "run.seed=-1", "pretrain.esimcse_rate=5", "pretrain.tau=-1",
+    "synthetic.doc_alpha=0", "run.seed=-1", "run.seed=18446744073709551616",
+    "pretrain.esimcse_rate=5", "pretrain.tau=-1",
     "pretrain.batch_size=1", "encoder.heads=5", "classifier.epochs=-1", "classifier.hidden=0,0,0",
     "corpus.train_frac=1.5", "eval.dbscan_eps=-1", "eval.dbscan_min_pts=0",
     "pretrain.chunk_len=0", "pretrain.n_chunks=0", "pretrain.max_tokens=7", "corpus.min_freq=0",

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpe.corpus import (CLS_ID, PAD_ID, UNK_ID, CorpusError, Document, _doc_rng,
+import oracle_corpus
+from cpe.corpus import (CLS_ID, PAD_ID, UNK_ID, CorpusError, Document, _doc_rng, _Draws,
                         SyntheticSpec, build_vocab, chunk, encode_documents,
                         gen_synthetic, load_jsonl, save_jsonl, tokenize, Vocab)
 
@@ -271,11 +272,84 @@ class TestSynthetic:
             assert json.dumps(gen_synthetic(spec, seed)) == \
                 json.dumps(per_word_choice(spec, seed))
 
+    @pytest.mark.parametrize("spec,seeds", [
+        (SyntheticSpec(), (1, 2, 3)),  # the acceptance corpus
+        # the shortest and the longest documents of the 1024-token workloads
+        (SyntheticSpec(num_docs=3, doc_len_min=256, doc_len_max=256), (1, 7)),
+        (SyntheticSpec(num_docs=3, doc_len_min=1397, doc_len_max=1397), (1, 7)),
+        (SyntheticSpec(num_docs=150, num_topics=5, doc_len_min=20, doc_len_max=60,
+                       vocab_per_topic=25, shared_vocab=10, task="multilabel"), (1, 7)),
+        *[(SyntheticSpec(num_docs=40, doc_len_min=5, doc_len_max=40, **edge), (1, 7))
+          for edge in ({"shared_vocab": 0}, {"shared_vocab": 1}, {"noise_rate": 0.0},
+                       {"noise_rate": 1.0}, {"vocab_per_topic": 1},
+                       {"num_topics": 2, "task": "multilabel"})],
+    ])
+    def test_matches_generator_calls(self, spec, seeds):
+        # the loop that called the document's Generator for every draw; one
+        # string per record, so a failure names the first document that
+        # differs instead of diffing the whole corpus as one line
+        for seed in seeds:
+            assert [json.dumps(r) for r in gen_synthetic(spec, seed)] == \
+                [json.dumps(r) for r in oracle_corpus.gen_synthetic(spec, seed)]
+
+    @pytest.mark.parametrize("seed", [1, 7, 18446744073709, 2**63 + 5, 2**64 - 1])
+    def test_doc_key_is_the_wrapped_product(self, seed):
+        # numpy's uint64 arithmetic wraps the same key, with an overflow warning
+        # above about 1.8e13 (an error under this suite's warning filter)
+        for i in (0, 5):
+            with np.errstate(over="ignore"):
+                key = np.uint64(seed) * np.uint64(1_000_003) + np.uint64(i)
+            got, want = _doc_rng(seed, i).bit_generator, np.random.Philox(key=key)
+            assert np.array_equal(got.random_raw(8), want.random_raw(8))
+        assert gen_synthetic(SyntheticSpec(num_docs=2), seed)
+
     def test_invalid_spec_errors(self):
         with pytest.raises(CorpusError, match="num_topics"):
             gen_synthetic(SyntheticSpec(num_topics=1), seed=0)
         with pytest.raises(CorpusError, match="noise_rate"):
             gen_synthetic(SyntheticSpec(noise_rate=1.5), seed=0)
+
+
+class _CountingDraws(_Draws):
+    """A `_Draws` that counts the 32-bit words `integers` reads."""
+    __slots__ = ("words",)
+
+    def _word(self):
+        self.words += 1
+        return super()._word()
+
+
+class TestDraws:
+    """The reader against the Generator calls it replaces, on twin streams."""
+
+    # (n, whether Lemire's rejection redraws: 2**32 % n of the 2**32 words
+    # are rejected, about half for 2**31 + 5 and a quarter for 3 * 2**30 + 1)
+    @pytest.mark.parametrize("n,redraws", [(2, False), (100, False), (2**31 + 5, True),
+                                           (3 * 2**30 + 1, True), (2**32 - 8, False)])
+    @pytest.mark.parametrize("buffered", [False, True], ids=["fresh", "half-buffered"])
+    def test_matches_generator(self, n, redraws, buffered):
+        ref, mine = (np.random.Generator(np.random.Philox(key=n)) for _ in range(2))
+        if buffered:  # leaves the high half of an output for the next integers()
+            assert ref.integers(7) == mine.integers(7)
+        # a small refill size, so the reader draws more outputs many times
+        draws = _CountingDraws(mine.bit_generator, 16)
+        draws.words = 0
+        want, got = [], []
+        for j in range(2000):
+            want.append(int(ref.integers(n)))
+            got.append(draws.integers(n))
+            if j % 3 == 0:
+                want.append(ref.random())
+                got.append(draws.random())
+        assert got == want
+        assert (draws.words > 2000) == redraws
+        assert draws.random() == ref.random()  # still in step
+
+    def test_integers_of_one_draws_nothing(self):
+        ref, mine = (np.random.Generator(np.random.Philox(key=3)) for _ in range(2))
+        draws = _Draws(mine.bit_generator, 4)
+        assert [draws.integers(1) for _ in range(5)] == [0] * 5
+        assert draws.random() == ref.random()
 
 
 def test_multiclass_document_requires_single_label():

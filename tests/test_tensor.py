@@ -481,6 +481,24 @@ class TestBandOps:
             np.testing.assert_allclose(new_g[name], t[name].grad, rtol=tol, atol=tol)
         np.testing.assert_allclose(new_g["p"][..., ok], t["p"].grad[..., ok], rtol=tol, atol=tol)
 
+    # segment sizes of one row and the window: one segment longer or shorter
+    # than the window, packed segments longer, shorter and both
+    @pytest.mark.parametrize("sizes,w", [([9], 2), ([5], 8), ([6, 7, 5], 2), ([3, 1, 4, 2], 3),
+                                         ([2, 6, 1], 4), ([4, 4], 0)])
+    def test_band_mask_matches_gathered_keys(self, sizes, w):
+        # the construction from gathered key ids that `_band_invalid` replaced
+        l = sum(sizes)
+        start = np.repeat(np.cumsum([0] + sizes[:-1]), sizes)
+        end = start + np.repeat(sizes, sizes)
+        key_mask = _attention_mask(4, l)  # a padded row, a full one, an empty one
+        key_mask[2] = np.random.default_rng(l + w).random(l) < 0.6  # scattered masked keys
+        raw = np.arange(l)[:, None] + np.arange(-w, w + 1)
+        keys = np.concatenate([np.clip(raw, 0, l - 1), start[:, None]], 1)
+        want = ~np.take(key_mask, keys, axis=1)[:, None]
+        want[..., :2 * w + 1] |= (raw <= start[:, None]) | (raw >= end[:, None])
+        got = T._band_invalid(key_mask, start, end, w)
+        assert got.shape == want.shape and np.array_equal(got, want)
+
     @pytest.mark.parametrize("shape,w", CASES + [((4, 4, 65, 16), 16)])
     @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
     def test_sliding_attention_matches_dense_reference(self, shape, w, dtype, tol):
