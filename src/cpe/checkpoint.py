@@ -12,8 +12,9 @@ Each model artifact has one writer and one validating reader:
 - clf.bin (`save_head`/`load_head`): the echo is the Head fields, then the
   `classifier.param_specs` parameters over the embedding width.
 A reader rebuilds each dataclass from its echo and validates it, then checks
-every parameter's name, shape and dtype (float32). A failure is a ValueError
-naming the path, then the key or the parameter.
+every parameter's name, shape and dtype (float32), and returns the
+parameters as a `tensor.Parameters` store in `param_specs` order. A failure
+is a ValueError naming the path, then the key or the parameter.
 """
 
 from __future__ import annotations
@@ -152,8 +153,16 @@ def save_encoder(path, params, ecfg, pcfg, vocab):
                     vocab=vocab)
 
 
+def _store(params, specs):
+    """The checked parameters as one `T.Parameters` store in `specs` order:
+    the layout `encoder.init_params` or `classifier.init_mlp` gives, so an
+    optimizer can step a loaded model too. One copy."""
+    return T.Parameters({name: params[name].data for name in specs})
+
+
 def load_encoder(path):
-    """(EncoderConfig, PretrainConfig, params, vocab) of a `save_encoder` file."""
+    """(EncoderConfig, PretrainConfig, params, vocab) of a `save_encoder`
+    file, the params a `T.Parameters` store."""
     params, echo, vocab = load_checkpoint(path)
     try:
         if sorted(echo) != ["encoder", "pretrain"]:
@@ -163,10 +172,11 @@ def load_encoder(path):
         if vocab is None or vocab.size != ecfg.vocab_size:
             raise ValueError(f"the vocabulary has {0 if vocab is None else vocab.size} "
                              f"tokens, the encoder echo {ecfg.vocab_size}")
-        _check_params(params, encoder.param_specs(ecfg), "the encoder echo")
+        specs = encoder.param_specs(ecfg)
+        _check_params(params, specs, "the encoder echo")
     except ValueError as e:
         raise ValueError(f"{path}: {e}; re-run 'pretrain'") from None
-    return ecfg, pcfg, params, vocab
+    return ecfg, pcfg, _store(params, specs), vocab
 
 
 def save_head(path, params, head):
@@ -175,12 +185,12 @@ def save_head(path, params, head):
 
 def load_head(path, dim):
     """(Head, params) of a `save_head` file, its weights checked against a
-    head over `dim`-wide embeddings."""
+    head over `dim`-wide embeddings; the params a `T.Parameters` store."""
     params, echo, _ = load_checkpoint(path)
     try:
         head = _from_echo(Head, echo, "")
-        _check_params(params, classifier.param_specs(dim, head.num_labels, head.hidden),
-                      f"the echo for {dim}-wide embeddings")
+        specs = classifier.param_specs(dim, head.num_labels, head.hidden)
+        _check_params(params, specs, f"the echo for {dim}-wide embeddings")
     except ValueError as e:
         raise ValueError(f"{path}: {e}; re-run 'train-clf'") from None
-    return head, params
+    return head, _store(params, specs)

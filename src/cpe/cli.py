@@ -299,12 +299,15 @@ _THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 def _write_run_record(cfg, command, wall_s, fields):
     """run-<command>.json: the command, its wall time and this process's
     peak RSS (ru_maxrss is in KiB on Linux), the seed and the SHA-256 of
-    config_effective.ini's text, the Python and numpy versions and the BLAS
-    thread settings, then the command's own `fields`."""
+    config_effective.ini's text, the Python and numpy versions, the name and
+    version of the BLAS numpy was built against and the BLAS thread
+    settings, then the command's own `fields`."""
+    blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     record = {"command": command, "wall_s": wall_s,
               "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
               "seed": cfg.seed, "config_sha256": hashlib.sha256(cfg.dump().encode()).hexdigest(),
               "python": platform.python_version(), "numpy": np.__version__,
+              "blas": {"name": blas.get("name"), "version": blas.get("version")},
               "env": {name: os.environ.get(name) for name in _THREAD_VARS}, **(fields or {})}
     with open(os.path.join(cfg.output_dir, f"run-{command}.json"), "w") as f:
         f.write(json.dumps(record, indent=2) + "\n")

@@ -4,16 +4,18 @@ vector as the sequence representation.
 
 Each projection is one fused `tensor.linear` node and dense attention one
 fused `tensor.attention` node, which keeps only the probabilities for its
-closed-form backward; both attention ops split the (B, L, D) projections
+closed-form backward; the attention ops split the (B, L, D) projections
 into heads themselves. `encoder_forward` holds the one pre-LN transformer
 block; the dense and sparse paths differ only in the attention call.
 
 By default it returns every row's hidden state, which the sliding path's
 dense oracle and attention `capture` read. Every training and embedding
 path reads only the [CLS] rows, through `encode_chunk` or `encode_packed`,
-which pass `cls_only`: the last block then still projects keys and values
-from every row, but runs its query, attention, feed-forward, dropouts and
-the final norm on the [CLS] rows alone.
+which pass `cls_only`: the last block then runs its query, attention,
+feed-forward, dropouts and the final norm on the [CLS] rows alone, and
+projects no key or value. Its attention is one `tensor.cls_attention`
+node, which absorbs the key and value projections into each [CLS] query,
+so the last layer's key bias (which the softmax cancels) is not read.
 
 Every sliding config, whatever its window, takes the sparse path. It is
 banded and one fused `tensor.sliding_attention` node:
@@ -172,12 +174,14 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
     first position of each segment is its [CLS].
 
     With `cls_only`, the last block computes the [CLS] rows alone and the
-    result is (B, S, D) for S segments per row: its keys and values still
-    come from every row, but the query, the residual, the feed-forward, both
-    dropouts and the final norm are the [CLS] rows'. [CLS] is a global row,
-    so each reads every unmasked key of its own segment in one dense
-    `tensor.attention` call on either path. The rows equal the [CLS] rows
-    of the full pass (up to float rounding); only the dropout draws differ.
+    result is (B, S, D) for S segments per row: the query, the residual,
+    the feed-forward, both dropouts and the final norm are the [CLS] rows'.
+    [CLS] is a global row, so each reads every unmasked key of its own
+    segment, in one `tensor.cls_attention` call on either path, which takes
+    the keys and values from every row's LN1 output without projecting
+    them. The rows equal the [CLS] rows of the full pass (up to float
+    rounding); only the dropout draws differ, and the last layer's key bias
+    gets no gradient (its true gradient is 0).
     `capture` needs every row of one segment per row, so it combines with
     neither.
     """
@@ -212,15 +216,17 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
         last_cls = cls_only and i == config.layers - 1
         x = T.layer_norm(h, params[pre + "ln1_g"], params[pre + "ln1_b"])
         q = _linear(x[:, cls_rows] if last_cls else x, params, pre + "q")
-        k, v = (_linear(x, params, pre + name) for name in "kv")
         if last_cls:
-            ctx = T.attention(q, k, v, cls_mask, config.heads)
+            ctx = T.cls_attention(q, x, params[pre + "k_w"], params[pre + "v_w"],
+                                  params[pre + "v_b"], cls_mask, config.heads)
             h = h[:, cls_rows]
-        elif config.attention == "sliding":
-            ctx = _attend_sliding(q, k, v, mask, config.heads, config.window,
-                                  capture=capture, seg_start=seg_start)
         else:
-            ctx = T.attention(q, k, v, mask, config.heads)
+            k, v = (_linear(x, params, pre + name) for name in "kv")
+            if config.attention == "sliding":
+                ctx = _attend_sliding(q, k, v, mask, config.heads, config.window,
+                                      capture=capture, seg_start=seg_start)
+            else:
+                ctx = T.attention(q, k, v, mask, config.heads)
         h = T.add(h, T.dropout(_linear(ctx, params, pre + "o"), config.dropout, rng, train))
         x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])
         f = _linear(T.relu(_linear(x, params, pre + "ff1")), params, pre + "ff2")

@@ -21,14 +21,21 @@ buffers rather than on each parameter.
 
 Fused ops record one node with a closed-form backward pass: `linear`
 (x @ w + b over the last axis), `attention` (masked scaled dot-product
-attention), `sliding_attention` (a band of keys plus the [CLS] key, the one
-global token, on the private band kernels, over one or more segments per
-row) and the three losses: `cosine_nce` (the in-batch contrastive loss),
-`softmax_cross_entropy` (the multiclass head) and `bce_with_logits` (the
-multilabel head). The losses take the log softmax and the logistic from
-two private helpers, which the classifier's predictions share.
-Both attention ops take and return (B, L, D), split the heads themselves in
-both passes, and share one in-place masked softmax and its gradient.
+attention), `cls_attention` (attention of a few query rows, such as the
+[CLS] rows, over keys and values it never projects: each head's key and
+value projections are absorbed into its query), `sliding_attention` (a
+band of keys plus the [CLS] key, the one global token, on the private band
+kernels, over one or more segments per row) and the three losses:
+`cosine_nce` (the in-batch contrastive loss), `softmax_cross_entropy` (the
+multiclass head) and `bce_with_logits` (the multilabel head). The losses
+take the log softmax and the logistic from two private helpers, which the
+classifier's predictions share. The attention ops take and return
+(B, L, D), split the heads themselves in both passes, and share one
+in-place masked softmax and its gradient. `attention` runs both passes
+over groups of whole sequences, about 1 MiB of probabilities each
+(`_groups`), so a group's scores stay in the L2 cache across the passes
+over them; every product is per sequence, so the grouping changes no
+bit.
 `masked_mean` and `masked_max` pool rows (R, D) per document: the rows fill
 the true slots of a (B, n) mask in row-major order, so scattering them into
 a (B, n, D) array is the forward layout and indexing its gradient by the
@@ -510,11 +517,13 @@ def masked_max(rows, mask):
 def _masked_softmax_(s, invalid):
     """Softmax over the last axis of the finite scores `s`, in place. Entries
     where `invalid` (broadcast to s) is true get probability exactly 0, and a
-    row with no valid entry is all zeros (no NaN). Returns s."""
+    row with no valid entry is all zeros (no NaN); None masks nothing.
+    Returns s."""
     # an additive -inf mask: a broadcast add is several times faster than
     # `np.copyto(..., where=)` with a broadcast mask, and looking the mask's
     # bytes up in a two-entry table several times faster than `np.where`
-    s += np.array([0.0, -np.inf], dtype=s.dtype).take(invalid.view(np.uint8))
+    if invalid is not None:
+        s += np.array([0.0, -np.inf], dtype=s.dtype).take(invalid.view(np.uint8))
     mx = s.max(axis=-1, keepdims=True)
     mx[~np.isfinite(mx)] = 0.0
     s -= mx
@@ -541,6 +550,16 @@ def _merge_heads(x):  # (B, H, L, d) -> (B, L, H*d), a copy
     return x.transpose(0, 2, 1, 3).reshape(x.shape[0], x.shape[2], -1)
 
 
+_GROUP_BYTES = 1 << 20  # probabilities per group of sequences: half the L2
+
+
+def _groups(n, seq_bytes):
+    """Slices of n sequences, each group as many whole sequences as fit
+    `_GROUP_BYTES` at `seq_bytes` each (at least one)."""
+    size = max(1, _GROUP_BYTES // max(seq_bytes, 1))
+    return [slice(i, i + size) for i in range(0, n, size)]
+
+
 def attention(q, k, v, key_mask, heads, probs=None):
     """Masked multi-head scaled dot-product attention as one tape node.
 
@@ -551,30 +570,115 @@ def attention(q, k, v, key_mask, heads, probs=None):
     and a row with no readable key gets zero probabilities and a zero
     context (no NaN). Only the (B,H,Lq,Lk) probabilities are kept for the
     closed-form backward; when `probs` is a list, they are appended to it.
+
+    Both passes run over groups of whole sequences (`_groups`), so each
+    group's scores stay in cache across the passes over them; every
+    product is per sequence, so the grouping changes no bit. The mask is
+    added only to the groups that have a masked key.
     """
     q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
-    c = 1.0 / math.sqrt(qh.shape[-1])
-    p = np.matmul(qh * c, np.swapaxes(kh, -1, -2))
+    (b, h, lq, d), lk = qh.shape, kh.shape[2]
+    c = 1.0 / math.sqrt(d)
+    key_mask = np.asarray(key_mask, dtype=bool)
+    invalid = ~(key_mask[:, None] if key_mask.ndim == 3 else key_mask[:, None, None, :])
+    p = np.empty((b, h, lq, lk), dtype=np.result_type(qh, kh))
+    groups = _groups(b, p[:1].nbytes)
+    out = np.empty((b, lq, h, d), dtype=np.result_type(p, vh))
+    for g in groups:
+        pg = np.matmul(qh[g] * c, np.swapaxes(kh[g], -1, -2), out=p[g])
+        _masked_softmax_(pg, invalid[g] if invalid[g].any() else None)
+        out[g] = np.matmul(pg, vh[g]).transpose(0, 2, 1, 3)
+    if probs is not None:
+        probs.append(p)
+    qn, kn, vn = q.node, k.node, v.node
+
+    def bwd(grad):
+        gq, gk, gv = (np.empty(t.shape[:1] + (t.shape[2], h, d), dtype=grad.dtype)
+                      for t in (qh, kh, vh))
+        for g in groups:
+            gh = _split_heads(grad[g], heads)
+            gv[g] = np.matmul(np.swapaxes(p[g], -1, -2), gh).transpose(0, 2, 1, 3)
+            ds = _softmax_grad(p[g], np.matmul(gh, np.swapaxes(vh[g], -1, -2)))
+            t = np.matmul(ds, kh[g])
+            t *= c
+            gq[g] = t.transpose(0, 2, 1, 3)
+            t = np.matmul(np.swapaxes(ds, -1, -2), qh[g])
+            t *= c
+            gk[g] = t.transpose(0, 2, 1, 3)
+        _accum(vn, gv.reshape(gv.shape[:2] + (-1,)))
+        _accum(qn, gq.reshape(gq.shape[:2] + (-1,)))
+        _accum(kn, gk.reshape(gk.shape[:2] + (-1,)))
+
+    return _node(out.reshape(b, lq, h * d), (q, k, v), bwd)
+
+
+def cls_attention(q, x, w_k, w_v, b_v, key_mask, heads, probs=None):
+    """`attention` of a few query rows over keys x W_k + b_k and values
+    x W_v + b_v, as one tape node that projects no key or value.
+
+    q (B,S,D), x (B,L,D), w_k and w_v (D,D), b_v (D,), key_mask (B,L) or
+    (B,S,L) bool -> context (B,S,D), over `heads` heads of d = D/heads, under
+    `attention`'s contract. Head h's projections are absorbed into its
+    query: its scores are x . (W_k,h q_h) / sqrt(d), and its context is
+    (sum_j p_j x_j) W_v,h + b_v,h sum_j p_j, so a row with no readable key
+    gets a zero context. The key bias adds the same score to every key,
+    which the softmax cancels, so it is not an input and its gradient is 0.
+    The per-head products are GEMMs batched over heads; the per-sequence
+    ones, over the batch. Kept for backward: the (B,H,S,L) probabilities
+    (appended to `probs` when it is a list), the absorbed queries and the
+    probability-weighted rows of x."""
+    q, x, w_k, w_v, b_v = (_as_tensor(t) for t in (q, x, w_k, w_v, b_v))
+    (b, s, dm), l = q.shape, x.shape[1]
+    d = dm // heads
+    c = 1.0 / math.sqrt(d)
+    xd = x.data
+
+    def to_heads(t):  # (B,S,H*n) -> (H,B*S,n), a view
+        return t.reshape(b * s, heads, -1).transpose(1, 0, 2)
+
+    def to_rows(t):  # (H,B*S,n) -> (B,H*S,n), a copy
+        return t.reshape(heads, b, s, -1).transpose(1, 0, 2, 3).reshape(b, heads * s, -1)
+
+    def from_rows(t):  # (B,H*S,n) -> (H,B*S,n), a copy
+        return t.reshape(b, heads, s, -1).transpose(1, 0, 2, 3).reshape(heads, b * s, -1)
+
+    wk = w_k.data.reshape(dm, heads, d).transpose(1, 2, 0)  # (H,d,D): W_k,h^T
+    wv = w_v.data.reshape(dm, heads, d).transpose(1, 0, 2)  # (H,D,d): W_v,h
+    qs = to_heads(q.data) * c
+    u = to_rows(np.matmul(qs, wk))  # (B,H*S,D): each row's W_k,h q_h / sqrt(d)
+    p = np.matmul(u, np.swapaxes(xd, -1, -2)).reshape(b, heads, s, l)
     key_mask = np.asarray(key_mask, dtype=bool)
     _masked_softmax_(p, ~(key_mask[:, None] if key_mask.ndim == 3 else key_mask[:, None, None, :]))
     if probs is not None:
         probs.append(p)
-    out = _merge_heads(np.matmul(p, vh))
-    qn, kn, vn = q.node, k.node, v.node
+    pr = p.reshape(b, heads * s, l)
+    mass = from_rows(np.matmul(pr, np.ones(l, dtype=p.dtype))[..., None])  # (H,B*S,1)
+    z = from_rows(np.matmul(pr, xd))  # (H,B*S,D): sum_j p_j x_j
+    ctx = np.matmul(z, wv)
+    ctx += mass * b_v.data.reshape(heads, 1, d)
+    out = ctx.transpose(1, 0, 2).reshape(b, s, dm)
+    qn, xn, wkn, wvn, bvn = q.node, x.node, w_k.node, w_v.node, b_v.node
 
-    def bwd(g):
-        gh = _split_heads(g, heads)
-        _accum(vn, _merge_heads(np.matmul(np.swapaxes(p, -1, -2), gh)))
-        ds = _softmax_grad(p, np.matmul(gh, np.swapaxes(vh, -1, -2)))
-        gq = np.matmul(ds, kh)
+    def bwd(grad):
+        gh = to_heads(grad)  # (H,B*S,d)
+        _accum(wvn, np.matmul(np.swapaxes(z, -1, -2), gh).transpose(1, 0, 2).reshape(dm, dm))
+        _accum(bvn, np.matmul(np.swapaxes(mass, -1, -2), gh).reshape(dm))
+        # the bias term's score gradient is one constant per row, which the
+        # softmax gradient cancels
+        dz = to_rows(np.matmul(gh, np.swapaxes(wv, -1, -2)))  # (B,H*S,D)
+        pr = p.reshape(b, heads * s, l)
+        ds = _softmax_grad(pr, np.matmul(dz, np.swapaxes(xd, -1, -2)))
+        gu = from_rows(np.matmul(ds, xd))  # (H,B*S,D)
+        gq = np.matmul(gu, np.swapaxes(wk, -1, -2))
         gq *= c
-        _accum(qn, _merge_heads(gq))
-        gk = np.matmul(np.swapaxes(ds, -1, -2), qh)
-        gk *= c
-        _accum(kn, _merge_heads(gk))
+        _accum(qn, gq.transpose(1, 0, 2).reshape(b, s, dm))
+        _accum(wkn, np.matmul(np.swapaxes(qs, -1, -2), gu).transpose(2, 0, 1).reshape(dm, dm))
+        gx = np.matmul(np.swapaxes(pr, -1, -2), dz)
+        gx += np.matmul(np.swapaxes(ds, -1, -2), u)
+        _accum(xn, gx)
 
-    return _node(out, (q, k, v), bwd)
+    return _node(out, (q, x, w_k, w_v, b_v), bwd)
 
 
 def sliding_attention(q, k, v, key_mask, heads, w, probs=None, seg_start=None):
@@ -646,7 +750,7 @@ def sliding_attention(q, k, v, key_mask, heads, w, probs=None, seg_start=None):
         gr_glob = gr[:, :, first[:, None]]  # (B,H,S,1,d)
         gv = _band_mix(_band_transpose(p[..., :span], w), gr, w)
         gv[:, :, first] += np.matmul(np.swapaxes(p_glob, -1, -2), gr)
-        gv += np.matmul(np.swapaxes(pg, -1, -2), gr_glob)[:, :, real]
+        gv += (np.swapaxes(pg, -1, -2) * gr_glob)[:, :, real]  # rank 1: a broadcast product
         ds = np.empty_like(p)
         ds[..., :span] = _band_dot(gr, vh, w)
         ds[..., span:] = np.matmul(gr, np.swapaxes(vg, -1, -2))[..., rows, col]
@@ -659,7 +763,7 @@ def sliding_attention(q, k, v, key_mask, heads, w, probs=None, seg_start=None):
         gq *= c
         gk = _band_mix(_band_transpose(ds[..., :span], w), qh, w)
         gk[:, :, first] += np.matmul(np.swapaxes(ds_glob, -1, -2), qh)
-        gk += np.matmul(np.swapaxes(dsg, -1, -2), qh[:, :, first[:, None]])[:, :, real]
+        gk += (np.swapaxes(dsg, -1, -2) * qh[:, :, first[:, None]])[:, :, real]
         gk *= c
         _accum(qn, _merge_heads(gq))
         _accum(kn, _merge_heads(gk))

@@ -14,15 +14,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from cpe import cli
+from cpe import classifier, cli
 from cpe import corpus as C
 from cpe import tensor as T
 from cpe.checkpoint import Head, load_checkpoint, load_encoder, load_head, save_checkpoint
 from cpe.classifier import predict_batch
 from cpe.cli import main
 from cpe.config import DEFAULTS, ConfigError, ExperimentConfig
-from cpe.encoder import EncoderConfig
+from cpe.encoder import EncoderConfig, encode_chunk, init_params, param_specs
 from cpe.metrics import load_embeddings
+from cpe.optim import AdamWConfig, AdamWState, adamw_step
 from cpe.training import PretrainConfig, embed_documents
 from test_checkpoint import set_zip_flag
 
@@ -940,8 +941,38 @@ class TestUntrackedInference:
         assert preds == want_preds and np.array_equal(probs, want_probs)
 
 
+class TestLoadedModelsAreStores:
+    """The readers return `T.Parameters` stores in `param_specs` order, the
+    layout `init_params` and `init_mlp` give, so an optimizer can step a
+    loaded model."""
+
+    def test_loaded_checkpoint_takes_one_adamw_step(self, pretrained_run):
+        ecfg, pcfg, params, vocab = load_encoder(pretrained_run / "checkpoint.bin")
+        assert isinstance(params, T.Parameters) and list(params) == list(param_specs(ecfg))
+        assert params.flat.size == init_params(ecfg, 0).flat.size
+        before = {n: p.data.copy() for n, p in params.items()}
+        doc = C.encode_documents(C.load_jsonl(pretrained_run / "corpus.jsonl"), vocab)[0]
+        chunked = C.chunk(doc, pcfg.chunk_len, pcfg.n_chunks, pcfg.max_tokens)
+        T.backward(T.sum_(encode_chunk(chunked.chunks, chunked.token_mask, params, ecfg)))
+        norm = adamw_step(params, AdamWState(), AdamWConfig(lr=1e-3))
+        assert math.isfinite(norm) and norm > 0
+        assert all(p.grad is None for p in params.values())
+        moved = {n for n, p in params.items() if not np.array_equal(p.data, before[n])}
+        assert moved == set(params) - {f"layer{ecfg.layers - 1}.k_b"}  # its gradient is 0
+
+    def test_loaded_head_takes_one_adamw_step(self, tiny_run):
+        dim = load_embeddings(tiny_run / "embeddings.tsv")[0].shape[1]
+        head, params = load_head(tiny_run / "clf.bin", dim)
+        assert isinstance(params, T.Parameters)
+        assert list(params) == list(classifier.param_specs(dim, head.num_labels, head.hidden))
+        before = params.flat.copy()
+        T.backward(T.sum_(classifier.mlp_logits(np.ones((2, dim), dtype=np.float32), params)))
+        assert adamw_step(params, AdamWState(), AdamWConfig(lr=1e-3)) > 0
+        assert not np.array_equal(params.flat, before)
+
+
 RECORD_KEYS = ["command", "wall_s", "peak_rss_mb", "seed", "config_sha256", "python",
-               "numpy", "env"]
+               "numpy", "blas", "env"]
 PRETRAIN_KEYS = ["steps", "skipped_docs", "hard_negative_batches"]
 
 
@@ -957,6 +988,8 @@ class TestRunRecord:
                 (out / "config_effective.ini").read_bytes()).hexdigest()
             assert record["wall_s"] > 0 and record["peak_rss_mb"] > 1
             assert record["numpy"] == np.__version__
+            blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+            assert record["blas"] == {"name": blas["name"], "version": blas["version"]}
             assert sorted(record["env"]) == ["MKL_NUM_THREADS", "OMP_NUM_THREADS",
                                              "OPENBLAS_NUM_THREADS"]
             assert record["env"]["OPENBLAS_NUM_THREADS"] == os.environ.get(

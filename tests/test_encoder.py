@@ -233,6 +233,17 @@ def _segment_start(lengths):
     return np.repeat(np.cumsum([0, *lengths[:-1]]), lengths)
 
 
+def _cls_only_grads(params, config):
+    """Every parameter's gradient after a backward through [CLS]-only
+    passes: the last layer's key bias, which none reads, is None, and its
+    true gradient 0."""
+    grads = {n: p.grad for n, p in params.items()}
+    last = f"layer{config.layers - 1}.k_b"
+    assert grads[last] is None and all(g is not None for n, g in grads.items() if n != last)
+    grads[last] = np.zeros_like(params[last].data)
+    return grads
+
+
 @pytest.mark.parametrize("dtype,tol", [(np.float64, 1e-12), (np.float32, 1e-5)])
 def test_packed_cls_rows_match_each_sequence_alone(dtype, tol):
     # one packed pass against each sequence alone, padded to max_positions:
@@ -256,7 +267,7 @@ def test_packed_cls_rows_match_each_sequence_alone(dtype, tol):
             for i, row in enumerate(rows[1:], 1):
                 loss = T.add(loss, T.sum_(O.mul(row, r[i:i + 1])))
         T.backward(loss)
-        return getattr(cls, "data", cls), {n: p.grad for n, p in params.items()}
+        return getattr(cls, "data", cls), _cls_only_grads(params, cfg)
 
     packed, packed_g = run(True)
     alone, alone_g = run(False)
@@ -372,7 +383,8 @@ def test_tape_nodes_per_encoder_pass(attention, layers, train):
     # layer norm; per block: two layer norms, six linears, attention, relu,
     # two residual adds and [two dropouts]. No node only moves heads around.
     # cls_only adds the last block's two row-0 slices, of its LN1 output
-    # (the query) and of the residual stream.
+    # (the query) and of the residual stream, and drops its k and v
+    # linears, which `tensor.cls_attention` absorbs: the same count.
     cfg = EncoderConfig(vocab_size=20, dim=16, layers=layers, heads=4, ff=32,
                         max_positions=12, dropout=0.1, attention=attention, window=2)
     ids, mask = _batch(np.random.default_rng(0), 2, 12, cfg)
@@ -380,7 +392,7 @@ def test_tape_nodes_per_encoder_pass(attention, layers, train):
         h = encoder_forward(ids, mask, init_params(cfg, 0), cfg, train=train,
                             rng=np.random.default_rng(1), cls_only=cls_only)
         assert h.shape == (2, 1 if cls_only else 12, cfg.dim)
-        assert _tape_nodes(h) == (5 + 14 * layers if train else 4 + 12 * layers) + 2 * cls_only
+        assert _tape_nodes(h) == (5 + 14 * layers if train else 4 + 12 * layers)
 
 
 @pytest.mark.parametrize("attention", ["dense", "sliding"])
@@ -388,8 +400,10 @@ def test_tape_nodes_per_encoder_pass(attention, layers, train):
 def test_cls_only_matches_full_pass_row0(attention, layers):
     # float64 oracle: the [CLS]-only last block gives row 0 of the full pass
     # and the same gradient for every parameter. layer{-1}.k_b's true
-    # gradient is 0 (softmax ignores a shift shared by all keys), so the
-    # gradients are compared against the largest one, not entry by entry.
+    # gradient is 0 (softmax ignores a shift shared by all keys): the
+    # [CLS]-only block does not read it and leaves its .grad None, which
+    # `_cls_only_grads` reads as 0. So the gradients are compared against
+    # the largest one, not entry by entry.
     cfg = EncoderConfig(vocab_size=20, dim=16, layers=layers, heads=4, ff=32,
                         max_positions=24, dropout=0.0, attention=attention, window=2)
     rng = np.random.default_rng(layers + 1)
@@ -402,7 +416,8 @@ def test_cls_only_matches_full_pass_row0(attention, layers):
         params = {n: T.parameter(p.data.astype(np.float64)) for n, p in init_params(cfg, 4).items()}
         cls = encoder_forward(ids, mask, params, cfg, cls_only=cls_only)[:, 0, :]
         T.backward(T.sum_(O.mul(cls, r)))
-        return cls.data, {n: p.grad for n, p in params.items()}
+        return cls.data, (_cls_only_grads(params, cfg) if cls_only
+                          else {n: p.grad for n, p in params.items()})
 
     full, full_g = run(False)
     cls, cls_g = run(True)

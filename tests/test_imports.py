@@ -133,6 +133,7 @@ KNOBS_PASSED_ONLY_BY_TESTS = {
     "encoder.encoder_forward(capture)",  # criterion 2 reads the band probabilities
     "metrics.homogeneity_completeness(noise_as_singletons)",  # criterion 9 scores noise both ways
     "tensor.attention(probs)",  # test_tensor checks the probabilities against oracles
+    "tensor.cls_attention(probs)",  # the same, and test_training sees them freed per step
     "tensor.constant(dtype)",  # criterion 3 checks the loss in float64
     "tensor.sum_(axis)",  # the test oracles reduce along one axis
 }

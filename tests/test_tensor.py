@@ -604,6 +604,149 @@ class TestAttention:
             np.testing.assert_allclose(new_g[name], old_g[name], rtol=tol, atol=tol)
 
 
+class TestAttentionGroups:
+    """`attention` runs both passes over groups of whole sequences. With the
+    group size forced small, it equals a one-group run bit for bit: the
+    context, the probabilities and all three gradients."""
+
+    # (B, Lq, Lk, sequences per group, key mask): padded sequences, then
+    # unpadded ones from a group boundary on; B not a multiple of the group
+    # size; a (B, Lq, Lk) mask with one group that masks nothing
+    CASES = [(4, 5, 5, 2, "padded_first"), (5, 5, 5, 2, "padded_first"),
+             (7, 3, 6, 3, "scattered"), (5, 4, 4, 2, "per_query")]
+
+    @staticmethod
+    def _mask(kind, b, lq, lk):
+        if kind == "per_query":
+            mask = np.ones((b, lq, lk), dtype=bool)
+            mask[:2] = np.tril(np.ones((lq, lk), dtype=bool))  # causal in the first group
+            mask[1, 0] = False  # a query row with no readable key
+            return mask
+        mask = np.ones((b, lk), dtype=bool)
+        if kind == "padded_first":
+            mask[:2, lk - 2:] = False
+            mask[1] = False  # no readable key
+        else:
+            mask[[0, 4], 1:3] = False
+        return mask
+
+    @pytest.mark.parametrize("b,lq,lk,per_group,kind", CASES)
+    def test_groups_change_no_bit(self, monkeypatch, b, lq, lk, per_group, kind):
+        h, d = 2, 3
+        rng = np.random.default_rng(b + lq)
+        data = [rng.standard_normal((b, n, h * d)).astype(np.float32) for n in (lq, lk, lk)]
+        g = rng.standard_normal((b, lq, h * d)).astype(np.float32)
+        mask = self._mask(kind, b, lq, lk)
+
+        def run(group_bytes):
+            monkeypatch.setattr(T, "_GROUP_BYTES", group_bytes)
+            ts, probs = [T.parameter(x.copy()) for x in data], []
+            out = T.attention(*ts, mask, h, probs=probs)
+            T.backward(T.sum_(O.mul(out, g)))
+            return [out.data, probs[0]] + [t.grad for t in ts]
+
+        seq_bytes = h * lq * lk * 4
+        monkeypatch.setattr(T, "_GROUP_BYTES", per_group * seq_bytes)
+        assert len(T._groups(b, seq_bytes)) == -(-b // per_group) > 1
+        grouped, whole = run(per_group * seq_bytes), run(b * seq_bytes)
+        for name, x, y in zip(("context", "probs", "q", "k", "v"), grouped, whole):
+            assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
+class TestClsAttention:
+    """`cls_attention` against attention over projected keys and values,
+    softmax(q (x W_k + b_k)^T / sqrt(d)) (x W_v + b_v), built from unfused
+    float64 ops: the context, the probabilities and every gradient, the key
+    bias's (which the op never reads) being 0."""
+
+    H, D = 2, 6
+
+    def _data(self, rng, b, s, l):
+        return {"q": rng.standard_normal((b, s, self.D)), "x": rng.standard_normal((b, l, self.D)),
+                "w_k": rng.standard_normal((self.D, self.D)),
+                "w_v": rng.standard_normal((self.D, self.D)),
+                "b_k": rng.standard_normal(self.D), "b_v": rng.standard_normal(self.D)}
+
+    def _run(self, data, mask, r, fused):
+        t = {n: T.parameter(x.copy()) for n, x in data.items()}
+        if fused:
+            probs = []
+            ctx = T.cls_attention(t["q"], t["x"], t["w_k"], t["w_v"], t["b_v"], mask, self.H,
+                                  probs=probs)
+            p = probs[0]
+        else:
+            k = T.add(T.matmul(t["x"], t["w_k"]), t["b_k"])
+            v = T.add(T.matmul(t["x"], t["w_v"]), t["b_v"])
+            b, s, l = mask.shape if mask.ndim == 3 else (len(mask), r.shape[1], mask.shape[1])
+            ctx, p = _dense_reference(t["q"], k, v, np.broadcast_to(
+                mask if mask.ndim == 3 else mask[:, None, :], (b, s, l)), self.H)
+        T.backward(T.sum_(O.mul(ctx, r)))
+        return ctx.data, p, {n: x.grad for n, x in t.items()}
+
+    def _check(self, data, mask, r):
+        ctx, p, grads = self._run(data, mask, r, fused=True)
+        want, want_p, want_grads = self._run(data, mask, r, fused=False)
+        np.testing.assert_allclose(ctx, want, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(p, want_p, rtol=1e-12, atol=1e-12)
+        assert grads.pop("b_k") is None
+        np.testing.assert_allclose(want_grads.pop("b_k"), 0.0, atol=1e-12)
+        for name, g in want_grads.items():
+            np.testing.assert_allclose(grads[name], g, rtol=1e-10, atol=1e-12, err_msg=name)
+        return ctx, p, grads
+
+    @pytest.mark.parametrize("per_query", [False, True])
+    def test_masked_keys_and_a_row_with_none(self, per_query):
+        rng = np.random.default_rng(per_query)
+        b, s, l = 3, 2, 7
+        data = self._data(rng, b, s, l)
+        mask = _attention_mask(b, l)  # row 0 partly masked, row 2 fully
+        if per_query:
+            mask = np.repeat(mask[:, None], s, axis=1)
+            mask[1, 1, ::2] = False
+        r = rng.standard_normal((b, s, self.D))
+        ctx, p, grads = self._check(data, mask, r)
+        assert np.all(ctx[2] == 0.0) and np.all(p[2] == 0.0)  # zero context, no NaN
+        assert np.all(grads["q"][2] == 0.0) and np.all(grads["x"][2] == 0.0)
+        assert all(np.isfinite(g).all() for g in grads.values())
+
+    def test_no_readable_key_anywhere_gives_zero_gradients(self):
+        rng = np.random.default_rng(5)
+        data = self._data(rng, 2, 1, 4)
+        mask = np.zeros((2, 4), dtype=bool)
+        ctx, _, grads = self._check(data, mask, rng.standard_normal((2, 1, self.D)))
+        assert np.all(ctx == 0.0)
+        assert all(np.all(g == 0.0) for g in grads.values())
+
+    def test_packed_segments(self):
+        # the packed sliding layout: one row of end-to-end segments, each
+        # [CLS] row reading the unmasked keys of its own segment
+        rng = np.random.default_rng(2)
+        lengths = [5, 1, 8, 3]
+        start = np.repeat(np.cumsum([0, *lengths[:-1]]), lengths)
+        first = np.flatnonzero(start == np.arange(len(start)))
+        key_mask = np.ones(len(start), dtype=bool)
+        key_mask[[3, 9]] = False
+        mask = (key_mask & (start[first][:, None] == start))[None]  # (1, S, L)
+        data = self._data(rng, 1, len(lengths), len(start))
+        self._check(data, mask, rng.standard_normal((1, len(lengths), self.D)))
+
+    def test_grad_check(self):
+        rng = np.random.default_rng(3)
+        data = self._data(rng, 2, 2, 5)
+        data.pop("b_k")
+        mask = _attention_mask(2, 5)
+        mask[1, 1:] = True
+        r = rng.standard_normal((2, 2, self.D))
+
+        def fn(p):
+            ctx = T.cls_attention(p["q"], p["x"], p["w_k"], p["w_v"], p["b_v"], mask, self.H)
+            return T.sum_(O.mul(ctx, r))
+
+        params = {n: T.parameter(x) for n, x in data.items()}
+        every = max(x.size for x in data.values())
+        assert O.grad_check(fn, params, num_samples=every) < 1e-7
+
+
 def _masked_softmax_oracle(s, invalid):
     """Softmax over the last axis with the `invalid` entries left out; a row
     with none left is all zeros. Row sums by `sum`, then a `where=` divide."""

@@ -234,13 +234,14 @@ class TestForwards:
     @pytest.mark.parametrize("layers", [1, 2])
     def test_tape_nodes_per_hier_step(self, layers):
         # one train-mode [CLS]-only encoder pass (its two row-0 slices
-        # included), then the [CLS] slice, the anchor and candidate slices,
-        # one pooling node and the loss: no node only moves rows around
+        # included, its last k and v linears absorbed by `cls_attention`),
+        # then the [CLS] slice, the anchor and candidate slices, one pooling
+        # node and the loss: no node only moves rows around
         cfg = EncoderConfig(**{**vars(CFG), "layers": layers})
         a, c = forward_cpe_hier(self._pairs(), init_params(cfg, 0), cfg, train=True,
                                 rng=np.random.default_rng(0))
         loss, _ = mnr_loss(a, c)
-        assert _tape_nodes(loss) == 5 + 14 * layers + 2 + 5
+        assert _tape_nodes(loss) == 5 + 14 * layers + 2 - 2 + 5
 
     def test_long_smoke_and_grad(self):
         cfg = EncoderConfig(vocab_size=30, dim=8, layers=1, heads=2, ff=16,
@@ -292,7 +293,7 @@ class TestClsOnlyForwards:
                 return op(q, *args, **kwargs)
             return wrapped
 
-        for name in ("attention", "sliding_attention"):
+        for name in ("attention", "sliding_attention", "cls_attention"):
             monkeypatch.setattr(T, name, record(getattr(T, name)))
         return rows
 
@@ -436,8 +437,9 @@ class TestOnePassForwards:
     @pytest.mark.parametrize("objective", ["cpe-long", "simcse", "esimcse"])
     def test_tape_nodes_per_step(self, objective, layers):
         # one train-mode [CLS]-only encoder pass (its two row-0 slices
-        # included), then the [CLS] slice, the pooling node (none on
-        # cpe-long), the anchor and candidate slices and the loss
+        # included, its last k and v linears absorbed by `cls_attention`),
+        # then the [CLS] slice, the pooling node (none on cpe-long), the
+        # anchor and candidate slices and the loss
         rng = np.random.default_rng(0)
         if objective == "cpe-long":
             cfg = EncoderConfig(**{**vars(TestClsOnlyForwards.LONG), "layers": layers})
@@ -451,7 +453,7 @@ class TestOnePassForwards:
                     forward_esimcse(self._docs(), chunked, init_params(cfg, 0), cfg, self.PCFG,
                                     rng))
         loss, _ = mnr_loss(a, c)
-        assert _tape_nodes(loss) == 5 + 14 * layers + 2 + (4 if objective == "cpe-long" else 5)
+        assert _tape_nodes(loss) == 5 + 14 * layers + 2 - 2 + (4 if objective == "cpe-long" else 5)
 
 
 class TestPackedSlidingPasses:
@@ -598,21 +600,25 @@ class TestPretrain:
     def test_each_step_graph_is_freed_before_the_next_forward(self, monkeypatch, objective,
                                                               attention, forward):
         # backward consumes the tape, so the loss, anchors and candidates
-        # pretrain still holds keep no attention probabilities alive
+        # pretrain still holds keep no attention probabilities alive: the
+        # path's own attention op, or the last block's `cls_attention`
         refs, live = [], []
-        original_attention, original_forward = getattr(T, attention), getattr(training, forward)
+        original_forward = getattr(training, forward)
 
-        def attention_spy(*args, **kwargs):
-            probs = []
-            out = original_attention(*args, **{**kwargs, "probs": probs})
-            refs.append(weakref.ref(probs[0]))
-            return out
+        def spy(op):
+            def wrapped(*args, **kwargs):
+                probs = []
+                out = op(*args, **{**kwargs, "probs": probs})
+                refs.append(weakref.ref(probs[0]))
+                return out
+            return wrapped
 
         def forward_spy(*args, **kwargs):
             live.append(sum(ref() is not None for ref in refs))
             return original_forward(*args, **kwargs)
 
-        monkeypatch.setattr(T, attention, attention_spy)
+        for name in (attention, "cls_attention"):
+            monkeypatch.setattr(T, name, spy(getattr(T, name)))
         monkeypatch.setattr(training, forward, forward_spy)
         config = TestClsOnlyForwards.LONG if objective == "cpe-long" else CFG
         res = pretrain(_tiny_corpus(16), config, self._cfg(objective=objective))
