@@ -30,9 +30,6 @@ class Vocab:
     def __init__(self):
         self._token_to_id = {tok: i for i, tok in enumerate(_RESERVED)}
 
-    def __len__(self):
-        return len(self._token_to_id)
-
     def __contains__(self, token):
         return token in self._token_to_id
 

@@ -9,7 +9,9 @@ into heads themselves. `encoder_forward` holds the one pre-LN transformer
 block; the dense and sparse paths differ only in the attention call.
 
 By default it returns every row's hidden state, which the sliding path's
-dense oracle and attention `capture` read. Every training and embedding
+dense oracle reads; on that path `capture` collects each layer's
+attention probabilities, the arrays `tensor.sliding_attention` itself
+returns in `probs`, two per layer. Every training and embedding
 path reads only the [CLS] rows, through `encode_chunk` or `encode_packed`,
 which pass `cls_only`: the last block then runs its query, attention,
 feed-forward, dropouts and the final norm on the [CLS] rows alone, and
@@ -125,37 +127,6 @@ def _linear(x, params, name):
     return T.linear(x, params[name + "_w"], params[name + "_b"])
 
 
-def _attend_sliding(q, k, v, key_mask, heads, window, capture=None, seg_start=None):
-    """Banded attention (`T.sliding_attention`) over (B, L, D) q, k and v:
-    each row sees its 2w+1 window plus its segment's [CLS], the segment's
-    first position; a [CLS] row sees its whole segment.
-
-    With `capture` (one segment per row), the layer's probabilities are
-    appended in the band layout: slot j of row i is key `band_idx[i, j]`
-    (i+j-w clipped to the sequence), `band_valid` marks the slots in range,
-    on a readable key and off the [CLS] key, which has its own
-    `global_probs` column (`global_idx` is [0]). The [CLS] row's dense
-    probabilities are `global_row_probs`; its band and global entries read
-    0."""
-    probs = [] if capture is not None else None
-    ctx = T.sliding_attention(q, k, v, key_mask, heads, window, probs=probs,
-                              seg_start=seg_start)
-    if capture is not None:
-        p, row_probs = probs
-        l, span = q.shape[1], 2 * window + 1
-        raw = np.arange(l)[:, None] + np.arange(-window, window + 1)
-        band_idx = np.clip(raw, 0, l - 1)
-        capture.append({
-            "band_probs": p[..., :span],
-            "band_idx": band_idx,
-            "band_valid": ((raw > 0) & (raw < l))[None] & key_mask[:, band_idx],
-            "global_probs": p[..., span:],
-            "global_idx": np.array([0]),
-            "global_row_probs": row_probs,
-        })
-    return ctx
-
-
 def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=None,
                     cls_only=False, seg_start=None):
     """Run the encoder over a batch; returns the (B, L, D) hidden states.
@@ -182,8 +153,12 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
     them. The rows equal the [CLS] rows of the full pass (up to float
     rounding); only the dropout draws differ, and the last layer's key bias
     gets no gradient (its true gradient is 0).
-    `capture` needs every row of one segment per row, so it combines with
-    neither.
+
+    With `capture` (a list) on the sliding path, each layer appends the
+    two probability arrays `tensor.sliding_attention` returns in `probs`:
+    the (B,H,L,2w+2) band-and-[CLS] array and the [CLS] rows' dense
+    (B,H,1,L) one. It needs every row of one segment per row, so it
+    combines with neither `cls_only` nor `seg_start`.
     """
     ids = np.atleast_2d(np.asarray(ids))
     mask = np.atleast_2d(np.asarray(mask, dtype=bool))
@@ -223,8 +198,8 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
         else:
             k, v = (_linear(x, params, pre + name) for name in "kv")
             if config.attention == "sliding":
-                ctx = _attend_sliding(q, k, v, mask, config.heads, config.window,
-                                      capture=capture, seg_start=seg_start)
+                ctx = T.sliding_attention(q, k, v, mask, config.heads, config.window,
+                                          probs=capture, seg_start=seg_start)
             else:
                 ctx = T.attention(q, k, v, mask, config.heads)
         h = T.add(h, T.dropout(_linear(ctx, params, pre + "o"), config.dropout, rng, train))

@@ -9,12 +9,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8  # the moment decays and the denominator's floor
+
+
 @dataclass
 class AdamWConfig:
     lr: float = 2e-5
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     weight_decay: float = 0.001
 
 
@@ -30,8 +30,9 @@ class AdamWState:
     v = property(lambda self: self.buffer[2])
 
 
-def adamw_step(params, state, hyper=None):
-    """One AdamW update of a `tensor.Parameters` store in place, from the
+def adamw_step(params, state, hyper):
+    """One AdamW update of a `tensor.Parameters` store in place, at the
+    learning rate and weight decay of `hyper` (an `AdamWConfig`), from the
     gradients backward left on its parameters; returns the gradient's L2
     norm, taken before the update.
 
@@ -47,8 +48,6 @@ def adamw_step(params, state, hyper=None):
     the first and makes the same numpy calls, about fifteen, whatever the
     number of parameters.
     """
-    if hyper is None:
-        hyper = AdamWConfig()
     p = params.flat
     if state.buffer is None:
         state.buffer = np.zeros((4, p.size), dtype=p.dtype)
@@ -61,17 +60,17 @@ def adamw_step(params, state, hyper=None):
         raise FloatingPointError(f"adamw_step: non-finite gradient for '{name}'")
     state.step += 1
     t = state.step
-    bc1 = 1.0 - hyper.beta1 ** t
-    bc2 = 1.0 - hyper.beta2 ** t
-    m *= hyper.beta1
-    m += np.multiply(1.0 - hyper.beta1, g, out=a)
-    v *= hyper.beta2
-    np.multiply(1.0 - hyper.beta2, g, out=a)
+    bc1 = 1.0 - BETA1 ** t
+    bc2 = 1.0 - BETA2 ** t
+    m *= BETA1
+    m += np.multiply(1.0 - BETA1, g, out=a)
+    v *= BETA2
+    np.multiply(1.0 - BETA2, g, out=a)
     v += np.multiply(a, g, out=a)
     b = g  # read for the last time above: the second scratch row, one array fewer in cache
     # p * (1 - lr*wd) - lr * (m/bc1) / (sqrt(v/bc2) + eps)
     np.multiply(hyper.lr, np.divide(m, bc1, out=a), out=a)
-    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), hyper.eps, out=b)
+    np.add(np.sqrt(np.divide(v, bc2, out=b), out=b), EPS, out=b)
     p *= 1.0 - hyper.lr * hyper.weight_decay
     p -= np.divide(a, b, out=a)
     return math.sqrt(sq)

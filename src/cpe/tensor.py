@@ -1,18 +1,19 @@
 """Minimal dense tensors with reverse-mode automatic differentiation.
 
 Values are numpy arrays (float32 by default, float64 for gradient
-checking). Every operation that touches a gradient-tracked tensor records
-a node on a dynamic tape. A node holds the gradient, the backward closure,
-the parents' nodes and the shape and dtype, not the value; each closure
-keeps its parents' nodes and only the arrays its own backward reads, never
-a `Tensor`. So a value dies once nothing reads it, neither the forward
-code nor a closure: the embedding lookups, the residual sums and the
-projections added into them are freed during the forward. `backward`
-replays the tape in reverse topological order and consumes it as it goes:
-each node drops its gradient, its closure and its parents once its closure
-has run, so the saved arrays and interior gradients are freed during the
-sweep and only leaves keep `.grad`. A second backward through a spent
-graph raises.
+checking). Every op takes `Tensor`s: `constant` wraps an array that needs
+no gradient, `parameter` one that does. Every op that touches a
+gradient-tracked tensor records a node on a dynamic tape. A node holds the
+gradient, the backward closure, the parents' nodes and the shape and
+dtype, not the value; each closure keeps its parents' nodes and only the
+arrays its own backward reads, never a `Tensor`. So a value dies once
+nothing reads it, neither the forward code nor a closure: the embedding
+lookups, the residual sums and the projections added into them are freed
+during the forward. `backward` replays the tape in reverse topological
+order and consumes it as it goes: each node drops its gradient, its
+closure and its parents once its closure has run, so the saved arrays and
+interior gradients are freed during the sweep and only leaves keep
+`.grad`. A second backward through a spent graph raises.
 
 A model's parameters are a `Parameters` store: views of one contiguous
 buffer, whose leaves' gradients one `np.concatenate` gathers (and clears)
@@ -47,7 +48,7 @@ means as a GEMV and the row dots with `einsum`, and updates in place. The
 masked softmax sums its rows by GEMV and divides in place, and its gradient
 takes the row dot with `einsum`. The attention ops scale the (..., L, d)
 query by 1/sqrt(d) instead of the (..., L, L) scores, and in the backward
-the q and k gradients instead of the score gradient. The `index_select`
+the q and k gradients instead of the score gradient. The `embedding`
 backward sorts the ids once and sums each id's rows as one segment.
 
 Importing this module sets glibc's allocator policy for the process: no
@@ -114,20 +115,13 @@ class Tensor:
     __slots__ = ("data", "node", "name")
 
     def __init__(self, data, requires_grad=False, parents=(), backward=None, name=None):
-        if not isinstance(data, np.ndarray):
-            if isinstance(data, np.generic):
-                data = np.asarray(data)  # keep numpy scalar dtype
-            else:
-                data = np.asarray(data, dtype=np.float32)
-        self.data = data
+        self.data = data = np.asarray(data)
         self.node = _Node(data, tuple(parents), backward) if requires_grad else None
         self.name = name
 
     # the tape's fields, read through the node (None for an untracked tensor)
-    requires_grad = property(lambda self: self.node is not None)
     grad = property(lambda self: getattr(self.node, "grad", None),
                     lambda self, g: setattr(self.node, "grad", g))
-    _parents = property(lambda self: getattr(self.node, "_parents", ()))
     _backward = property(lambda self: getattr(self.node, "_backward", None),
                          lambda self, fn: setattr(self.node, "_backward", fn))
 
@@ -140,11 +134,7 @@ class Tensor:
         return self.data.ndim
 
     def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, grad={self.requires_grad})"
-
-    # operator sugar
-    def __add__(self, other):
-        return add(self, other)
+        return f"Tensor(shape={self.data.shape}, grad={self.node is not None})"
 
     def __getitem__(self, key):
         return slice_(self, key)
@@ -210,13 +200,6 @@ def constant(data, dtype=np.float32):
     return Tensor(np.asarray(data, dtype=dtype))
 
 
-def _as_tensor(x, like=None):
-    if isinstance(x, Tensor):
-        return x
-    dtype = like.data.dtype if like is not None else np.float32
-    return Tensor(np.asarray(x, dtype=dtype))
-
-
 def _unbroadcast(grad, shape):
     """Sum `grad` down to `shape` (inverse of numpy broadcasting)."""
     if grad.shape == shape:
@@ -230,9 +213,9 @@ def _unbroadcast(grad, shape):
     return grad.reshape(shape)
 
 
-def _node(data, parents, backward, name=None):
+def _node(data, parents, backward):
     nodes = tuple(p.node for p in parents if p.node is not None)
-    return Tensor(data, bool(nodes), nodes, backward, name)
+    return Tensor(data, bool(nodes), nodes, backward)
 
 
 def _accum(n, g):
@@ -259,7 +242,6 @@ def _accum(n, g):
 # elementwise / arithmetic
 
 def add(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     try:
         out = a.data + b.data
     except ValueError:
@@ -274,7 +256,6 @@ def add(a, b):
 
 
 def relu(a):
-    a = _as_tensor(a)
     out, an = np.maximum(a.data, 0), a.node
 
     def bwd(g):
@@ -284,7 +265,6 @@ def relu(a):
 
 
 def tanh(a):
-    a = _as_tensor(a)
     out, an = np.tanh(a.data), a.node
 
     def bwd(g):
@@ -297,7 +277,6 @@ def tanh(a):
 # structural
 
 def matmul(a, b):
-    a, b = _as_tensor(a), _as_tensor(b, like=a)
     try:
         out = np.matmul(a.data, b.data)
     except ValueError:
@@ -336,7 +315,6 @@ def linear(x, w, b):
     x2^T.g2 product rather than a batched one summed afterwards, and the
     bias gradient one GEMV, not a strided column sum.
     """
-    x, w, b = _as_tensor(x), _as_tensor(w, like=x), _as_tensor(b, like=x)
     if w.ndim != 2 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
         raise ShapeError(f"linear: shapes {x.shape}, {w.shape} and {b.shape} do not conform")
     x2 = x.data.reshape(-1, x.shape[-1])
@@ -363,7 +341,6 @@ def _is_basic_key(key):
 
 
 def slice_(a, key):
-    a = _as_tensor(a)
     out, an = a.data[key], a.node
     basic = _is_basic_key(key)
 
@@ -384,33 +361,25 @@ def slice_(a, key):
     return _node(out, (a,), bwd)
 
 
-def index_select(a, axis, indices):
-    """Gather along `axis` with an integer index array. The backward sorts the
-    ids once and sums the rows of each repeated id as one segment."""
-    a = _as_tensor(a)
-    indices = np.asarray(indices)
-    out, an = np.take(a.data, indices, axis=axis), a.node
-    moved = np.moveaxis(a.data, axis, 0).shape
+def embedding(table, ids):
+    """Rows of `table` (V, D) for an integer id array: (*ids.shape, D). The
+    backward sorts the ids once and sums the rows of each repeated id as
+    one segment."""
+    ids = np.asarray(ids)
+    out, tn = np.take(table.data, ids, axis=0), table.node
 
     def bwd(g):
-        # collapse the index dimensions gathered at `axis` to one
-        gm = np.moveaxis(g, tuple(range(axis, axis + indices.ndim)), tuple(range(indices.ndim)))
-        gm = gm.reshape((indices.size,) + gm.shape[indices.ndim:])
-        full = np.zeros(moved, dtype=g.dtype)
-        if indices.size:
-            ids = indices.reshape(-1) % full.shape[0]  # negative ids wrap, as in `np.take`
-            order = np.argsort(ids, kind="stable")
-            ids = ids[order]
-            starts = np.flatnonzero(np.concatenate(([True], ids[1:] != ids[:-1])))
-            full[ids[starts]] = np.add.reduceat(gm[order], starts, axis=0)
-        _accum(an, np.moveaxis(full, 0, axis))
+        gm = g.reshape((ids.size,) + g.shape[ids.ndim:])
+        full = np.zeros(tn.shape, dtype=g.dtype)
+        if ids.size:
+            flat = ids.reshape(-1) % full.shape[0]  # negative ids wrap, as in `np.take`
+            order = np.argsort(flat, kind="stable")
+            flat = flat[order]
+            starts = np.flatnonzero(np.concatenate(([True], flat[1:] != flat[:-1])))
+            full[flat[starts]] = np.add.reduceat(gm[order], starts, axis=0)
+        _accum(tn, full)
 
-    return _node(out, (a,), bwd)
-
-
-def embedding(table, ids):
-    """Look up rows of `table` (V, D) for an integer id array."""
-    return index_select(table, 0, np.asarray(ids))
+    return _node(out, (table,), bwd)
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +425,6 @@ def _band_transpose(p, w):
 # reductions
 
 def sum_(a, axis=None):
-    a = _as_tensor(a)
     out, an = a.data.sum(axis=axis), a.node
 
     def bwd(g):
@@ -483,7 +451,6 @@ def _scatter_rows(rows, mask, fill, op):
 
 def masked_mean(rows, mask):
     """Per-document mean (B, D) of rows (R, D) laid out by a (B, n) mask."""
-    rows = _as_tensor(rows)
     full, mask = _scatter_rows(rows, mask, 0.0, "masked_mean")
     cnt = mask.sum(axis=1, keepdims=True).astype(full.dtype)
     out, rn = full.sum(axis=1) / cnt, rows.node
@@ -497,7 +464,6 @@ def masked_mean(rows, mask):
 def masked_max(rows, mask):
     """Per-document elementwise max (B, D) of rows (R, D) laid out by a
     (B, n) mask."""
-    rows = _as_tensor(rows)
     full, mask = _scatter_rows(rows, mask, -np.inf, "masked_max")
     idx = np.argmax(full, axis=1)[:, None]
     out = np.take_along_axis(full, idx, axis=1)[:, 0]
@@ -564,24 +530,23 @@ def attention(q, k, v, key_mask, heads, probs=None):
     """Masked multi-head scaled dot-product attention as one tape node.
 
     q (B,Lq,D), k and v (B,Lk,D), key_mask (B,Lk) bool, the keys every query
-    may read, or (B,Lq,Lk), the keys each query may read -> context (B,Lq,D),
-    over `heads` heads of d = D/heads. softmax(q.k^T / sqrt(d)) follows
-    `_masked_softmax_`'s contract: masked keys get probability exactly 0,
-    and a row with no readable key gets zero probabilities and a zero
-    context (no NaN). Only the (B,H,Lq,Lk) probabilities are kept for the
-    closed-form backward; when `probs` is a list, they are appended to it.
+    may read -> context (B,Lq,D), over `heads` heads of d = D/heads.
+    softmax(q.k^T / sqrt(d)) follows `_masked_softmax_`'s contract: masked
+    keys get probability exactly 0, and a row with no readable key gets
+    zero probabilities and a zero context (no NaN). Only the (B,H,Lq,Lk)
+    probabilities are kept for the closed-form backward; when `probs` is a
+    list, they are appended to it.
 
     Both passes run over groups of whole sequences (`_groups`), so each
     group's scores stay in cache across the passes over them; every
     product is per sequence, so the grouping changes no bit. The mask is
     added only to the groups that have a masked key.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
     (b, h, lq, d), lk = qh.shape, kh.shape[2]
     c = 1.0 / math.sqrt(d)
     key_mask = np.asarray(key_mask, dtype=bool)
-    invalid = ~(key_mask[:, None] if key_mask.ndim == 3 else key_mask[:, None, None, :])
+    invalid = ~key_mask[:, None, None, :]
     p = np.empty((b, h, lq, lk), dtype=np.result_type(qh, kh))
     groups = _groups(b, p[:1].nbytes)
     out = np.empty((b, lq, h, d), dtype=np.result_type(p, vh))
@@ -617,18 +582,17 @@ def cls_attention(q, x, w_k, w_v, b_v, key_mask, heads, probs=None):
     """`attention` of a few query rows over keys x W_k + b_k and values
     x W_v + b_v, as one tape node that projects no key or value.
 
-    q (B,S,D), x (B,L,D), w_k and w_v (D,D), b_v (D,), key_mask (B,L) or
-    (B,S,L) bool -> context (B,S,D), over `heads` heads of d = D/heads, under
-    `attention`'s contract. Head h's projections are absorbed into its
-    query: its scores are x . (W_k,h q_h) / sqrt(d), and its context is
-    (sum_j p_j x_j) W_v,h + b_v,h sum_j p_j, so a row with no readable key
-    gets a zero context. The key bias adds the same score to every key,
+    q (B,S,D), x (B,L,D), w_k and w_v (D,D), b_v (D,), key_mask (B,S,L) bool,
+    the keys each query row may read -> context (B,S,D), over `heads` heads
+    of d = D/heads, under `attention`'s contract. Head h's projections are
+    absorbed into its query: its scores are x . (W_k,h q_h) / sqrt(d), and
+    its context is (sum_j p_j x_j) W_v,h + b_v,h sum_j p_j, so a row with no
+    readable key gets a zero context. The key bias adds the same score to every key,
     which the softmax cancels, so it is not an input and its gradient is 0.
     The per-head products are GEMMs batched over heads; the per-sequence
     ones, over the batch. Kept for backward: the (B,H,S,L) probabilities
     (appended to `probs` when it is a list), the absorbed queries and the
     probability-weighted rows of x."""
-    q, x, w_k, w_v, b_v = (_as_tensor(t) for t in (q, x, w_k, w_v, b_v))
     (b, s, dm), l = q.shape, x.shape[1]
     d = dm // heads
     c = 1.0 / math.sqrt(d)
@@ -649,7 +613,7 @@ def cls_attention(q, x, w_k, w_v, b_v, key_mask, heads, probs=None):
     u = to_rows(np.matmul(qs, wk))  # (B,H*S,D): each row's W_k,h q_h / sqrt(d)
     p = np.matmul(u, np.swapaxes(xd, -1, -2)).reshape(b, heads, s, l)
     key_mask = np.asarray(key_mask, dtype=bool)
-    _masked_softmax_(p, ~(key_mask[:, None] if key_mask.ndim == 3 else key_mask[:, None, None, :]))
+    _masked_softmax_(p, ~key_mask[:, None])
     if probs is not None:
         probs.append(p)
     pr = p.reshape(b, heads * s, l)
@@ -705,7 +669,6 @@ def sliding_attention(q, k, v, key_mask, heads, w, probs=None, seg_start=None):
     products are batched over segments and no [CLS] row scores another
     segment's keys.
     """
-    q, k, v = _as_tensor(q), _as_tensor(k), _as_tensor(v)
     qh, kh, vh = (_split_heads(t.data, heads) for t in (q, k, v))
     l, d = qh.shape[-2:]
     span = 2 * w + 1
@@ -806,7 +769,6 @@ def layer_norm(a, gamma, beta):
     """Normalize the last axis, then apply learned scale/shift. The leading
     axes are flattened to rows (M, D) once; the gamma and beta gradients are
     one reduction each over the rows."""
-    a, gamma, beta = _as_tensor(a), _as_tensor(gamma), _as_tensor(beta)
     d = a.shape[-1]
     x = a.data.reshape(-1, d)
     avg = np.full(d, 1.0 / d, dtype=x.dtype)
@@ -834,7 +796,6 @@ def layer_norm(a, gamma, beta):
 
 def dropout(a, rate, rng, train):
     """Inverted dropout: identity in eval mode."""
-    a = _as_tensor(a)
     if not train or rate <= 0.0:
         return a
     keep = (rng.random(a.shape) >= rate)
@@ -864,7 +825,6 @@ def cosine_nce(a, c, tau):
     -> (loss, sims) with the (N, N) array sims[i, j] = cos(a_i, c_j) and
     loss = -(1/N) sum_i log softmax_j(sims[i, j] / tau)[i]. A zero-norm row
     in either input is a ValueError."""
-    a, c = _as_tensor(a), _as_tensor(c, like=a)
     na = np.sqrt((a.data * a.data).sum(axis=-1, keepdims=True))
     nc = np.sqrt((c.data * c.data).sum(axis=-1, keepdims=True))
     if np.any(na <= 0) or np.any(nc <= 0):
@@ -889,11 +849,10 @@ def cosine_nce(a, c, tau):
     return loss, sims
 
 
-def softmax_cross_entropy(logits, targets):
-    """Mean categorical cross-entropy of logits z (N, C) against one-hot
+def softmax_cross_entropy(z, targets):
+    """Mean categorical cross-entropy of the logits z (N, C) against one-hot
     targets y (N, C), as one tape node: -(1/N) sum_i y_i . log softmax(z_i).
     The backward is (softmax(z) - y) / N."""
-    z = _as_tensor(logits)
     y = np.asarray(targets, dtype=z.data.dtype)
     n = z.shape[0]
     logp, zn = _log_probs(z.data), z.node
@@ -908,13 +867,12 @@ def softmax_cross_entropy(logits, targets):
     return _node((logp * y).sum() * (-1.0 / n), (z,), bwd)
 
 
-def bce_with_logits(logits, targets):
-    """Mean binary cross-entropy of logits z (N, L) against 0/1 targets y
+def bce_with_logits(z, targets):
+    """Mean binary cross-entropy of the logits z (N, L) against 0/1 targets y
     (N, L), as one tape node: the mean over the N*L entries of
     max(z, 0) - y z + log1p(exp(-|z|)), which is -log p for the target's
     side of p = 1 / (1 + exp(-z)). The backward is (p - y) / (N L), which
     stays exact where p rounds to 0 or 1."""
-    z = _as_tensor(logits)
     x = z.data
     y = np.asarray(targets, dtype=x.dtype)
     s, zn = 1.0 / x.size, z.node

@@ -215,7 +215,6 @@ def forward_esimcse(docs, chunked_docs, params, config, cfg, rng):
 class PretrainResult:
     params: dict
     encoder_config: EncoderConfig
-    config: PretrainConfig
     log_lines: list = field(default_factory=list)
     skipped_docs: int = 0
     hard_negative_batches: int = 0
@@ -262,8 +261,7 @@ def pretrain(docs, encoder_config, cfg):
     rng = np.random.default_rng(cfg.seed)
     state = AdamWState()
     hyper = AdamWConfig(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    result = PretrainResult(params=params, encoder_config=encoder_config, config=cfg,
-                            skipped_docs=skipped)
+    result = PretrainResult(params=params, encoder_config=encoder_config, skipped_docs=skipped)
 
     step = 0
     for epoch in range(1, cfg.epochs + 1):

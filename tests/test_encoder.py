@@ -3,7 +3,6 @@ import weakref
 import numpy as np
 import pytest
 
-from cpe import encoder
 from cpe import tensor as T
 from cpe.corpus import CLS_ID, PAD_ID
 from cpe.encoder import EncoderConfig, encode_chunk, encode_packed, encoder_forward, init_params
@@ -125,8 +124,10 @@ class TestSparseEncoder:
         h_sparse = encoder_forward(ids, mask, params, cfg, capture=capture)
         h_dense = encoder_forward(ids, mask, params, self._dense_twin(cfg))
         np.testing.assert_allclose(h_sparse.data, h_dense.data, atol=1e-5)
-        # the sliding kernel ran, whatever the window
-        assert len(capture) == cfg.layers and all("band_probs" in c for c in capture)
+        # the sliding kernel ran, whatever the window: two arrays per layer,
+        # the first in its band-and-[CLS] layout
+        assert len(capture) == 2 * cfg.layers
+        assert all(p.shape == (2, cfg.heads, 20, 2 * cfg.window + 2) for p in capture[::2])
 
     def test_narrow_window_attention_support(self):
         # token 5 with w=1 sees only {4,5,6} plus the [CLS] key
@@ -136,15 +137,10 @@ class TestSparseEncoder:
         ids, mask = _batch(np.random.default_rng(0), 1, 8, cfg)
         capture = []
         encoder_forward(ids, mask, params, cfg, capture=capture)
-        layer = capture[0]
-        support = set()
-        row = 5
-        for j, col in enumerate(layer["band_idx"][row]):
-            if layer["band_valid"][0, row, j] and layer["band_probs"][0, :, row, j].max() > 0:
-                support.add(int(col))
-        for gi, g in enumerate(layer["global_idx"]):
-            if layer["global_probs"][0, :, row, gi].max() > 0:
-                support.add(int(g))
+        p, row, w = capture[0], 5, cfg.window
+        # band slot j is key row+j-w; the last column, the [CLS] key 0
+        keys = [row + j - w for j in range(2 * w + 1)] + [0]
+        support = {key for key, pj in zip(keys, p[0, :, row].max(axis=0)) if pj > 0}
         assert support == {4, 5, 6} | {0}
 
     def test_per_row_support_bound(self):
@@ -154,10 +150,8 @@ class TestSparseEncoder:
         capture = []
         encoder_forward(ids, mask, params, cfg, capture=capture)
         bound = 2 * cfg.window + 1 + len(cfg.global_tokens)
-        for layer in capture:
-            nonzero = (layer["band_probs"][0] > 0).sum(axis=-1) \
-                + (layer["global_probs"][0] > 0).sum(axis=-1)
-            assert nonzero.max() <= bound
+        for p in capture[::2]:  # each layer's (B, H, L, 2w+2) band-and-[CLS] array
+            assert (p[0] > 0).sum(axis=-1).max() <= bound
 
     def test_trailing_pad_invariance(self):
         params = init_params(SLIDING, 1)
@@ -189,15 +183,15 @@ class TestSparseEncoder:
                             rng=np.random.default_rng(0)) < 1e-4
 
 
-def _dense_attend_sliding(q, k, v, key_mask, heads, window, capture=None, seg_start=None):
-    """Sliding attention as dense attention: each row is its own batch entry
-    of `T.attention`, reading all L keys under its band+[CLS] key mask,
-    which is block-diagonal over the segments of `seg_start`."""
+def _dense_sliding_attention(q, k, v, key_mask, heads, w, probs=None, seg_start=None):
+    """`T.sliding_attention` as dense attention: each row is its own batch
+    entry of `T.attention`, reading all L keys under its band+[CLS] key
+    mask, which is block-diagonal over the segments of `seg_start`."""
     b, l, d = q.shape
     rows = np.repeat(np.arange(b), l)
-    allowed = _band_global_mask(key_mask, window, seg_start).reshape(b * l, l)
-    ctx = T.attention(O.reshape(q, (b * l, 1, d)), T.index_select(k, 0, rows),
-                      T.index_select(v, 0, rows), allowed, heads)
+    allowed = _band_global_mask(key_mask, w, seg_start).reshape(b * l, l)
+    ctx = T.attention(O.reshape(q, (b * l, 1, d)), O.index_select(k, 0, rows),
+                      O.index_select(v, 0, rows), allowed, heads)
     return O.reshape(ctx, (b, l, d))
 
 
@@ -217,7 +211,7 @@ def test_sliding_encoder_matches_dense_reference(monkeypatch, dtype, tol):
         return h.data, {n: p.grad for n, p in params.items()}
 
     new_h, new_g = run()
-    monkeypatch.setattr(encoder, "_attend_sliding", _dense_attend_sliding)
+    monkeypatch.setattr(T, "sliding_attention", _dense_sliding_attention)
     old_h, old_g = run()
     np.testing.assert_allclose(new_h, old_h, rtol=tol, atol=tol)
     for name in new_g:
@@ -297,7 +291,7 @@ def test_sliding_attention_segments_match_block_diagonal_dense():
         return ctx.data, {n: x.grad for n, x in t.items()}
 
     fused, fused_g = run(T.sliding_attention)
-    dense, dense_g = run(_dense_attend_sliding)
+    dense, dense_g = run(_dense_sliding_attention)
     np.testing.assert_allclose(fused, dense, rtol=1e-12, atol=1e-12)
     for name in dense_g:
         np.testing.assert_allclose(fused_g[name], dense_g[name], rtol=1e-12, atol=1e-12,
@@ -327,29 +321,29 @@ def test_segment_positions_restart_and_bound():
 
 
 def _tape_nodes(out):
-    """Recorded nodes (tensors with a backward) that `out` depends on."""
-    seen, stack = set(), [out]
+    """Recorded nodes (nodes with a backward) that `out` depends on."""
+    seen, stack = set(), [out.node]
     while stack:
-        t = stack.pop()
-        if id(t) not in seen and t._backward is not None:
-            seen.add(id(t))
-            stack.extend(t._parents)
+        n = stack.pop()
+        if id(n) not in seen and n._backward is not None:
+            seen.add(id(n))
+            stack.extend(n._parents)
     return len(seen)
 
 
 def _closure_tensors(out):
     """(Tensors held by the backward closures of the tape under `out`, in a
     closure cell or in a tuple in one; the number of nodes walked)."""
-    held, seen, stack = 0, set(), [out]
+    held, seen, stack = 0, set(), [out.node]
     while stack:
-        t = stack.pop()
-        if id(t) in seen:
+        n = stack.pop()
+        if id(n) in seen:
             continue
-        seen.add(id(t))
-        for cell in getattr(t._backward, "__closure__", None) or ():
+        seen.add(id(n))
+        for cell in getattr(n._backward, "__closure__", None) or ():
             v = cell.cell_contents
             held += sum(isinstance(x, T.Tensor) for x in (v if isinstance(v, tuple) else (v,)))
-        stack.extend(t._parents)
+        stack.extend(n._parents)
     return held, len(seen)
 
 

@@ -1,6 +1,6 @@
-"""Every name a `cpe` module imports is used in that module, every public
-function and method of a `cpe` module is used by some `cpe` module, and
-every parameter of theirs with a default is passed by some call.
+"""Every name a `cpe` module imports is used in that module, every function
+and method of a `cpe` module is used by some `cpe` module, and every
+parameter of a public one with a default is passed by some call.
 
 `__init__.py` is exempt from the first check: its imports are the
 package's re-exports."""
@@ -51,21 +51,25 @@ NOT_CALLED_BY_NAME = {
 }
 
 
-def public_callables():
+def module_callables(private=False):
     """(dotted name, bare name) of every public function of a `cpe` module
-    and every public method of a class defined there."""
+    and every public method of a class defined there; with `private`, of
+    the private ones (one leading underscore) instead."""
+    def wanted(name):  # a dunder is neither
+        return name.startswith("_") == private and not name.startswith("__")
+
     out = []
     for path in MODULES:
         module = importlib.import_module(f"cpe.{path.stem}")
         for name, obj in vars(module).items():
             if getattr(obj, "__module__", None) != module.__name__:
                 continue
-            if inspect.isfunction(obj) and not name.startswith("_"):
+            if inspect.isfunction(obj) and wanted(name):
                 out.append((f"{path.stem}.{name}", name))
             elif inspect.isclass(obj):
                 for attr, member in vars(obj).items():
                     member = getattr(member, "__func__", member)  # class/static methods
-                    if inspect.isfunction(member) and not attr.startswith("_"):
+                    if inspect.isfunction(member) and wanted(attr):
                         out.append((f"{path.stem}.{name}.{attr}", attr))
     return out
 
@@ -86,9 +90,18 @@ def referenced_names():
 
 def test_every_public_function_is_referenced():
     called = referenced_names()
-    unreferenced = {dotted for dotted, name in public_callables() if name not in called}
+    unreferenced = {dotted for dotted, name in module_callables() if name not in called}
     assert sorted(unreferenced - NOT_CALLED_BY_NAME) == []
-    assert NOT_CALLED_BY_NAME <= {dotted for dotted, _ in public_callables()}
+    assert NOT_CALLED_BY_NAME <= {dotted for dotted, _ in module_callables()}
+
+
+def test_every_private_function_is_referenced():
+    # a helper whose last caller goes must go too; the tests' references
+    # (oracle_ops reads the tape helpers) do not keep one alive
+    called = referenced_names()
+    private = module_callables(private=True)
+    assert private
+    assert sorted(d for d, name in private if name not in called) == []
 
 
 CONTAINER = {"load_checkpoint", "save_checkpoint"}
@@ -171,7 +184,7 @@ def knobs():
     its `self`, nor a class method's `cls` (looked up on the class, it is
     bound). Keyword-only parameters have no position."""
     out = []
-    for dotted, name in public_callables():
+    for dotted, name in module_callables():
         obj = importlib.import_module(f"cpe.{dotted.split('.')[0]}")
         for part in dotted.split(".")[1:]:
             obj = getattr(obj, part)

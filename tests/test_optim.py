@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from cpe import tensor as T
-from cpe.optim import AdamWConfig, AdamWState, adamw_step
+from cpe.optim import BETA1, BETA2, EPS, AdamWConfig, AdamWState, adamw_step
 
 
 def _param(value):
@@ -33,11 +33,11 @@ def test_zero_grad_pure_decay_scales_params():
 def test_single_step_matches_hand_computed_update():
     # one step with g=1 on a scalar: m=(1-b1), v=(1-b2); after bias
     # correction mhat=1, vhat=1, so the update is w*(1-lr*wd) - lr/(1+eps)
-    lr, wd, eps = 2e-5, 0.001, 1e-8
+    lr, wd = 2e-5, 0.001
     params = _param(0.5)
-    hyper = AdamWConfig(lr=lr, weight_decay=wd, eps=eps)
+    hyper = AdamWConfig(lr=lr, weight_decay=wd)
     _step(params, {"w": np.array(1.0)}, AdamWState(), hyper)
-    expected = 0.5 * (1 - lr * wd) - lr * 1.0 / (np.sqrt(1.0) + eps)
+    expected = 0.5 * (1 - lr * wd) - lr * 1.0 / (np.sqrt(1.0) + EPS)
     np.testing.assert_allclose(params["w"].data, expected, rtol=1e-12)
 
 
@@ -76,11 +76,11 @@ def test_in_place_update_matches_reference_formula_bit_for_bit():
     for t in range(1, 6):
         g = rng.standard_normal(w.shape).astype(np.float32)
         _step(params, {"w": g}, state, hyper)
-        m = m * hyper.beta1 + (1.0 - hyper.beta1) * g
-        v = v * hyper.beta2 + (1.0 - hyper.beta2) * g * g
-        mhat, vhat = m / (1.0 - hyper.beta1 ** t), v / (1.0 - hyper.beta2 ** t)
+        m = m * BETA1 + (1.0 - BETA1) * g
+        v = v * BETA2 + (1.0 - BETA2) * g * g
+        mhat, vhat = m / (1.0 - BETA1 ** t), v / (1.0 - BETA2 ** t)
         w = w * (1.0 - hyper.lr * hyper.weight_decay) \
-            - hyper.lr * mhat / (np.sqrt(vhat) + hyper.eps)
+            - hyper.lr * mhat / (np.sqrt(vhat) + EPS)
         assert params["w"].data.dtype == np.float32
         np.testing.assert_array_equal(params["w"].data, w)
         np.testing.assert_array_equal(params.split(state.m)["w"], m)
@@ -113,12 +113,12 @@ def test_store_steps_match_the_per_tensor_formula_bit_for_bit():
                                                  for g in grads.values())), rel=1e-5)
         for n, r in ref.items():
             g = grads[n]
-            r["m"] = r["m"] * hyper.beta1 + (1.0 - hyper.beta1) * g
-            r["v"] = r["v"] * hyper.beta2 + (1.0 - hyper.beta2) * g * g
-            mhat = r["m"] / (1.0 - hyper.beta1 ** t)
-            vhat = r["v"] / (1.0 - hyper.beta2 ** t)
+            r["m"] = r["m"] * BETA1 + (1.0 - BETA1) * g
+            r["v"] = r["v"] * BETA2 + (1.0 - BETA2) * g * g
+            mhat = r["m"] / (1.0 - BETA1 ** t)
+            vhat = r["v"] / (1.0 - BETA2 ** t)
             r["w"] = r["w"] * (1.0 - hyper.lr * hyper.weight_decay) \
-                - hyper.lr * mhat / (np.sqrt(vhat) + hyper.eps)
+                - hyper.lr * mhat / (np.sqrt(vhat) + EPS)
             np.testing.assert_array_equal(params[n].data, r["w"], err_msg=n)
             np.testing.assert_array_equal(params.split(state.m)[n], r["m"], err_msg=n)
             np.testing.assert_array_equal(params.split(state.v)[n], r["v"], err_msg=n)

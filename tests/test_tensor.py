@@ -169,7 +169,7 @@ PRIMITIVE_FNS = {
     "sigmoid": lambda p: T.sum_(O.sigmoid(p["a"])),
     "relu": lambda p: T.sum_(O.mul(T.relu(p["a"]), p["a"])),
     "exp": lambda p: T.sum_(O.exp(O.scale(p["a"], 0.3))),
-    "log": lambda p: T.sum_(O.log(T.add(O.mul(p["a"], p["a"]), 1.0))),
+    "log": lambda p: T.sum_(O.log(T.add(O.mul(p["a"], p["a"]), T.constant(1.0, np.float64)))),
     "softmax": lambda p: T.sum_(O.mul(O.exp(O.log_softmax(p["a"])), p["b"])),
     "log_softmax": lambda p: T.sum_(O.mul(O.log_softmax(p["a"]), p["b"])),
     "layer_norm": lambda p: T.sum_(O.mul(
@@ -177,7 +177,9 @@ PRIMITIVE_FNS = {
     "masked_mean": lambda p: T.sum_(O.mul(T.masked_mean(p["a"], ROWS_MASK), p["b"][:2])),
     "masked_max": lambda p: T.sum_(O.mul(T.masked_max(p["a"], ROWS_MASK), p["b"][:2])),
     "concat_slice": lambda p: T.sum_(p["a"][1:3, 2:5]),
-    "index_select": lambda p: T.sum_(T.index_select(p["a"], 0, np.array([0, 2, 2, 1]))),
+    "embedding": lambda p: T.sum_(O.mul(T.embedding(p["a"], np.array([0, 2, 2, 1])), p["b"])),
+    "index_select": lambda p: T.sum_(O.mul(O.index_select(p["a"], 1, np.array([5, -1, 0])),
+                                           p["b"][:, :3])),
     "cosine": lambda p: T.cosine_nce(p["a"], p["b"], tau=0.5)[0],
     "reshape_transpose": lambda p: T.sum_(O.mul(
         O.reshape(p["a"], (2, 2, 6)), O.reshape(p["b"], (2, 2, 6)))),
@@ -351,8 +353,8 @@ def _old_band(q, k, v, p, w):
     per row with `index_select` at clipped band positions, then `mul` + `sum_`."""
     b, h, l, d = q.shape
     idx = np.clip(np.arange(l)[:, None] + np.arange(-w, w + 1)[None, :], 0, l - 1).reshape(-1)
-    k_band = O.reshape(T.index_select(k, 2, idx), (b, h, l, 2 * w + 1, d))
-    v_band = O.reshape(T.index_select(v, 2, idx), (b, h, l, 2 * w + 1, d))
+    k_band = O.reshape(O.index_select(k, 2, idx), (b, h, l, 2 * w + 1, d))
+    v_band = O.reshape(O.index_select(v, 2, idx), (b, h, l, 2 * w + 1, d))
     scores = T.sum_(O.mul(O.reshape(q, (b, h, l, 1, d)), k_band), axis=-1)
     ctx = T.sum_(O.mul(O.reshape(p, (b, h, l, 2 * w + 1, 1)), v_band), axis=3)
     return scores, ctx
@@ -378,7 +380,7 @@ def _dense_reference(q, k, v, allowed, heads):
     qs = O.reshape(q, (b, lq, 1, heads, dh))
     ks = O.reshape(k, (b, 1, lk, heads, dh))
     scores = O.scale(T.sum_(O.mul(qs, ks), axis=-1), 1.0 / np.sqrt(dh))  # (B, Lq, Lk, H)
-    probs = O.mul(O.exp(O.log_softmax(T.add(scores, bias), axis=2)), has_key)
+    probs = O.mul(O.exp(O.log_softmax(T.add(scores, T.constant(bias, dtype)), axis=2)), has_key)
     ctx = T.sum_(O.mul(O.reshape(probs, (b, lq, lk, heads, 1)),
                        O.reshape(v, (b, 1, lk, heads, dh))), axis=2)
     return O.reshape(ctx, (b, lq, d)), np.moveaxis(probs.data, 3, 1)
@@ -610,18 +612,13 @@ class TestAttentionGroups:
     context, the probabilities and all three gradients."""
 
     # (B, Lq, Lk, sequences per group, key mask): padded sequences, then
-    # unpadded ones from a group boundary on; B not a multiple of the group
-    # size; a (B, Lq, Lk) mask with one group that masks nothing
+    # unpadded ones from a group boundary on, which mask nothing; B not a
+    # multiple of the group size
     CASES = [(4, 5, 5, 2, "padded_first"), (5, 5, 5, 2, "padded_first"),
-             (7, 3, 6, 3, "scattered"), (5, 4, 4, 2, "per_query")]
+             (7, 3, 6, 3, "scattered")]
 
     @staticmethod
     def _mask(kind, b, lq, lk):
-        if kind == "per_query":
-            mask = np.ones((b, lq, lk), dtype=bool)
-            mask[:2] = np.tril(np.ones((lq, lk), dtype=bool))  # causal in the first group
-            mask[1, 0] = False  # a query row with no readable key
-            return mask
         mask = np.ones((b, lk), dtype=bool)
         if kind == "padded_first":
             mask[:2, lk - 2:] = False
@@ -677,9 +674,7 @@ class TestClsAttention:
         else:
             k = T.add(T.matmul(t["x"], t["w_k"]), t["b_k"])
             v = T.add(T.matmul(t["x"], t["w_v"]), t["b_v"])
-            b, s, l = mask.shape if mask.ndim == 3 else (len(mask), r.shape[1], mask.shape[1])
-            ctx, p = _dense_reference(t["q"], k, v, np.broadcast_to(
-                mask if mask.ndim == 3 else mask[:, None, :], (b, s, l)), self.H)
+            ctx, p = _dense_reference(t["q"], k, v, mask, self.H)
         T.backward(T.sum_(O.mul(ctx, r)))
         return ctx.data, p, {n: x.grad for n, x in t.items()}
 
@@ -699,9 +694,8 @@ class TestClsAttention:
         rng = np.random.default_rng(per_query)
         b, s, l = 3, 2, 7
         data = self._data(rng, b, s, l)
-        mask = _attention_mask(b, l)  # row 0 partly masked, row 2 fully
+        mask = np.repeat(_attention_mask(b, l)[:, None], s, axis=1)  # row 0 partly masked, 2 fully
         if per_query:
-            mask = np.repeat(mask[:, None], s, axis=1)
             mask[1, 1, ::2] = False
         r = rng.standard_normal((b, s, self.D))
         ctx, p, grads = self._check(data, mask, r)
@@ -712,7 +706,7 @@ class TestClsAttention:
     def test_no_readable_key_anywhere_gives_zero_gradients(self):
         rng = np.random.default_rng(5)
         data = self._data(rng, 2, 1, 4)
-        mask = np.zeros((2, 4), dtype=bool)
+        mask = np.zeros((2, 1, 4), dtype=bool)
         ctx, _, grads = self._check(data, mask, rng.standard_normal((2, 1, self.D)))
         assert np.all(ctx == 0.0)
         assert all(np.all(g == 0.0) for g in grads.values())
@@ -736,6 +730,7 @@ class TestClsAttention:
         data.pop("b_k")
         mask = _attention_mask(2, 5)
         mask[1, 1:] = True
+        mask = np.repeat(mask[:, None], 2, axis=1)
         r = rng.standard_normal((2, 2, self.D))
 
         def fn(p):
@@ -828,6 +823,9 @@ class TestLayerNorm:
 
 
 class TestIndexSelectBackward:
+    """The oracles' gather along any axis and, along axis 0, `embedding`,
+    whose backward sorts the ids and sums each id's rows as one segment."""
+
     @pytest.mark.parametrize("shape,axis,ids", [
         ((6, 4), 0, [[3, 1, 3], [0, 3, 5]]),  # repeated and unsorted
         ((6, 4), 0, [5, -1, 0, -6, 0]),  # a negative id names the same row as np.take
@@ -839,14 +837,18 @@ class TestIndexSelectBackward:
     def test_matches_add_at(self, shape, axis, ids):
         rng = np.random.default_rng(len(shape) + axis)
         ids = np.asarray(ids)
-        a = T.parameter(rng.standard_normal(shape))
-        out = T.index_select(a, axis, ids)
-        g = rng.standard_normal(out.shape)
-        T.backward(T.sum_(O.mul(out, g)))
-        want = np.zeros(shape)
-        np.add.at(want, (slice(None),) * axis + (ids,), g)
-        assert a.grad.shape == shape
-        np.testing.assert_allclose(a.grad, want, rtol=1e-12, atol=1e-12)
+        gathers = [lambda a: O.index_select(a, axis, ids)]
+        if axis == 0:
+            gathers.append(lambda a: T.embedding(a, ids))
+        for gather in gathers:
+            a = T.parameter(rng.standard_normal(shape))
+            out = gather(a)
+            g = rng.standard_normal(out.shape)
+            T.backward(T.sum_(O.mul(out, g)))
+            want = np.zeros(shape)
+            np.add.at(want, (slice(None),) * axis + (ids,), g)
+            assert a.grad.shape == shape
+            np.testing.assert_allclose(a.grad, want, rtol=1e-12, atol=1e-12)
 
 
 class TestCosineNce:

@@ -346,7 +346,8 @@ class TestClsOnlyForwards:
         def spy(*args, **kwargs):
             assert all(ref() is None for ref in returned), "an earlier batch is still alive"
             out = original(*args, **kwargs)
-            tracked = Tracked(out.data, out.requires_grad, out._parents, out._backward)
+            tracked = Tracked(out.data)
+            tracked.node = out.node
             returned.append(weakref.ref(tracked))
             return tracked
 
