@@ -112,6 +112,7 @@ def cmd_pretrain(cfg, args):
     vocab = C.build_vocab((r["text"] for r in records),
                           min_freq=cfg.get("corpus", "min_freq"))
     docs = C.encode_documents(records, vocab, task=_task(cfg))
+    del records  # tokenized: no later step reads the raw text
     pcfg = cfg.pretrain_config(objective=args.objective)
     ecfg = cfg.encoder_config(vocab.size, pcfg.objective)
 
@@ -141,6 +142,7 @@ def cmd_embed(cfg, args):
             _require(ckpt_path, "pretrain", hint="(or pass --random-init)"))
 
     docs = C.encode_documents(records, vocab, task=_task(cfg))
+    del records  # tokenized: no later step reads the raw text
     embs = embed_documents(docs, _untracked(params), ecfg, pooling=args.pooling or pcfg.pooling,
                            chunk_len=pcfg.chunk_len, n_chunks=pcfg.n_chunks,
                            max_tokens=pcfg.max_tokens)

@@ -4,9 +4,14 @@ vector as the sequence representation.
 
 Each projection is one fused `tensor.linear` node and dense attention one
 fused `tensor.attention` node, which keeps only the probabilities for its
-closed-form backward; the attention ops split the (B, L, D) projections
-into heads themselves. `encoder_forward` holds the one pre-LN transformer
-block; the dense and sparse paths differ only in the attention call.
+closed-form backward, and untracked not even those; the attention ops
+split the (B, L, D) projections into heads themselves. `encoder_forward`
+holds the one pre-LN transformer block, written as its two residual
+branches, `_attention_branch` and `_feed_forward_branch`: each returns what
+it adds to the residual stream, and its own temporaries die when it
+returns. So an untracked pass holds the stream plus one branch's arrays,
+and a tracked one adds only what its tape keeps. The dense and sparse
+paths differ only in the attention call.
 
 By default it returns every row's hidden state, which the sliding path's
 dense oracle reads; on that path `capture` collects each layer's
@@ -74,12 +79,18 @@ class EncoderConfig:
 
 
 def _trunc_normal(rng, shape, std=0.02):
+    """Standard normals redrawn, in up to 8 rounds, where |x| > 2, clipped
+    to [-2, 2] after, times `std`. Only a position redrawn in the last round
+    can still be out of range, so each round tests those alone (in flat
+    order, as a boolean mask over the whole array would pick them)."""
     x = rng.standard_normal(shape)
+    flat = x.reshape(-1)
+    bad = np.flatnonzero(np.abs(flat) > 2.0)
     for _ in range(8):
-        bad = np.abs(x) > 2.0
-        if not bad.any():
+        if not bad.size:
             break
-        x[bad] = rng.standard_normal(bad.sum())
+        flat[bad] = rng.standard_normal(bad.size)
+        bad = bad[np.abs(flat[bad]) > 2.0]
     np.clip(x, -2.0, 2.0, out=x)
     return (x * std).astype(np.float32)
 
@@ -132,9 +143,11 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
     """Run the encoder over a batch; returns the (B, L, D) hidden states.
 
     `ids` is (B, L) int, `mask` is (B, L) bool (true for real tokens incl.
-    CLS). Attention never reads masked keys. Each layer is a pre-LN block:
-    attention, then a ReLU feed-forward, each added back as a residual
-    after dropout.
+    CLS). Attention never reads masked keys. Each layer is a pre-LN block of
+    two residual branches, attention and then a ReLU feed-forward, each added
+    back after dropout. Each branch is its own function, whose layer norm,
+    projections and attention arrays die when it returns: an untracked pass
+    never holds a layer's q, k, v or context through its feed-forward.
 
     On the sliding path a row may hold several sequences laid end to end,
     each one segment: `seg_start` (L,) gives each position the first
@@ -188,25 +201,45 @@ def encoder_forward(ids, mask, params, config, train=False, rng=None, capture=No
 
     for i in range(config.layers):
         pre = f"layer{i}."
-        last_cls = cls_only and i == config.layers - 1
-        x = T.layer_norm(h, params[pre + "ln1_g"], params[pre + "ln1_b"])
-        q = _linear(x[:, cls_rows] if last_cls else x, params, pre + "q")
-        if last_cls:
-            ctx = T.cls_attention(q, x, params[pre + "k_w"], params[pre + "v_w"],
-                                  params[pre + "v_b"], cls_mask, config.heads)
-            h = h[:, cls_rows]
+        if cls_only and i == config.layers - 1:
+            h = T.add(h[:, cls_rows], _attention_branch(h, params, pre, config, train, rng,
+                                                        cls=(cls_rows, cls_mask)))
         else:
-            k, v = (_linear(x, params, pre + name) for name in "kv")
-            if config.attention == "sliding":
-                ctx = T.sliding_attention(q, k, v, mask, config.heads, config.window,
-                                          probs=capture, seg_start=seg_start)
-            else:
-                ctx = T.attention(q, k, v, mask, config.heads)
-        h = T.add(h, T.dropout(_linear(ctx, params, pre + "o"), config.dropout, rng, train))
-        x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])
-        f = _linear(T.relu(_linear(x, params, pre + "ff1")), params, pre + "ff2")
-        h = T.add(h, T.dropout(f, config.dropout, rng, train))
+            h = T.add(h, _attention_branch(h, params, pre, config, train, rng, mask=mask,
+                                           capture=capture, seg_start=seg_start))
+        h = T.add(h, _feed_forward_branch(h, params, pre, config, train, rng))
     return T.layer_norm(h, params["lnf_g"], params["lnf_b"])
+
+
+def _attention_branch(h, params, pre, config, train, rng, mask=None, capture=None,
+                      seg_start=None, cls=None):
+    """What a block's attention adds to the residual stream h: LN1, the
+    attention, the output projection and its dropout. With `cls`, the pair
+    (cls_rows, cls_mask), only the [CLS] rows query, in one
+    `tensor.cls_attention` call; otherwise every row does, reading the keys
+    `mask` allows. The branch's normalized input, projections and context
+    die when it returns."""
+    x = T.layer_norm(h, params[pre + "ln1_g"], params[pre + "ln1_b"])
+    if cls is not None:
+        rows, cls_mask = cls
+        ctx = T.cls_attention(_linear(x[:, rows], params, pre + "q"), x, params[pre + "k_w"],
+                              params[pre + "v_w"], params[pre + "v_b"], cls_mask, config.heads)
+    else:
+        q, k, v = (_linear(x, params, pre + name) for name in "qkv")
+        if config.attention == "sliding":
+            ctx = T.sliding_attention(q, k, v, mask, config.heads, config.window,
+                                      probs=capture, seg_start=seg_start)
+        else:
+            ctx = T.attention(q, k, v, mask, config.heads)
+    return T.dropout(_linear(ctx, params, pre + "o"), config.dropout, rng, train)
+
+
+def _feed_forward_branch(h, params, pre, config, train, rng):
+    """What a block's feed-forward adds to the residual stream h: LN2, the
+    ReLU feed-forward and its dropout. Its temporaries die when it returns."""
+    x = T.layer_norm(h, params[pre + "ln2_g"], params[pre + "ln2_b"])
+    f = _linear(T.relu(_linear(x, params, pre + "ff1")), params, pre + "ff2")
+    return T.dropout(f, config.dropout, rng, train)
 
 
 def encode_chunk(ids, mask, params, config, train=False, rng=None):

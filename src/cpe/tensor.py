@@ -36,7 +36,10 @@ in-place masked softmax and its gradient. `attention` runs both passes
 over groups of whole sequences, about 1 MiB of probabilities each
 (`_groups`), so a group's scores stay in the L2 cache across the passes
 over them; every product is per sequence, so the grouping changes no
-bit.
+bit. Each attention op keeps its probabilities only when an input is
+tracked (its backward reads them) or a `probs` list asks for them; an
+untracked `attention` call without one computes each group's into one
+group-sized buffer and never holds the (B,H,Lq,Lk) array.
 `masked_mean` and `masked_max` pool rows (R, D) per document: the rows fill
 the true slots of a (B, n) mask in row-major order, so scattering them into
 a (B, n, D) array is the forward layout and indexing its gradient by the
@@ -533,9 +536,12 @@ def attention(q, k, v, key_mask, heads, probs=None):
     may read -> context (B,Lq,D), over `heads` heads of d = D/heads.
     softmax(q.k^T / sqrt(d)) follows `_masked_softmax_`'s contract: masked
     keys get probability exactly 0, and a row with no readable key gets
-    zero probabilities and a zero context (no NaN). Only the (B,H,Lq,Lk)
-    probabilities are kept for the closed-form backward; when `probs` is a
-    list, they are appended to it.
+    zero probabilities and a zero context (no NaN). A key mask of another
+    shape is a ShapeError. The closed-form backward reads only the
+    (B,H,Lq,Lk) probabilities. They are kept when an input is tracked, and
+    appended to `probs` when it is a list; otherwise they are never whole:
+    each group's are computed into one buffer the size of a group, which
+    the next group reuses, with the same products and bits.
 
     Both passes run over groups of whole sequences (`_groups`), so each
     group's scores stay in cache across the passes over them; every
@@ -546,17 +552,25 @@ def attention(q, k, v, key_mask, heads, probs=None):
     (b, h, lq, d), lk = qh.shape, kh.shape[2]
     c = 1.0 / math.sqrt(d)
     key_mask = np.asarray(key_mask, dtype=bool)
+    if key_mask.shape != (b, lk):
+        raise ShapeError(f"attention: key mask {key_mask.shape} is not (B, Lk) = {(b, lk)} "
+                         f"for keys {k.shape}")
     invalid = ~key_mask[:, None, None, :]
-    p = np.empty((b, h, lq, lk), dtype=np.result_type(qh, kh))
-    groups = _groups(b, p[:1].nbytes)
+    dtype = np.result_type(qh, kh)
+    groups = _groups(b, h * lq * lk * dtype.itemsize)
+    qn, kn, vn = q.node, k.node, v.node
+    # untracked and unrequested, the groups take turns in one group-sized buffer
+    keep = probs is not None or qn is not None or kn is not None or vn is not None
+    rows = b if keep or not groups else min(b, groups[0].stop)
+    p = np.empty((rows, h, lq, lk), dtype=dtype)
     out = np.empty((b, lq, h, d), dtype=np.result_type(p, vh))
     for g in groups:
-        pg = np.matmul(qh[g] * c, np.swapaxes(kh[g], -1, -2), out=p[g])
+        qg = qh[g] * c
+        pg = np.matmul(qg, np.swapaxes(kh[g], -1, -2), out=p[g] if keep else p[:len(qg)])
         _masked_softmax_(pg, invalid[g] if invalid[g].any() else None)
         out[g] = np.matmul(pg, vh[g]).transpose(0, 2, 1, 3)
     if probs is not None:
         probs.append(p)
-    qn, kn, vn = q.node, k.node, v.node
 
     def bwd(grad):
         gq, gk, gv = (np.empty(t.shape[:1] + (t.shape[2], h, d), dtype=grad.dtype)
@@ -584,7 +598,8 @@ def cls_attention(q, x, w_k, w_v, b_v, key_mask, heads, probs=None):
 
     q (B,S,D), x (B,L,D), w_k and w_v (D,D), b_v (D,), key_mask (B,S,L) bool,
     the keys each query row may read -> context (B,S,D), over `heads` heads
-    of d = D/heads, under `attention`'s contract. Head h's projections are
+    of d = D/heads, under `attention`'s contract; a key mask of another
+    shape is a ShapeError. Head h's projections are
     absorbed into its query: its scores are x . (W_k,h q_h) / sqrt(d), and
     its context is (sum_j p_j x_j) W_v,h + b_v,h sum_j p_j, so a row with no
     readable key gets a zero context. The key bias adds the same score to every key,
@@ -594,6 +609,10 @@ def cls_attention(q, x, w_k, w_v, b_v, key_mask, heads, probs=None):
     (appended to `probs` when it is a list), the absorbed queries and the
     probability-weighted rows of x."""
     (b, s, dm), l = q.shape, x.shape[1]
+    key_mask = np.asarray(key_mask, dtype=bool)
+    if key_mask.shape != (b, s, l):  # a (B, L) mask would broadcast across the heads
+        raise ShapeError(f"cls_attention: key mask {key_mask.shape} is not (B, S, L) = "
+                         f"{(b, s, l)} for queries {q.shape} and keys {x.shape}")
     d = dm // heads
     c = 1.0 / math.sqrt(d)
     xd = x.data
@@ -612,7 +631,6 @@ def cls_attention(q, x, w_k, w_v, b_v, key_mask, heads, probs=None):
     qs = to_heads(q.data) * c
     u = to_rows(np.matmul(qs, wk))  # (B,H*S,D): each row's W_k,h q_h / sqrt(d)
     p = np.matmul(u, np.swapaxes(xd, -1, -2)).reshape(b, heads, s, l)
-    key_mask = np.asarray(key_mask, dtype=bool)
     _masked_softmax_(p, ~key_mask[:, None])
     if probs is not None:
         probs.append(p)

@@ -321,7 +321,10 @@ def embed_documents(docs, params, encoder_config, pooling="max", *, chunk_len, n
     documents into calls: a document's embedding does not depend on it, nor
     on the other documents, up to float rounding. The hierarchical path
     encodes each group's real chunks as one batch. Untracked parameters, as
-    the CLI's `embed` passes, build no tape; tracked ones build each
+    the CLI's `embed` passes, build no tape, and a batch's pass holds only
+    what it still reads: no dense attention probabilities beyond one group
+    of sequences (`tensor.attention`) and no block temporaries beyond one
+    residual branch's (`encoder.encoder_forward`). Tracked ones build each
     batch's graph, dropped before the next batch."""
     out = []
     if encoder_config.attention == "sliding":

@@ -5,9 +5,11 @@ import pytest
 
 from cpe import tensor as T
 from cpe.corpus import CLS_ID, PAD_ID
-from cpe.encoder import EncoderConfig, encode_chunk, encode_packed, encoder_forward, init_params
+from cpe.encoder import (EncoderConfig, _trunc_normal, encode_chunk, encode_packed,
+                         encoder_forward, init_params)
+import oracle_init
 import oracle_ops as O
-from test_tensor import _band_global_mask
+from test_tensor import _band_global_mask, _owner
 
 DENSE = EncoderConfig(vocab_size=20, dim=16, layers=2, heads=4, ff=32,
                       max_positions=12, dropout=0.1)
@@ -89,6 +91,29 @@ class TestInitParams:
         w = p["layer0.q_w"].data
         assert abs(w.std() - 0.02) < 0.005
         assert np.abs(w).max() <= 0.04 + 1e-6  # truncated at 2 sigma
+
+    @pytest.mark.parametrize("shape", [(20, 16), (12, 16), (16, 32), (32,), (3, 4, 5), (0, 4)])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trunc_normal_matches_the_whole_array_rounds(self, shape, seed):
+        # redrawing only the positions still out of range draws the same
+        # numbers, in the same order, as testing the whole array each round
+        got = _trunc_normal(np.random.default_rng(seed), shape)
+        want = oracle_init.trunc_normal(np.random.default_rng(seed), shape)
+        assert got.dtype == want.dtype == np.float32 and np.array_equal(got, want)
+
+    def test_trunc_normal_matches_at_the_round_cap(self):
+        # std 0.02 times draws of std 100: most positions are still out of
+        # range after 8 rounds, so both stop at the cap and clip
+        class Wide:
+            def __init__(self, seed):
+                self.rng = np.random.default_rng(seed)
+
+            def standard_normal(self, size):
+                return self.rng.standard_normal(size) * 100.0
+
+        got = _trunc_normal(Wide(0), (64, 64))
+        assert np.array_equal(got, oracle_init.trunc_normal(Wide(0), (64, 64)))
+        assert np.sum(np.abs(got) == np.float32(0.04)) > 1000
 
     @pytest.mark.parametrize("seed", range(20))
     def test_forward_finite_at_init(self, seed):
@@ -367,6 +392,45 @@ def test_train_forward_frees_the_values_no_backward_reads(monkeypatch, attention
     assert len(refs) == 1 + 2 * cfg.layers and all(ref() is None for ref in refs)
     T.backward(T.sum_(h))
     assert all(p.grad is not None for p in params.values())
+
+
+@pytest.mark.parametrize("cls_only", [False, True])
+@pytest.mark.parametrize("attention", ["dense", "sliding"])
+def test_untracked_forward_frees_each_attention_branch(monkeypatch, attention, cls_only):
+    # an untracked pass holds the residual stream and one branch's arrays:
+    # by the time a block's second layer norm runs, the block's LN1 output,
+    # q, k, v, attention output and output projection are dead
+    cfg = EncoderConfig(**{**vars(DENSE), "attention": attention, "window": 2})
+    branch, checked = [], []
+
+    def spy(fn):
+        def recorded(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            branch.append(weakref.ref(_owner(out.data)))
+            return out
+        return recorded
+
+    for name in ("linear", "attention", "sliding_attention", "cls_attention"):
+        monkeypatch.setattr(T, name, spy(getattr(T, name)))
+    layer_norm = spy(T.layer_norm)
+
+    def norm_spy(a, gamma, beta):
+        if gamma.name.endswith("ln1_g"):
+            branch.clear()
+        elif gamma.name.endswith("ln2_g"):
+            checked.append(len(branch))
+            alive = [i for i, ref in enumerate(branch) if ref() is not None]
+            assert not alive, (gamma.name, alive)
+        return layer_norm(a, gamma, beta)
+
+    monkeypatch.setattr(T, "layer_norm", norm_spy)
+    params = {k: T.Tensor(p.data, name=k) for k, p in init_params(cfg, 0).items()}
+    ids, mask = _batch(np.random.default_rng(0), 3, 12, cfg)
+    mask[1, 8:] = False
+    h = encoder_forward(ids, mask, params, cfg, cls_only=cls_only)
+    assert h.node is None
+    # LN1, q, k, v, attention and o per block; the [CLS]-only block has no k or v
+    assert checked == [6] * (cfg.layers - 1) + [4 if cls_only else 6]
 
 
 @pytest.mark.parametrize("attention", ["dense", "sliding"])

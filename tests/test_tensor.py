@@ -2,6 +2,7 @@ import ctypes
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -565,6 +566,35 @@ class TestAttention:
         assert np.all(p[2] == 0.0) and np.all(ctx[2] == 0.0)  # no readable key
         assert np.all(np.isfinite(ctx))
 
+    def test_key_mask_of_another_shape_rejected(self):
+        # a (B, Lq, Lk) mask used to broadcast against the (B, H, Lq, Lk) scores
+        rng = np.random.default_rng(2)
+        q, k, v = (T.constant(rng.standard_normal((2, 3, 4))) for _ in range(3))
+        mask = np.ones((2, 3, 3), dtype=bool)
+        with pytest.raises(T.ShapeError, match=r"\(2, 3, 3\).*\(2, 3\)"):
+            T.attention(q, k, v, mask, 2)
+
+    def test_untracked_call_never_holds_the_whole_probabilities(self):
+        # the untracked forward reuses one group-sized buffer, about 1 MiB;
+        # the call that asks for the probabilities allocates all of them
+        b, l, dm, h = 64, 129, 64, 4
+        rng = np.random.default_rng(4)
+        q, k, v = (T.constant(rng.standard_normal((b, l, dm), dtype=np.float32))
+                   for _ in range(3))
+        mask = np.ones((b, l), dtype=bool)
+        mask[::3, 100:] = False
+        whole = b * h * l * l * 4  # 17 MB
+
+        def peak(probs):
+            tracemalloc.start()
+            try:
+                T.attention(q, k, v, mask, h, probs=probs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(None) < whole / 4 < whole <= peak([])
+
     def test_probs_list_is_optional(self):
         rng = np.random.default_rng(1)
         q, k, v = (T.constant(rng.standard_normal((1, 3, 2))) for _ in range(3))
@@ -648,6 +678,23 @@ class TestAttentionGroups:
         grouped, whole = run(per_group * seq_bytes), run(b * seq_bytes)
         for name, x, y in zip(("context", "probs", "q", "k", "v"), grouped, whole):
             assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+    @pytest.mark.parametrize("b,lq,lk,per_group,kind", CASES)
+    def test_untracked_call_matches_the_tracked_and_requested_ones(self, monkeypatch, b, lq,
+                                                                   lk, per_group, kind):
+        # the untracked call computes each group into one reused buffer
+        h, d = 2, 3
+        rng = np.random.default_rng(b * lq)
+        data = [rng.standard_normal((b, n, h * d)).astype(np.float32) for n in (lq, lk, lk)]
+        mask = self._mask(kind, b, lq, lk)
+        monkeypatch.setattr(T, "_GROUP_BYTES", per_group * h * lq * lk * 4)
+        untracked = T.attention(*map(T.constant, data), mask, h)
+        requested = T.attention(*map(T.constant, data), mask, h, probs=[])
+        tracked = T.attention(*map(T.parameter, data), mask, h)
+        assert untracked.node is None and tracked.node is not None
+        for out in (requested, tracked):
+            assert out.data.dtype == untracked.data.dtype
+            assert np.array_equal(out.data, untracked.data)
 
 
 class TestClsAttention:
@@ -740,6 +787,17 @@ class TestClsAttention:
         params = {n: T.parameter(x) for n, x in data.items()}
         every = max(x.size for x in data.values())
         assert O.grad_check(fn, params, num_samples=every) < 1e-7
+
+
+    def test_key_mask_of_another_rank_rejected(self):
+        # a (B, L) mask used to broadcast as (1, B, 1, L): at B = H each head
+        # read another document's mask
+        rng = np.random.default_rng(6)
+        data = self._data(rng, 2, 2, 5)
+        mask = np.ones((2, 5), dtype=bool)
+        with pytest.raises(T.ShapeError, match=r"\(2, 5\).*\(2, 2, 5\)"):
+            T.cls_attention(*(T.constant(data[n]) for n in ("q", "x", "w_k", "w_v", "b_v")),
+                            mask, self.H)
 
 
 def _masked_softmax_oracle(s, invalid):
